@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(p: _Parser, deg: bool = False, grid: bool = False) -> None:
+def _add_common(p: _Parser, deg: bool = False) -> None:
     p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -48,8 +48,6 @@ def _add_common(p: _Parser, deg: bool = False, grid: bool = False) -> None:
             default=None,
             help="degree bound (default: twice the matrix size)",
         )
-    if grid:
-        p.add_argument("--grid", type=int, default=64)
 
 
 def _parse_float_list(text: str, flag: str) -> list:
@@ -363,11 +361,11 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_, input_=True, deg=False, grid=False):
+    def cmd(name, fn, help_, input_=True, deg=False):
         p = sub.add_parser(name, help=help_)
         if input_:
             p.add_argument("--in", dest="input", required=True, metavar="FILE")
-        _add_common(p, deg=deg, grid=grid)
+        _add_common(p, deg=deg)
         p.set_defaults(func=fn)
         return p
 
@@ -377,9 +375,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--cluster-tol", type=float, default=1e-6)
     cmd("model-monomial", _cmd_model_monomial, "compressed shift model of a monomial ideal")
     cmd("model-jet", _cmd_model_jet, "jet model for points with local ideals")
-    cmd("interp-check", _cmd_interp_check, "separation and Carleson constants", grid=True)
+    cmd("interp-check", _cmd_interp_check, "separation and Carleson constants")
     cmd("pick", _cmd_pick, "minimal multiplier interpolation norm")
-    cmd("nilsim", _cmd_nilsim, "similarity certificate onto the monomial model", grid=True)
+    cmd("nilsim", _cmd_nilsim, "similarity certificate onto the monomial model")
 
     p = cmd("repro-6-2", _cmd_repro_6_2, "one-variable troubled similarity family", input_=False)
     p.add_argument("--eps", default="0.1,0.01,0.001")

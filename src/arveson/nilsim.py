@@ -258,7 +258,8 @@ def correspondence_similarity(
     Returns (X, model, residual). This is the raw change of basis behind
     the similarity theorem; it exists whenever the weighted orbit is a
     basis, regardless of whether the quantitative hypotheses hold, so the
-    norm bounds attached to the certificate do not apply to it.
+    norm bounds attached to the certificate do not apply to it. A singular
+    orbit matrix means the ideal is wrong and raises ValidationError.
     """
     model = models.monomial_model(generators, N.d)
     if model.dim != N.n:
@@ -273,7 +274,13 @@ def correspondence_similarity(
         w = math.sqrt(mi.multinomial_weight(beta))
         cols.append(w * (cache[beta] @ xi))
     U = np.column_stack(cols)
-    X = numerics.inv(U)
+    try:
+        X = numerics.inv(U)
+    except NumericalError as exc:
+        raise ValidationError(
+            "the weighted orbit over the model basis is not a basis: "
+            "its matrix is singular"
+        ) from exc
     residual = max(
         numerics.operator_norm(X @ Nj @ U - Zj)
         for Nj, Zj in zip(N.matrices, model.tuple.matrices)

@@ -7,10 +7,17 @@ for membership tests up to that degree. ``localize`` passes to the space
 of Taylor jets at a point, and ``polynomial_order`` finds the smallest k
 with m_z^(k+1) contained in the jet image, i.e. the vanishing order the
 ideal prescribes at an isolated common zero.
+
+Both spans are built on dense coefficient arrays, never by multiplying
+``Polynomial`` objects: x^q * g has coefficient g[gamma - q] at x^gamma,
+and (x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at z, where
+t_g is the Taylor row of g. Every column is a gather through
+``_shift_index``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,15 +56,20 @@ class PolyIdeal:
         self.slice_basis = self._build_slice()
 
     def _build_slice(self) -> np.ndarray:
-        cols = []
-        for g in self.generators:
-            room = self.degree_bound - g.degree()
-            for q_alpha in mi.enumerate_indices(self.d, room):
-                prod = Polynomial.monomial(q_alpha) * g
-                cols.append(prod.coeff_vector(self.basis))
-        if not cols:
+        if not self.generators:
             return np.zeros((len(self.basis), 0), dtype=complex)
-        return numerics.orth_columns(np.column_stack(cols))
+        # the multipliers x^q with |q| <= room are the first C(d+room, d)
+        # basis indices, so one index map serves every generator
+        counts = [
+            math.comb(self.d + self.degree_bound - g.degree(), self.d) for g in self.generators
+        ]
+        basis = np.array(self.basis, dtype=np.int64)
+        index = _shift_index(basis, basis[: max(counts)])
+        cols = []
+        for g, count in zip(self.generators, counts):
+            padded = np.append(g.coeff_vector(self.basis), 0)  # index -1 reads a zero
+            cols.append(padded[index[:, :count]])
+        return numerics.orth_columns(np.concatenate(cols, axis=1))
 
     @property
     def slice_dim(self) -> int:
@@ -138,21 +150,69 @@ def localize(ideal: PolyIdeal, z: Sequence[complex], mu: int) -> LocalJetIdeal:
             f"supports (max {max_mu})"
         )
     jet_basis = mi.enumerate_indices(ideal.d, mu)
-    cols = []
-    for g in ideal.generators:
-        for beta in mi.enumerate_indices(ideal.d, mu):
-            factor = Polynomial.constant(ideal.d, 1.0)
-            for j, bj in enumerate(beta):
-                if bj:
-                    lin = Polynomial.variable(ideal.d, j) - Polynomial.constant(ideal.d, z[j])
-                    for _ in range(bj):
-                        factor = factor * lin
-            cols.append((factor * g).jet(z, mu, jet_basis))
-    if not cols:
-        basis = np.zeros((len(jet_basis), 0), dtype=complex)
+    m = len(jet_basis)
+    if not ideal.generators:
+        basis = np.zeros((m, 0), dtype=complex)
     else:
-        basis = numerics.orth_columns(np.column_stack(cols))
+        jets = np.array(jet_basis, dtype=np.int64)
+        rows = np.zeros((len(ideal.generators), m + 1), dtype=complex)  # index -1 reads a zero
+        rows[:, :m] = _taylor_rows(ideal.generators, z, jets)
+        # column (g, beta) holds t_g[gamma - beta] in row gamma
+        cols = rows[:, _shift_index(jets, jets)]
+        basis = numerics.orth_columns(cols.transpose(1, 0, 2).reshape(m, -1))
     return LocalJetIdeal(z=tuple(z.tolist()), mu=mu, d=ideal.d, jet_basis=jet_basis, basis=basis)
+
+
+def _binomials(n: int, k: int) -> np.ndarray:
+    """Table of C(i, j) for 0 <= i <= n, 0 <= j <= k (zero for j > i)."""
+    return np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)])
+
+
+def _shift_index(gammas: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Position of gamma - shift in the graded order of
+    ``multiindex.enumerate_indices``, for every row gamma of ``gammas``
+    (axis 0) and row shift of ``shifts`` (axis 1); -1 where x^shift does
+    not divide x^gamma.
+
+    The position of alpha with |alpha| = n is the count C(n-1+d, d) of
+    lower degrees plus, for each coordinate j < d-1, the count
+    C(r_j - alpha_j + d-j-2, d-j-1) of same-degree indices that agree
+    before j and are larger at j, where r_j = n - sum_{i<j} alpha_i.
+    """
+    d = gammas.shape[1]
+    binom = _binomials(int(gammas.sum(axis=1).max(initial=0)) + d, d)
+    rest = np.maximum(gammas.sum(axis=1)[:, None] - shifts.sum(axis=1)[None, :], 0)
+    pos = binom[rest + d - 1, d]
+    divides = np.ones(pos.shape, dtype=bool)
+    for j in range(d):
+        a = gammas[:, None, j] - shifts[None, :, j]
+        divides &= a >= 0
+        if j < d - 1:
+            a = np.clip(a, 0, rest)
+            pos += binom[rest - a + d - j - 2, d - j - 1]
+            rest = rest - a
+    return np.where(divides, pos, -1)
+
+
+def _taylor_rows(generators: Sequence[Polynomial], z: np.ndarray, jets: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of each generator at z on the indices ``jets``:
+    t_g[gamma] = sum_a c_a prod_j C(a_j, gamma_j) z_j^(a_j - gamma_j)."""
+    top = max(g.degree() for g in generators)
+    binom = _binomials(top, top).astype(float)
+    rows = np.empty((len(generators), len(jets)), dtype=complex)
+    for i, g in enumerate(generators):
+        alphas = np.array(list(g.coeffs), dtype=np.int64)
+        weight = np.ones((len(alphas), len(jets)), dtype=complex)
+        for j in range(z.size):
+            a = alphas[:, None, j]
+            gamma = jets[None, :, j]
+            ok = gamma <= a
+            power = z[j] ** np.where(ok, a - gamma, 0)
+            weight *= np.where(ok, binom[a, np.minimum(gamma, a)] * power, 0)
+        # summed term by term, as Polynomial.shift sums; a BLAS product may
+        # fuse multiply-adds and leave other roundoff in cancelling jets
+        rows[i] = np.einsum("k,km->m", np.array(list(g.coeffs.values())), weight)
+    return rows
 
 
 def _isolation_mesh_check(ideal: PolyIdeal, z: np.ndarray, seed: int = 0) -> None:

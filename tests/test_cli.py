@@ -153,6 +153,36 @@ def test_nilsim_certificate(tuple_file, ideal_file, tmp_path, capsys):
     assert rep["result"]["necessity"]["ok"] is True
 
 
+def test_nilsim_singular_orbit_exits_2(tuple_file, tmp_path, capsys):
+    # the tuple is the exact model of <x^2, xy, y^2>; against <x^3, y> its
+    # orbit matrix is singular, which is a validation failure
+    ideal = {
+        "d": 2,
+        "degree_bound": 4,
+        "generators": [
+            {"d": 2, "terms": [{"coeff": 1, "alpha": [3, 0]}]},
+            {"d": 2, "terms": [{"coeff": 1, "alpha": [0, 1]}]},
+        ],
+    }
+    p = tmp_path / "nilsim.json"
+    p.write_text(json.dumps({"tuple": json.loads(open(tuple_file).read()), "ideal": ideal}))
+    code, out, err = run(["nilsim", "--in", str(p)], capsys)
+    assert code == 2
+    assert "not a basis" in err
+
+
+def test_grid_flag_is_gone(tuple_file, ideal_file, tmp_path, capsys):
+    obj = {
+        "tuple": json.loads(open(tuple_file).read()),
+        "ideal": json.loads(open(ideal_file).read()),
+    }
+    p = tmp_path / "nilsim.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(["nilsim", "--in", str(p), "--grid", "8"], capsys)
+    assert code == 1
+    assert "--grid" in err
+
+
 def test_output_file_and_determinism(tuple_file, tmp_path, capsys):
     o1 = tmp_path / "a.json"
     o2 = tmp_path / "b.json"

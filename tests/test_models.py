@@ -188,3 +188,35 @@ def test_verify_localizations_two_point():
     assert all(r.matches for r in reports)
     assert reports[0].order == 1
     assert reports[1].order == 0
+
+
+def _one_variable_jet_report(points, ideals):
+    m = models.jet_model(points, ideals)
+    return m, models.verify_localizations(m, ideals)
+
+
+def test_jet_model_double_zero_at_real_point():
+    # <(x - 0.3)^2> has a two-dimensional local quotient; with the maximal
+    # ideal at 0.7 the model has dimension 3 and localizes back exactly
+    x = Polynomial.variable(1, 0)
+    ideals = [polyideal.PolyIdeal([(x - 0.3) ** 2], 8), polyideal.PolyIdeal([x - 0.7], 8)]
+    m, reports = _one_variable_jet_report([[0.3], [0.7]], ideals)
+    assert m.dim == 3
+    assert m.orders == (1, 0)
+    assert m.local_dims == (2, 1)
+    assert all(r.matches for r in reports)
+
+
+def test_jet_model_triple_zero_at_complex_point():
+    # <(x - z)^3> at z = -0.4 + 0.2i has a three-dimensional local quotient.
+    # The Taylor row of the stored (x - z)^3 rounds to exact zeros below
+    # order 3; <(x - 0.3)^3> leaves roundoff jets there, which the relative
+    # rank gate of orth_columns keeps, and is still refused
+    z = complex(-0.4, 0.2)
+    x = Polynomial.variable(1, 0)
+    ideals = [polyideal.PolyIdeal([(x - z) ** 3], 8), polyideal.PolyIdeal([x - 0.5], 8)]
+    m, reports = _one_variable_jet_report([[z], [0.5]], ideals)
+    assert m.dim == 4
+    assert m.orders == (2, 0)
+    assert m.local_dims == (3, 1)
+    assert all(r.matches for r in reports)

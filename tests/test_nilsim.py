@@ -109,6 +109,18 @@ def test_build_similarity_rejects_same_dimension_wrong_ideal():
         nilsim.build_similarity(T, xi, gens)
 
 
+def test_singular_orbit_matrix_is_a_wrong_ideal():
+    # the square model kills x^2, so against <x^3, y> (same dimension 3)
+    # the weighted orbit {xi, N1 xi, N1^2 xi} has a zero column: it is not
+    # a basis, which is a broken precondition, not a numerical failure
+    m = square_model()
+    gens = [(3, 0), (0, 1)]
+    with pytest.raises(ValidationError, match="not a basis"):
+        nilsim.correspondence_similarity(m.tuple, m.cyclic, gens)
+    with pytest.raises(ValidationError, match="not a basis"):
+        nilsim.build_similarity(m.tuple, m.cyclic, gens)
+
+
 def test_troubled_family_is_never_admissible():
     # the troubled two-variable family fails epsilon * card < 1 at every t
     for t in [0.05, 0.1, 0.3]:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import multiindex as mi
-from arveson import polyideal
+from arveson import numerics, polyideal
 from arveson.errors import InputError, ValidationError
 from arveson.polynomials import Polynomial
 
@@ -133,3 +134,92 @@ def test_localize_matches_vanishing_slice_on_annihilated_jets():
     loc = polyideal.localize(vi, [0.3], 1)
     for p in vi.generators:
         assert loc.contains(p)
+
+
+# The Polynomial-product constructions that the dense gathers replaced,
+# kept as oracles: every column is an explicit product, so they share no
+# index arithmetic with the code under test.
+
+
+def oracle_slice(ideal):
+    cols = []
+    for g in ideal.generators:
+        room = ideal.degree_bound - g.degree()
+        for q_alpha in mi.enumerate_indices(ideal.d, room):
+            prod = Polynomial.monomial(q_alpha) * g
+            cols.append(prod.coeff_vector(ideal.basis))
+    if not cols:
+        return np.zeros((len(ideal.basis), 0), dtype=complex)
+    return numerics.orth_columns(np.column_stack(cols))
+
+
+def oracle_localize(ideal, z, mu):
+    jet_basis = mi.enumerate_indices(ideal.d, mu)
+    cols = []
+    for g in ideal.generators:
+        for beta in jet_basis:
+            factor = Polynomial.constant(ideal.d, 1.0)
+            for j, bj in enumerate(beta):
+                if bj:
+                    lin = Polynomial.variable(ideal.d, j) - Polynomial.constant(ideal.d, z[j])
+                    for _ in range(bj):
+                        factor = factor * lin
+            cols.append((factor * g).jet(z, mu, jet_basis))
+    if not cols:
+        return np.zeros((len(jet_basis), 0), dtype=complex)
+    return numerics.orth_columns(np.column_stack(cols))
+
+
+def test_shift_index_by_hand_d2():
+    # graded basis of d=2: (0,0) (1,0) (0,1) | (2,0) (1,1) (0,2) | (3,0) (2,1) ...
+    gammas = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)])
+    shifts = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+    want = np.array(
+        [
+            [0, -1, -1, -1],
+            [1, 0, -1, -1],
+            [2, -1, 0, -1],
+            [3, 1, -1, -1],
+            [4, 2, 1, 0],
+            [5, -1, 2, -1],
+            [7, 4, 3, 1],
+        ]
+    )
+    assert np.array_equal(polyideal._shift_index(gammas, shifts), want)
+
+
+@st.composite
+def ideal_point_case(draw):
+    # z and the coefficients are dyadic with few bits, so both constructions
+    # compute every jet exactly and the comparison never rests on how the
+    # rank gate of orth_columns classifies roundoff; the bound on the grid
+    # keeps |z| <= 0.9
+    d = draw(st.integers(1, 3))
+    top = 2 if d == 3 else 3
+    k = {1: 10, 2: 7, 3: 5}[d]
+    part = st.integers(-k, k)
+    z = np.array([complex(draw(part), draw(part)) / 16 for _ in range(d)])
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    alpha = st.lists(st.integers(0, top), min_size=d, max_size=d).filter(lambda a: sum(a) <= top)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = Polynomial(d, dict(draw(st.lists(st.tuples(alpha.map(tuple), coeff), min_size=1, max_size=4))))
+        if draw(st.booleans()):
+            g = g - g(z)  # vanish at z, so the jet image is a proper subspace
+        gens.append(g)
+    degree_bound = max(g.degree() for g in gens) + draw(st.integers(0, 1))
+    return polyideal.PolyIdeal(gens, max(degree_bound, 0), d=d), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal_point_case())
+def test_dense_spans_match_polynomial_products(case):
+    ideal, z = case
+    want = oracle_slice(ideal)
+    assert ideal.slice_dim == want.shape[1]
+    assert numerics.subspace_equal(ideal.slice_basis, want, 1e-10)
+    for mu in range(ideal.degree_bound - ideal.max_generator_degree + 2):
+        got = polyideal.localize(ideal, z, mu)
+        want = oracle_localize(ideal, z, mu)
+        assert got.dim == want.shape[1]
+        assert numerics.subspace_equal(got.basis, want, 1e-10)
