@@ -6,7 +6,7 @@ algebra with explicit tolerances everywhere else.
 """
 
 from .errors import ArvesonError, InputError, NumericalError, ValidationError
-from .fockspace import FockTruncation, JetVector, jet_vector, kernel, mult_matrix, truncation_degree
+from .fockspace import kernel, kernel_gram
 from .interp import (
     PickResult,
     SeparationReport,
@@ -51,9 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArvesonError",
     "CommutingTuple",
-    "FockTruncation",
     "InputError",
-    "JetVector",
     "JointSpectrum",
     "JordanDecomposition",
     "KrylovData",
@@ -78,16 +76,15 @@ __all__ = [
     "correspondence_similarity",
     "gauge_unitary",
     "jet_model",
-    "jet_vector",
     "joint_eigenvalues",
     "jordan_decompose",
     "kernel",
+    "kernel_gram",
     "krylov",
     "lemma_checks",
     "localize",
     "moebius",
     "monomial_model",
-    "mult_matrix",
     "necessity_check",
     "pick_min_norm",
     "polynomial_order",
@@ -95,7 +92,6 @@ __all__ = [
     "separation_constants",
     "strong_separation",
     "theta_jets",
-    "truncation_degree",
     "vanishing_ideal_slice",
     "verify_localizations",
     "__version__",

@@ -9,8 +9,8 @@ numerical failures (a computation could not be trusted).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -39,7 +39,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: _Parser, deg: bool = False) -> None:
     p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", default=None)
     if deg:
         p.add_argument(
@@ -55,14 +54,6 @@ def _parse_float_list(text: str, flag: str) -> list:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"{flag}: expected a comma separated list of numbers")
-
-
-def _map(jobs: int, fn, items):
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _load(args):
@@ -296,12 +287,11 @@ def _row_dict(row) -> dict:
 def _cmd_repro_6_2(args):
     eps_list = _parse_float_list(args.eps, "--eps")
     lams = _parse_float_list(args.lams, "--lams")
-    reports = _map(
-        args.jobs,
-        lambda e: repro.example_one_variable(eps_list=[e], lams=lams),
-        eps_list,
-    )
-    rows = [r for rep in reports for r in rep.rows]
+    rows = [
+        r
+        for e in eps_list
+        for r in repro.example_one_variable(eps_list=[e], lams=lams).rows
+    ]
     result = {
         "rows": [_row_dict(r) for r in rows],
         "ok": all(
@@ -350,7 +340,9 @@ def _cmd_dichotomy(args):
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(
         prog="arveson",
         description=(

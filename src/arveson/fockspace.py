@@ -1,25 +1,22 @@
-"""Truncated Drury-Arveson space on the unit ball of C^d.
+"""Reproducing kernels of the Drury-Arveson space on the unit ball of C^d.
 
-The space carries the kernel k(z,w) = 1/(1 - <z,w>) and the orthogonal
-monomial basis with ||x^a||^2 = a!/|a|!. Everything here works on the
-degree-bounded slice spanned by monomials of degree <= D, stored in the
-orthonormalized basis (monomial divided by its norm, graded lex order).
+The space carries the kernel k(x,z) = 1/(1 - <x,z>). Its derivative
+kernels K_{z,a} = d^a k_z / d conj(z)^a = |a|! x^a (1 - <x,z>)^(-(|a|+1))
+represent the functionals p -> (d^a p)(z), so every inner product between
+them is a derivative of a kernel and has a finite closed form; nothing here
+expands a kernel in monomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import multiindex as mi
 from .errors import InputError
-from .polynomials import Polynomial
-
-KERNEL_TAIL_TOL = 1e-14
 
 
 def _as_point(z: Sequence[complex], d: int | None = None) -> np.ndarray:
@@ -40,61 +37,6 @@ def _require_in_ball(z: np.ndarray) -> float:
     return r
 
 
-def truncation_degree(rho: float, tol: float = KERNEL_TAIL_TOL) -> int:
-    """Smallest D with rho^(2(D+1))/(1-rho^2) < tol.
-
-    This is the exact squared norm of the degree->D tail of a kernel vector
-    k_z with ||z|| = rho, so Gram matrices of kernel data built on the
-    degree-D slice are accurate to tol.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise InputError(f"rho must lie in [0, 1), got {rho}")
-    if rho == 0.0:
-        return 0
-    D = 0
-    while rho ** (2 * (D + 1)) / (1.0 - rho**2) >= tol:
-        D += 1
-        if D > mi.MAX_DEGREE:
-            raise InputError(f"truncation degree exceeds {mi.MAX_DEGREE} for rho={rho}")
-    return D
-
-
-class FockTruncation:
-    """Degree-<=D slice of H^2_d in the orthonormalized monomial basis."""
-
-    def __init__(self, d: int, max_degree: int):
-        if d < 1:
-            raise InputError(f"dimension must be >= 1, got {d}")
-        if max_degree < 0:
-            raise InputError(f"max_degree must be >= 0, got {max_degree}")
-        self.d = int(d)
-        self.max_degree = int(max_degree)
-        self.basis = mi.enumerate_indices(d, max_degree)
-        self.position = {alpha: i for i, alpha in enumerate(self.basis)}
-        self.norms_sq = [mi.monomial_norm_sq(alpha) for alpha in self.basis]
-        self.norms = np.array([math.sqrt(float(q)) for q in self.norms_sq])
-        self.dim = len(self.basis)
-
-    def dim_up_to(self, degree: int) -> int:
-        """Number of basis monomials of degree <= degree (a basis prefix)."""
-        degree = min(degree, self.max_degree)
-        if degree < 0:
-            return 0
-        return math.comb(self.d + degree, self.d)
-
-    def onb_coeffs(self, p: Polynomial) -> np.ndarray:
-        """Coefficients of p in the orthonormalized basis."""
-        if p.d != self.d:
-            raise InputError(f"polynomial dimension {p.d}, expected {self.d}")
-        return p.coeff_vector(self.basis) * self.norms
-
-    def from_onb_coeffs(self, vec: np.ndarray) -> Polynomial:
-        return Polynomial.from_coeff_vector(self.d, np.asarray(vec) / self.norms, self.basis)
-
-    def __repr__(self) -> str:
-        return f"FockTruncation(d={self.d}, max_degree={self.max_degree}, dim={self.dim})"
-
-
 def kernel(z: Sequence[complex], w: Sequence[complex]) -> complex:
     """k(z,w) = 1/(1 - <z,w>) for z, w inside the open unit ball."""
     z = _as_point(z)
@@ -104,101 +46,42 @@ def kernel(z: Sequence[complex], w: Sequence[complex]) -> complex:
     return 1.0 / (1.0 - complex(np.vdot(w, z)))
 
 
-@dataclass(frozen=True)
-class JetVector:
-    """Truncation of the derivative kernel d^a k_z / d conj(z)^a.
+def kernel_gram(points, jets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Gram matrix of the derivative kernels K_{z,a} over points and jets.
 
-    Pairing any polynomial p of degree <= D against ``coeffs`` (a plain
-    conjugate-linear dot in the orthonormal basis) returns d^a p(z); the
-    discarded tail has norm at most ``tail_bound``.
+    Rows and columns run over (point, multi-index) pairs, point-major: the
+    entry at (i*J + r, k*J + s), with J = len(jets), a = jets[r],
+    b = jets[s], z = points[i] and w = points[k], is
+
+        <K_{w,b}, K_{z,a}> = (d^a K_{w,b})(z)
+          = sum_{c <= a, c <= b} C(a,c) b!/(b-c)! (|a|+|b|-|c|)!
+                z^(b-c) conj(w)^(a-c) (1 - <z,w>)^-(|a|+|b|-|c|+1),
+
+    the Leibniz rule applied to x^b (1 - <x,w>)^(-(|b|+1)). With the single
+    jet 0 this is the kernel matrix k(z_i, z_k).
     """
-
-    z: tuple
-    alpha: tuple
-    coeffs: np.ndarray
-    tail_bound: float
-
-    def pair(self, p: Polynomial, trunc: FockTruncation) -> complex:
-        return complex(np.vdot(self.coeffs, trunc.onb_coeffs(p)))
-
-
-def _jet_tail_bound(rho: float, order: int, max_degree: int) -> float:
-    # tail^2 = (m!)^2 sum_{k > D-m} C(k+m, m)^2 rho^(2k); the k-th terms are
-    # orthogonal (distinct degrees) and multiplication by x^alpha contracts.
-    if rho == 0.0:
-        return 0.0
-    m = order
-    k = max_degree - m + 1
-    total = 0.0
-    term = math.comb(k + m, m) ** 2 * rho ** (2 * k)
-    while True:
-        total += term
-        ratio = ((k + 1 + m) / (k + 1)) ** 2 * rho**2
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < 1e-18 * max(total, 1e-300):
-            total += term * ratio / (1.0 - ratio)
-            break
-        k += 1
-        term *= ratio
-        if k > 100000:
-            raise InputError(f"jet tail bound does not converge for rho={rho}")
-    return math.factorial(m) * math.sqrt(total)
-
-
-def jet_vector(z: Sequence[complex], alpha: Sequence[int], trunc: FockTruncation) -> JetVector:
-    """Degree-<=D expansion of |a|! x^a (1 - <x,z>)^(-(|a|+1)).
-
-    Coefficient bookkeeping: the raw coefficient of x^(a+b) is
-    (|a|+|b|)!/b! conj(z)^b, and the orthonormal coefficient carries the
-    extra factor ||x^(a+b)||.
-    """
-    z = _as_point(z, trunc.d)
-    rho = _require_in_ball(z)
-    alpha = mi.as_index(alpha)
-    if len(alpha) != trunc.d:
-        raise InputError(f"order {alpha} has length {len(alpha)}, expected {trunc.d}")
-    m = mi.degree(alpha)
-    if m > trunc.max_degree:
-        raise InputError(
-            f"jet order {m} exceeds the truncation degree {trunc.max_degree}"
-        )
-    zbar = z.conj()
-    coeffs = np.zeros(trunc.dim, dtype=complex)
-    for beta in mi.enumerate_indices(trunc.d, trunc.max_degree - m):
-        gamma = mi.add(alpha, beta)
-        k = mi.degree(beta)
-        # exact square of (raw coefficient) * ||x^gamma||, evaluated once
-        weight_sq = Fraction(
-            math.factorial(m + k) * mi.index_factorial(gamma),
-            mi.index_factorial(beta) ** 2,
-        )
-        zpow = 1.0 + 0j
-        for zj, bj in zip(zbar, beta):
-            if bj:
-                zpow *= zj**bj
-        coeffs[trunc.position[gamma]] = math.sqrt(float(weight_sq)) * zpow
-    return JetVector(
-        z=tuple(z.tolist()),
-        alpha=alpha,
-        coeffs=coeffs,
-        tail_bound=_jet_tail_bound(rho, m, trunc.max_degree),
-    )
-
-
-def mult_matrix(p: Polynomial, trunc: FockTruncation) -> np.ndarray:
-    """Matrix of v -> truncate_D(p * v) in the orthonormalized basis."""
-    if p.d != trunc.d:
-        raise InputError(f"polynomial dimension {p.d}, expected {trunc.d}")
-    if p.degree() > trunc.max_degree:
-        raise InputError(
-            f"multiplier degree {p.degree()} exceeds truncation degree {trunc.max_degree}"
-        )
-    M = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for tau, c in p.coeffs.items():
-        for j, beta in enumerate(trunc.basis):
-            gamma = mi.add(tau, beta)
-            i = trunc.position.get(gamma)
-            if i is None:
-                continue
-            ratio = math.sqrt(float(trunc.norms_sq[i] / trunc.norms_sq[j]))
-            M[i, j] += c * ratio
-    return M
+    Z = np.asarray(points, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] == 0 or Z.shape[1] == 0:
+        raise InputError("points must form a nonempty (m, d) array")
+    if not np.all(np.isfinite(Z.view(float))):
+        raise InputError("points have non-finite entries")
+    for z in Z:
+        _require_in_ball(z)
+    m, d = Z.shape
+    jets = [mi.as_index(a) for a in jets]
+    for a in jets:
+        if len(a) != d:
+            raise InputError(f"jet {a} has length {len(a)}, expected {d}")
+    R = 1.0 / (1.0 - Z @ Z.conj().T)
+    out = np.zeros((m, len(jets), m, len(jets)), dtype=complex)
+    for r, a in enumerate(jets):
+        for s, b in enumerate(jets):
+            for c in itertools.product(*(range(min(ai, bi) + 1) for ai, bi in zip(a, b))):
+                n = mi.degree(a) + mi.degree(b) - sum(c)
+                coef = math.factorial(n)
+                for ai, bi, ci in zip(a, b, c):
+                    coef *= math.comb(ai, ci) * math.perm(bi, ci)
+                zpow = np.prod(Z ** np.subtract(b, c), axis=1)
+                wpow = np.prod(Z.conj() ** np.subtract(a, c), axis=1)
+                out[:, r, :, s] += coef * np.outer(zpow, wpow) * R ** (n + 1)
+    return out.reshape(m * len(jets), m * len(jets))

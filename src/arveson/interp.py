@@ -4,7 +4,8 @@ Everything is phrased through the normalized kernel Gram matrix. For a
 finite set the optimal Carleson constant is exactly its largest
 eigenvalue, weak separation is read off its entries, and multiplier
 interpolation feasibility at level c is positive semidefiniteness of the
-Pick matrix (c^2 - a_n conj(a_m)) k(l_n, l_m).
+Pick matrix (c^2 - a_n conj(a_m)) k(l_n, l_m), so the minimal norm is one
+generalized eigenvalue.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import fockspace, numerics
 from .errors import InputError, NumericalError
 
 PICK_PSD_RTOL = 1e-12
-PICK_ABS_TOL = 1e-8
-PICK_MAX_ITER = 60
+PICK_CERT_RTOL = 1e-6  # relative offset of the level the value is certified at
 
 
 def _as_points(points) -> list:
@@ -44,12 +45,7 @@ def _as_points(points) -> list:
 
 def kernel_matrix(points) -> np.ndarray:
     pts = _as_points(points)
-    m = len(pts)
-    K = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            K[i, j] = fockspace.kernel(pts[i], pts[j])
-    return K
+    return fockspace.kernel_gram(pts, [(0,) * pts[0].size])
 
 
 @dataclass(frozen=True)
@@ -120,9 +116,12 @@ def _pick_feasible(K: np.ndarray, a: np.ndarray, c: float):
 def pick_min_norm(points, targets) -> PickResult:
     """Smallest multiplier norm interpolating targets on the points.
 
-    Feasibility at level c is positive semidefiniteness of the Pick matrix
-    (c^2 - a_n conj(a_m)) K; the optimum is bracketed between max |a_n|
-    and a Carleson-type bound, then bisected to absolute tolerance 1e-8.
+    Feasibility at level c is c^2 K - (a a^*) o K >= 0, so the optimum is
+    the square root of the top eigenvalue of the pencil ((a a^*) o K, K).
+    The value is certified by the Pick matrix being positive semidefinite
+    at ``upper`` = value * (1 + PICK_CERT_RTOL); ``margin`` is its smallest
+    eigenvalue there and ``lower`` = max |a_n| is the trivial bound.
+    Nothing is iterated, so ``iterations`` is 0.
     """
     pts = _as_points(points)
     a = np.asarray(targets, dtype=complex).reshape(-1)
@@ -130,37 +129,19 @@ def pick_min_norm(points, targets) -> PickResult:
         raise InputError(f"{len(pts)} points but {a.size} targets")
     K = kernel_matrix(pts)
     lo = float(np.abs(a).max())
-    ok, margin = _pick_feasible(K, a, lo)
-    if ok:
-        return PickResult(value=lo, margin=margin, lower=lo, upper=lo, iterations=0)
-    norms = np.sqrt(np.diag(K).real)
-    G = K / np.outer(norms, norms)
-    gvals = numerics.hermitian_eig(G)[0]
-    if float(gvals[0]) <= 0:
-        raise NumericalError("kernel Gram matrix is numerically singular")
-    gamma = float(gvals[-1])
-    hi = max(
-        2.0 * lo + 1.0,
-        float(np.linalg.norm(a)) * np.sqrt(gamma / float(gvals[0])),
-    )
-    for _ in range(PICK_MAX_ITER):
-        if _pick_feasible(K, a, hi)[0]:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("no feasible multiplier norm bracket was found")
-    lo_cur = lo
-    hi_cur = hi
-    it = 0
-    while hi_cur - lo_cur > PICK_ABS_TOL and it < PICK_MAX_ITER:
-        mid = 0.5 * (lo_cur + hi_cur)
-        if _pick_feasible(K, a, mid)[0]:
-            hi_cur = mid
-        else:
-            lo_cur = mid
-        it += 1
-    margin = _pick_feasible(K, a, hi_cur)[1]
-    return PickResult(value=hi_cur, margin=margin, lower=lo, upper=hi, iterations=it)
+    try:
+        top = scipy.linalg.eigh(np.outer(a, a.conj()) * K, K, eigvals_only=True)[-1]
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"kernel Gram matrix is numerically singular: {exc}") from exc
+    value = float(np.sqrt(max(top, lo * lo)))  # sqrt(fl(lo^2)) is lo
+    hi = value * (1.0 + PICK_CERT_RTOL)
+    ok, margin = _pick_feasible(K, a, hi)
+    if not ok:
+        raise NumericalError(
+            f"Pick matrix is not positive semidefinite at {hi!r} (min eigenvalue "
+            f"{margin:.3e}), just above the pencil value {value!r}"
+        )
+    return PickResult(value=value, margin=margin, lower=lo, upper=hi, iterations=0)
 
 
 @dataclass(frozen=True)

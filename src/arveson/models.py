@@ -7,9 +7,9 @@ shifts whose entries are square roots of rational numbers.
 
 ``jet_model`` handles finitely many points with local ideal data: the
 model space is spanned by derivative-kernel combinations dual to each
-local quotient, computed in a degree truncation chosen so the neglected
-tails are below the kernel tolerance. The compressions are exact up to
-those tails because the span is invariant under every adjoint shift.
+local quotient. That span is invariant under every adjoint shift, and both
+the shift action and the Gram matrix of the span are finite closed forms,
+so the compressions are exact for every point of the open ball.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import fockspace, multiindex as mi, numerics, polyideal, tuples
 from .errors import InputError, NumericalError, ValidationError
-from .polynomials import Polynomial
 
 GRAM_FLOOR_RTOL = 1e-12
 
@@ -35,8 +34,9 @@ class ModelTuple:
     ``kind`` is "monomial" or "jet". For monomial models ``basis_indices``
     lists the surviving monomial exponents (graded lex). For jet models
     ``points`` and ``local_dims`` describe which derivative functionals
-    built the space and ``tail_bound`` bounds every neglected truncation
-    tail that entered the Gram matrix.
+    built the space. Jet models are built without truncation, so
+    ``tail_bound`` and ``truncation_degree`` keep their defaults of 0; the
+    fields stay because the model-jet report carries them.
     """
 
     kind: str
@@ -152,14 +152,20 @@ def jet_model(
     points: Sequence[Sequence[complex]],
     local_ideals: Sequence[polyideal.PolyIdeal],
     tol: float = numerics.DEFAULT_TOL,
-    max_degree: int | None = None,
 ) -> ModelTuple:
     """Model tuple for finitely many points with prescribed local ideals.
 
-    For each point the local quotient dual is realized by derivative-kernel
-    vectors; their span is adjoint-shift invariant, so compressing the
-    truncated shifts to an orthonormal basis of the span gives the model
-    up to the reported truncation tail.
+    A dual vector c at z (a column of the local dual basis C) is the
+    functional p -> sum_beta c_beta (d^beta p)(z) / beta!, represented by
+    v_c = sum_beta conj(c_beta) / beta! K_{z,beta}. The Gram matrix of these
+    vectors comes from ``fockspace.kernel_gram``, and the adjoint shifts act
+    on them by M_j^* v_c = conj(z_j) v_c + v_{S_j c} with
+    (S_j c)_gamma = c_{gamma+e_j}. Since the columns of C span the local
+    dual, S_j C = C C^H S_j C (a gate, to ``tol``), so M_j^* W = W A_j with
+    A_j = conj(z_j) I + conj(C^H S_j C) on each point's block. In the
+    orthonormal basis W G^(-1/2) of the span the compressions are
+    Z_j = G^(-1/2) A_j^* G G^(-1/2), and the constant function projects to
+    G^(-1/2) applied to the constant terms c_0.
     """
     pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
     if not pts:
@@ -176,14 +182,12 @@ def jet_model(
         for j in range(i + 1, len(pts)):
             if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
                 raise InputError(f"points {i} and {j} coincide")
-    rho = 0.0
     for p in pts:
         r = float(np.linalg.norm(p))
         if r >= 1.0:
             raise InputError(
                 f"point with norm {r:.6g} is not inside the open unit ball"
             )
-        rho = max(rho, r)
 
     orders = []
     duals = []
@@ -199,61 +203,58 @@ def jet_model(
         orders.append(kappa)
         duals.append(C)
 
-    D = fockspace.truncation_degree(rho)
-    D = max(D, max(orders) + 1)
-    if max_degree is not None:
-        D = max(D, int(max_degree))
-    trunc = fockspace.FockTruncation(d, D)
+    # every point's jet basis is a prefix of the one for the largest order
+    jets = mi.enumerate_indices(d, max(orders))
+    position = {beta: k for k, beta in enumerate(jets)}
+    factorials = np.array([float(mi.index_factorial(beta)) for beta in jets])
+    n = sum(C.shape[1] for C in duals)
+    U = np.zeros((len(pts) * len(jets), n), dtype=complex)
+    A = np.zeros((d, n, n), dtype=complex)
+    col = 0
+    for i, (z, kappa, C) in enumerate(zip(pts, orders, duals)):
+        rows, k = C.shape
+        U[i * len(jets) : i * len(jets) + rows, col : col + k] = C.conj() / factorials[:rows, None]
+        padded = np.vstack([C, np.zeros((1, k))])  # index -1 reads a zero row
+        for j in range(d):
+            shift = [
+                position[mi.add(gamma, mi.unit(d, j))] if mi.degree(gamma) < kappa else -1
+                for gamma in jets[:rows]
+            ]
+            SC = padded[shift]
+            Y = C.conj().T @ SC
+            defect = numerics.operator_norm(SC - C @ Y)
+            if defect > tol:
+                raise NumericalError(
+                    f"local dual at {tuple(z.tolist())} is not invariant under the "
+                    f"coordinate shift {j + 1}: defect {defect:.3e} exceeds {tol:.1e}"
+                )
+            A[j, col : col + k, col : col + k] = np.conj(z[j]) * np.eye(k) + Y.conj()
+        col += k
 
-    cols = []
-    tail = 0.0
-    dual_coeffs = []
-    for z, kappa, C in zip(pts, orders, duals):
-        jet_basis = mi.enumerate_indices(d, kappa)
-        jets = [fockspace.jet_vector(z, beta, trunc) for beta in jet_basis]
-        point_coeffs = []
-        for c in C.T:
-            v = np.zeros(trunc.dim, dtype=complex)
-            t_bound = 0.0
-            for cb, beta, jv in zip(c, jet_basis, jets):
-                w = np.conj(cb) / mi.index_factorial(beta)
-                v += w * jv.coeffs
-                t_bound += abs(w) * jv.tail_bound
-            nrm = float(np.linalg.norm(v))
-            if nrm <= 1e-300:
-                raise NumericalError("a dual functional collapsed under truncation")
-            cols.append(v / nrm)
-            tail = max(tail, t_bound / nrm)
-            point_coeffs.append(np.asarray(c))
-        dual_coeffs.append(tuple(point_coeffs))
-
-    W = np.column_stack(cols)
-    G = W.conj().T @ W
+    G = U.conj().T @ fockspace.kernel_gram(pts, jets) @ U
+    norms = np.sqrt(np.diag(G).real)
+    G = G / np.outer(norms, norms)
+    # the unit columns are W D^-1 with D = diag(norms), so M_j^* acts on
+    # them by D A_j D^-1
+    A = A * norms[:, None] / norms[None, :]
     vals, vecs = numerics.hermitian_eig(G)
     if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
         raise NumericalError(
             f"kernel data Gram matrix is numerically singular (eigenvalue "
             f"ratio {float(vals[0]) / float(vals[-1]):.3e}); the points are "
-            f"too close for this truncation"
+            f"too close"
         )
-    B = W @ (vecs * (vals ** -0.5)) @ vecs.conj().T
-    mats = []
-    for j in range(d):
-        M = fockspace.mult_matrix(Polynomial.variable(d, j), trunc)
-        mats.append(B.conj().T @ M @ B)
-    e0 = np.zeros(trunc.dim, dtype=complex)
-    e0[0] = 1.0
-    cyclic = B.conj().T @ e0
+    G_isqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
+    mats = [G_isqrt @ Aj.conj().T @ G @ G_isqrt for Aj in A]
+    constants = np.concatenate([C[0, :] for C in duals])
     return ModelTuple(
         kind="jet",
         tuple=tuples.validate(mats),
-        cyclic=cyclic,
+        cyclic=G_isqrt @ (constants / norms),
         points=tuple(tuple(z.tolist()) for z in pts),
         local_dims=tuple(C.shape[1] for C in duals),
         orders=tuple(orders),
-        tail_bound=tail,
-        truncation_degree=D,
-        dual_coeffs=tuple(dual_coeffs),
+        dual_coeffs=tuple(tuple(C.T) for C in duals),
     )
 
 

@@ -134,7 +134,7 @@ def nullspace(a, rtol: float = RANK_RTOL, gap: float = GAP_RATIO) -> np.ndarray:
     kept = s[s >= cut]
     dropped = s[s < cut]
     if kept.size and dropped.size and dropped[0] > 0:
-        if kept[-1] / dropped[0] < gap:
+        if kept[-1] < gap * dropped[0]:
             raise NumericalError(
                 "ambiguous rank decision: singular values "
                 f"{kept[-1]:.3e} vs {dropped[0]:.3e} straddle the cutoff with "
@@ -161,7 +161,7 @@ def orth_columns(a, rtol: float = RANK_RTOL, gap: float = GAP_RATIO) -> np.ndarr
     kept = s[s >= cut]
     dropped = s[s < cut]
     if kept.size and dropped.size and dropped[0] > 0:
-        if kept[-1] / dropped[0] < gap:
+        if kept[-1] < gap * dropped[0]:
             raise NumericalError(
                 "ambiguous rank decision in column-span computation: "
                 f"{kept[-1]:.3e} vs {dropped[0]:.3e}"

@@ -183,6 +183,24 @@ def test_grid_flag_is_gone(tuple_file, ideal_file, tmp_path, capsys):
     assert "--grid" in err
 
 
+def test_jobs_flag_is_gone(capsys):
+    code, out, err = run(["repro-6-2", "--jobs", "2"], capsys)
+    assert code == 1
+    assert "--jobs" in err
+
+
+def test_parser_is_built_once(tuple_file, capsys):
+    first = run(["tuple-check", "--in", tuple_file], capsys)
+    second = run(["tuple-check", "--in", tuple_file], capsys)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert cli._build_parser() is cli._build_parser()
+    # the reused parser still maps a bad flag to an input error
+    code, out, err = run(["tuple-check", "--in", tuple_file, "--frobnicate"], capsys)
+    assert code == 1
+    assert run(["tuple-check", "--in", tuple_file], capsys) == first
+
+
 def test_output_file_and_determinism(tuple_file, tmp_path, capsys):
     o1 = tmp_path / "a.json"
     o2 = tmp_path / "b.json"

@@ -82,6 +82,41 @@ def test_pick_value_scales_linearly():
     assert_allclose(v3, 3 * v1, rtol=1e-5)
 
 
+def cholesky_min_eig(K, a, c):
+    """Smallest eigenvalue of the Pick matrix after the congruence by the
+    inverse Cholesky factor of K: same inertia, without K's conditioning."""
+    Li = np.linalg.inv(np.linalg.cholesky(K))
+    A = Li @ (np.outer(a, a.conj()) * K) @ Li.conj().T
+    return float(np.linalg.eigvalsh(c * c * np.eye(len(a)) - (A + A.conj().T) / 2)[0])
+
+
+def test_pick_value_is_sharp_on_ill_conditioned_kernel():
+    # cond(K) is about 1e9; a PSD test relative to the norm of the Pick
+    # matrix accepts levels below the optimum here
+    k = np.arange(30)
+    pts = (0.7 * np.exp(2j * np.pi * k / 30)).reshape(-1, 1)
+    a = np.exp(6j * np.pi * k / 30) * np.linspace(0.2, 0.9, 30)
+    r = interp.pick_min_norm(pts, a)
+    K = interp.kernel_matrix(pts)
+    assert np.linalg.cond(K) > 1e8
+    assert cholesky_min_eig(K, a, r.value * (1 + 1e-6)) >= 0
+    assert cholesky_min_eig(K, a, r.value * (1 - 1e-6)) < 0
+    assert r.iterations == 0
+    assert r.lower <= r.value < r.upper
+    assert_allclose(r.upper, r.value * (1 + 1e-6), rtol=1e-15)
+    assert r.margin >= 0
+
+
+def test_strong_separation_rank_one_closed_form():
+    # the pencil for the n-th indicator has rank one, with eigenvalue
+    # K_nn (K^-1)_nn, so eps_n = 1 / sqrt(K_nn (K^-1)_nn)
+    pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3], [-0.2, -0.6j]]
+    rep = interp.strong_separation(pts)
+    K = interp.kernel_matrix(pts)
+    want = 1.0 / np.sqrt(np.diag(K).real * np.diag(np.linalg.inv(K)).real)
+    assert_allclose(rep.eps, want, rtol=1e-9)
+
+
 def test_strong_separation_two_points():
     rep = interp.strong_separation([[0.0], [0.5]])
     # the minimal norm of a multiplier that is 1 at one node and 0 at the

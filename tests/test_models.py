@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import fockspace as fk
-from arveson import models, polyideal, tuples
-from arveson.errors import InputError
+from arveson import models, multiindex as mi, numerics, polyideal, tuples
+from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
+from test_fockspace import FockTruncation, jet_vector, mult_matrix, truncation_degree
 
 
 def test_monomial_model_square_maximal():
@@ -220,3 +220,114 @@ def test_jet_model_triple_zero_at_complex_point():
     assert m.orders == (2, 0)
     assert m.local_dims == (3, 1)
     assert all(r.matches for r in reports)
+
+
+def test_jet_model_high_radius():
+    # the point at radius 0.99 needs no truncation: the Gram matrix and the
+    # shift action are closed forms
+    x1 = Polynomial.variable(2, 0)
+    x2 = Polynomial.variable(2, 1)
+    ideals = [
+        polyideal.PolyIdeal([x1 - 0.99, x2**2], 8),
+        polyideal.PolyIdeal([x1, x2 - 0.3], 8),
+    ]
+    m, reports = _one_variable_jet_report([(0.99, 0.0), (0.0, 0.3)], ideals)
+    assert m.dim == 3
+    assert m.local_dims == (2, 1)
+    assert m.tail_bound == 0.0 and m.truncation_degree == 0
+    assert all(r.matches for r in reports)
+
+
+def test_jet_model_refuses_a_non_invariant_dual(monkeypatch):
+    # p -> p'(z) alone is not closed under the shift: S_1 e_1 = e_0
+    x = Polynomial.variable(1, 0)
+    ideal = polyideal.PolyIdeal([(x - 0.3) ** 2], 8)
+    monkeypatch.setattr(
+        models, "_local_dual_basis", lambda *args: np.array([[0.0], [1.0]], dtype=complex)
+    )
+    with pytest.raises(NumericalError, match="not invariant"):
+        models.jet_model([[0.3]], [ideal])
+
+
+def fock_jet_model(points, ideals, tol=numerics.DEFAULT_TOL):
+    """The model on the degree-D Fock slice: truncated derivative-kernel
+    columns, their Loewdin basis B and B^* M_j B with the truncated shifts.
+    D keeps every neglected kernel tail below 1e-14."""
+    pts = [np.asarray(p, dtype=complex) for p in points]
+    d = pts[0].size
+    orders = [polyideal.polynomial_order(b, z, tol=tol) for z, b in zip(pts, ideals)]
+    rho = max(float(np.linalg.norm(z)) for z in pts)
+    t = FockTruncation(d, max(truncation_degree(rho), max(orders) + 1))
+    cols = []
+    for z, kappa, b in zip(pts, orders, ideals):
+        C = models._local_dual_basis(b, z, kappa, tol)
+        jets = mi.enumerate_indices(d, kappa)
+        V = np.column_stack(
+            [jet_vector(z, beta, t).coeffs / mi.index_factorial(beta) for beta in jets]
+        )
+        W = V @ C.conj()
+        cols.append(W / np.linalg.norm(W, axis=0))
+    W = np.hstack(cols)
+    vals, vecs = np.linalg.eigh(W.conj().T @ W)
+    B = W @ (vecs * vals**-0.5) @ vecs.conj().T
+    mats = [B.conj().T @ mult_matrix(Polynomial.variable(d, j), t) @ B for j in range(d)]
+    return mats, B[0].conj()
+
+
+def _jet_cases():
+    x = Polynomial.variable(1, 0)
+    x1 = Polynomial.variable(2, 0)
+    x2 = Polynomial.variable(2, 1)
+    z = complex(-0.4, 0.2)
+    u1, u2, w1, w2 = complex(0.3, -0.2), complex(0.1, 0.4), -0.35, 0.2j
+    first_order = [(x1 - 0.25) * (x1 - 0.25), (x1 - 0.25) * x2, x2 * x2]
+    return {
+        "single point": ([[0.3, -0.2]], [polyideal.PolyIdeal([x1 - 0.3, x2 + 0.2], 6)]),
+        "two points": (
+            [[0.0], [0.5]],
+            [polyideal.PolyIdeal([x], 6), polyideal.PolyIdeal([x - 0.5], 6)],
+        ),
+        "first-order jet": (
+            [[0.25, 0.0], [-0.3, 0.2]],
+            [polyideal.PolyIdeal(first_order, 8), polyideal.PolyIdeal([x1 + 0.3, x2 - 0.2], 8)],
+        ),
+        "double zero": (
+            [[0.25], [-0.4]],
+            [polyideal.PolyIdeal([(x - 0.25) ** 2], 8), polyideal.PolyIdeal([x + 0.4], 8)],
+        ),
+        "first-order jet cut by a line": (
+            [[0.25, 0.0], [-0.3, 0.2]],
+            [
+                polyideal.PolyIdeal(first_order + [x1 - 0.25], 8),
+                polyideal.PolyIdeal([x1 + 0.3, x2 - 0.2], 8),
+            ],
+        ),
+        "double zero at a real point": (
+            [[0.3], [0.7]],
+            [polyideal.PolyIdeal([(x - 0.3) ** 2], 8), polyideal.PolyIdeal([x - 0.7], 8)],
+        ),
+        "triple zero at a complex point": (
+            [[z], [0.5]],
+            [polyideal.PolyIdeal([(x - z) ** 3], 8), polyideal.PolyIdeal([x - 0.5], 8)],
+        ),
+        # a jet along no coordinate axis, next to a full first-order jet
+        "tilted jet at complex points": (
+            [[u1, u2], [w1, w2]],
+            [
+                polyideal.PolyIdeal([(x1 - u1) - 0.7 * (x2 - u2), (x2 - u2) ** 2], 8),
+                polyideal.PolyIdeal(
+                    [(x1 - w1) ** 2, (x1 - w1) * (x2 - w2), (x2 - w2) ** 2], 8
+                ),
+            ],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_jet_cases()))
+def test_jet_model_matches_fock_oracle(name):
+    points, ideals = _jet_cases()[name]
+    m = models.jet_model(points, ideals)
+    mats, cyclic = fock_jet_model(points, ideals)
+    for got, want in zip(m.tuple.matrices, mats):
+        assert_allclose(got, want, rtol=0, atol=1e-10)
+    assert_allclose(m.cyclic, cyclic, rtol=0, atol=1e-10)

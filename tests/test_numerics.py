@@ -68,6 +68,21 @@ def test_nullspace_full_rank():
     assert numerics.nullspace(np.eye(3)).shape == (3, 0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rank_gap_with_subnormal_singular_value():
+    # the gap test compares kept[-1] with gap * dropped[0]; a quotient by the
+    # subnormal dropped value would overflow
+    a = np.diag([1.0, 1e-310])
+    assert numerics.orth_columns(a).shape == (2, 1)
+    k = numerics.nullspace(a)
+    assert k.shape == (2, 1)
+    assert_allclose(abs(k[1, 0]), 1.0)
+    straddling = np.diag([1.0, 2e-9, 5e-10])
+    for f in (numerics.orth_columns, numerics.nullspace):
+        with pytest.raises(NumericalError, match="ambiguous rank decision"):
+            f(straddling)
+
+
 def test_orth_columns_idempotent_span():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 3))
