@@ -2,8 +2,9 @@
 
 Two compact families of cyclic nilpotent tuples that are similar to their
 monomial models, with the whole intertwiner space known in closed form, so
-the minimal condition number over all intertwiners can be computed and
-compared against the predicted growth rates 1/eps and eps^(-1/3).
+the minimal condition number over all intertwiners is certified exactly
+(a witness intertwiner attains a compression lower bound): 1/eps in one
+variable and f(eps)^2/eps in two.
 """
 
 from arveson import repro
@@ -20,10 +21,11 @@ for row in rep.rows:
 
 # Two variables: R(eps) = (N1, N1 + eps N2)/f(eps) on 3x3. The intertwiner
 # space is three dimensional with an explicit parametric form, det X =
-# a^3 eps / f^2 along it, and the minimal condition number grows like
-# eps^(-1/3) f^(2/3) even though the family converges as eps -> 0.
+# a^3 eps / f^2 along it, and the minimal condition number is exactly
+# f^2/eps even though the family converges as eps -> 0. The determinant
+# identity alone forces only the weaker bound eps^(-1/3) f^(2/3).
 rep2 = repro.example_two_variable(eps_list=(1.0, 0.1, 0.01, 0.001))
-print("two variable family (lower bound eps^(-1/3) f^(2/3) - tol):")
+print("two variable family (min cond f^2/eps >= eps^(-1/3) f^(2/3)):")
 for row in rep2.rows:
     print(f"  eps = {row.eps:7.4f}: f = {row.f_measured:8.5f}, "
           f"nullspace dim {row.nullspace_dim}, "
@@ -32,7 +34,8 @@ for row in rep2.rows:
 
 # The dichotomy at a glance: separated simple nodes keep a uniformly
 # bounded diagonalizer, while the nilpotent families above degrade at a
-# polynomial rate in eps. Both behaviors from one report.
-rep3 = repro.dichotomy_demo()
+# polynomial rate in eps: order zero (kappa = 0) against order one.
+rep3 = repro.dichotomy_demo(kappa=0)
+rep4 = repro.dichotomy_demo(kappa=1)
 print(f"dichotomy: jet model cond = {rep3.jet_model_cond:.4f} (bounded), "
-      f"family min cond over eps = {rep3.global_min_cond:.2f} (degrading)")
+      f"family min cond over eps = {rep4.global_min_cond:.2f} (degrading)")

@@ -36,9 +36,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(p: _Parser, deg: bool = False) -> None:
-    p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: _Parser, deg: bool = False, tol: bool = True, seed: bool = True) -> None:
+    if tol:
+        p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     if deg:
         p.add_argument(
@@ -280,10 +282,6 @@ def _cmd_nilsim(args):
     )
 
 
-def _row_dict(row) -> dict:
-    return asdict(row)
-
-
 def _cmd_repro_6_2(args):
     eps_list = _parse_float_list(args.eps, "--eps")
     lams = _parse_float_list(args.lams, "--lams")
@@ -293,32 +291,21 @@ def _cmd_repro_6_2(args):
         for r in repro.example_one_variable(eps_list=[e], lams=lams).rows
     ]
     result = {
-        "rows": [_row_dict(r) for r in rows],
-        "ok": all(
-            r.nullspace_dim == 2
-            and r.form_matches
-            and r.cyclic_ok
-            and r.annihilator_matches
-            and r.within_one_percent
-            for r in rows
-        ),
+        "rows": [asdict(r) for r in rows],
+        "ok": repro.OneVariableReport(rows=tuple(rows)).ok,
     }
-    return ser.report_envelope(
-        "repro-6-2", result, seed=args.seed, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("repro-6-2", result)
 
 
 def _cmd_repro_6_4(args):
     eps_list = _parse_float_list(args.eps, "--eps")
     rep = repro.example_two_variable(eps_list=eps_list, seed=args.seed)
     result = {
-        "rows": [_row_dict(r) for r in rep.rows],
-        "moebius": [_row_dict(r) for r in rep.moebius_rows],
+        "rows": [asdict(r) for r in rep.rows],
+        "moebius": [asdict(r) for r in rep.moebius_rows],
         "ok": rep.ok,
     }
-    return ser.report_envelope(
-        "repro-6-4", result, seed=args.seed, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("repro-6-4", result, seed=args.seed)
 
 
 def _cmd_dichotomy(args):
@@ -329,15 +316,13 @@ def _cmd_dichotomy(args):
     rep = repro.dichotomy_demo(points=pts, kappa=args.kappa, eps_list=eps_list)
     result = {
         "kappa": rep.kappa,
-        "rows": [_row_dict(r) for r in rep.rows],
+        "rows": [asdict(r) for r in rep.rows],
         "global_min_cond": rep.global_min_cond,
         "global_nullspace_dim": rep.global_nullspace_dim,
         "blocks_forced_diagonal": rep.blocks_forced_diagonal,
         "jet_model_cond": rep.jet_model_cond,
     }
-    return ser.report_envelope(
-        "dichotomy", result, seed=args.seed, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("dichotomy", result)
 
 
 @functools.cache
@@ -353,11 +338,11 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_, input_=True, deg=False):
+    def cmd(name, fn, help_, input_=True, deg=False, tol=True, seed=True):
         p = sub.add_parser(name, help=help_)
         if input_:
             p.add_argument("--in", dest="input", required=True, metavar="FILE")
-        _add_common(p, deg=deg)
+        _add_common(p, deg=deg, tol=tol, seed=seed)
         p.set_defaults(func=fn)
         return p
 
@@ -371,12 +356,16 @@ def _build_parser() -> _Parser:
     cmd("pick", _cmd_pick, "minimal multiplier interpolation norm")
     cmd("nilsim", _cmd_nilsim, "similarity certificate onto the monomial model")
 
-    p = cmd("repro-6-2", _cmd_repro_6_2, "one-variable troubled similarity family", input_=False)
+    # the reproductions certify closed forms: no tolerance applies
+    p = cmd("repro-6-2", _cmd_repro_6_2, "one-variable troubled similarity family",
+            input_=False, tol=False, seed=False)
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--lams", default="0.5")
-    p = cmd("repro-6-4", _cmd_repro_6_4, "two-variable troubled similarity family", input_=False)
+    p = cmd("repro-6-4", _cmd_repro_6_4, "two-variable troubled similarity family",
+            input_=False, tol=False)
     p.add_argument("--eps", default="0.1,0.01,0.001")
-    p = cmd("dichotomy", _cmd_dichotomy, "bounded versus degrading similarity", input_=False)
+    p = cmd("dichotomy", _cmd_dichotomy, "bounded versus degrading similarity",
+            input_=False, tol=False, seed=False)
     p.add_argument("--in", dest="input", default=None, metavar="FILE")
     p.add_argument("--kappa", type=int, default=0)
     p.add_argument("--eps", default=None)

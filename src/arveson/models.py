@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ class ModelTuple:
     orders: tuple = ()
     tail_bound: float = 0.0
     truncation_degree: int = 0
-    dual_coeffs: tuple = field(default=(), repr=False)
 
     @property
     def d(self) -> int:
@@ -254,7 +253,6 @@ def jet_model(
         points=tuple(tuple(z.tolist()) for z in pts),
         local_dims=tuple(C.shape[1] for C in duals),
         orders=tuple(orders),
-        dual_coeffs=tuple(tuple(C.T) for C in duals),
     )
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import models, multiindex as mi, numerics, tuples
 from .errors import InputError, NumericalError, ValidationError
@@ -188,6 +187,8 @@ def check_hypotheses(
             k = int(np.argmax(vals))
             gamma = vals[k]
             if len(set(labels)) > 1:
+                import scipy.optimize  # here, so that importing arveson does not load it
+
                 width = 2.0 * np.pi / grid
                 res = scipy.optimize.minimize_scalar(
                     lambda t: -norm_at(t),

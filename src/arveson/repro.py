@@ -3,10 +3,11 @@
 Both families exhibit tuples similar to their model with similarity
 constants that are forced to blow up: a one-variable 2x2 family where
 every intertwiner has condition number at least 1/eps, and a two-variable
-3x3 nilpotent family where a determinant identity forces condition number
-at least eps^(-1/3) f(eps)^(2/3). The dichotomy demo assembles direct
-sums where either everything is tame (order zero) or the constants
-degrade block by block.
+3x3 nilpotent family where every intertwiner has condition number at
+least f(eps)^2/eps. Both minima are certified exactly: a witness attains
+a compression lower bound. The dichotomy demo assembles direct sums
+where either everything is tame (order zero) or the constants degrade
+block by block.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import models, numerics, polyideal, spectral, tuples
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .polynomials import Polynomial
 
 
@@ -39,6 +39,22 @@ def _unvec(v: np.ndarray, m: int, n: int) -> np.ndarray:
 
 def _vec(X: np.ndarray) -> np.ndarray:
     return X.T.reshape(-1)
+
+
+MIN_COND_RTOL = 1e-9  # relative slack of the witness over the lower bound
+
+
+def _certified_min_cond(W: np.ndarray, keep: slice, keep_inv: slice) -> float:
+    """cond(W), certified minimal: the caller proves that every X of the
+    family has ||X|| >= ||W[keep, keep]|| and ||X^-1|| >= ||W^-1[keep_inv,
+    keep_inv]||, and W must attain that lower bound to MIN_COND_RTOL."""
+    lower = numerics.operator_norm(W[keep, keep]) * numerics.operator_norm(
+        numerics.inv(W)[keep_inv, keep_inv]
+    )
+    value = numerics.cond(W)
+    if not value <= lower * (1.0 + MIN_COND_RTOL):
+        raise NumericalError(f"witness cond {value!r} exceeds the compression bound {lower!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,19 +94,11 @@ def _block_pair_1var(lam: complex, eps: float):
 
 
 def _min_cond_1var(eps: float) -> float:
-    # X(a=1, b) = [[1, b], [0, eps]]; the condition number depends on |b| only
-    def cond_at(s: float) -> float:
-        return numerics.cond(np.array([[1.0, s], [0.0, eps]], dtype=complex))
-
-    grid = np.linspace(0.0, 4.0, 81)
-    vals = [cond_at(s) for s in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = scipy.optimize.minimize_scalar(
-        cond_at, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    return min(vals[k], float(res.fun))
+    """Minimal cond 1/eps over the intertwiners a [[1, s], [0, eps]], a != 0:
+    ||X|| >= |X_11| = 1 and ||X^-1|| >= |(X^-1)_22| = 1/eps for every s, and
+    the witness s = 0 attains both."""
+    W = np.array([[1.0, 0.0], [0.0, eps]], dtype=complex)
+    return _certified_min_cond(W, slice(0, 1), slice(1, 2))
 
 
 def example_one_variable(eps_list=(0.1, 0.01, 0.001), lams=(0.5,)) -> OneVariableReport:
@@ -100,7 +108,7 @@ def example_one_variable(eps_list=(0.1, 0.01, 0.001), lams=(0.5,)) -> OneVariabl
     computed; it is two dimensional of the form [[a, b], [0, eps a]], the
     vector (0, 1) is cyclic for both blocks, both annihilators equal the
     square of the maximal ideal at lam, and the minimal condition number
-    over the family matches 1/eps.
+    over the family, certified by ``_min_cond_1var``, matches 1/eps.
     """
     if not eps_list or not lams:
         raise InputError("need at least one eps and one base point")
@@ -224,21 +232,18 @@ def _x_of(a, b, c, eps, f) -> np.ndarray:
 
 
 def _min_cond_2var(eps: float, f: float) -> float:
-    def cond_at(v) -> float:
-        b = complex(v[0], v[1])
-        c = complex(v[2], v[3])
-        return numerics.cond(_x_of(1.0, b, c, eps, f))
+    """Minimal condition number f^2/eps over the intertwiners X(a, b, c).
 
-    best = np.inf
-    for start in ([0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.3, -0.3, 0.0]):
-        res = scipy.optimize.minimize(
-            cond_at,
-            np.array(start),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-        )
-        best = min(best, float(res.fun))
-    return best
+    a = 0 is singular and X(a, b, c) = a X(1, b/a, c/a), so take
+    X(1, b, c) = [[1, 0], [v, B]] with v = (b, c)^T and
+    B = (1/f) [[1, 1], [0, eps]], which does not depend on (b, c). B is the
+    compression of X to the coordinates {2, 3}, and since X is block lower
+    triangular, B^-1 is the same compression of X^-1. So
+    cond X >= ||B|| ||B^-1|| = f^2/eps, the singular values of B being 1
+    and eps/f^2, and the witness X(1, 0, 0) = diag(1, B) attains it.
+    """
+    W = _x_of(1.0, 0.0, 0.0, eps, f)
+    return _certified_min_cond(W, slice(1, 3), slice(1, 3))
 
 
 def example_two_variable(
@@ -249,7 +254,8 @@ def example_two_variable(
     The intertwiner space of X N = R(eps) X is three dimensional with the
     closed parametric form [[a,0,0],[b,a/f,a/f],[c,0,a eps/f]], its
     determinant is a^3 eps / f^2, and the geometric mean of the singular
-    values forces cond(X) >= eps^(-1/3) f^(2/3). Ball automorphisms move
+    values forces cond(X) >= eps^(-1/3) f^(2/3) (``lower_bound``); the exact
+    minimum f^2/eps is certified by ``_min_cond_2var``. Ball automorphisms move
     the common annihilator to the vanishing ideal of the image point and
     transport intertwiners unchanged.
     """
@@ -288,7 +294,6 @@ def example_two_variable(
             det_ok = det_ok and abs(np.linalg.det(X) - want) <= 1e-9 * abs(want)
         measured = _min_cond_2var(eps, f)
         bound = eps ** (-1.0 / 3.0) * f ** (2.0 / 3.0)
-        witness = numerics.cond(_x_of(1.0, 0.0, 0.0, eps, f))
         rows.append(
             TwoVariableRow(
                 eps=float(eps),
@@ -300,7 +305,7 @@ def example_two_variable(
                 measured_min_cond=measured,
                 lower_bound=bound,
                 bound_holds=bool(measured >= bound - 1e-6),
-                witness_cond=witness,
+                witness_cond=measured,
             )
         )
 

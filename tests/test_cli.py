@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arveson import cli
+import arveson
+from arveson import cli, repro
 
 
 def run(argv, capsys):
@@ -226,3 +231,38 @@ def test_dichotomy_smoke(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["jet_model_cond"] < 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["repro-6-2", "--tol", "1e-3"], ["repro-6-4", "--tol", "1e-3"], ["dichotomy", "--seed", "3"]],
+)
+def test_unused_repro_flags_are_gone(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert argv[1] in err
+
+
+def test_repro_6_4_seed_and_exact_min_cond(capsys):
+    code, out, err = run(["repro-6-4", "--eps", "0.1,0.01", "--seed", "5"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["seed"] == 5
+    assert "tolerances" not in rep
+    assert rep["result"]["ok"] is True
+    for row in rep["result"]["rows"]:
+        f = repro.f_two_variable(row["eps"])
+        assert abs(row["measured_min_cond"] - f**2 / row["eps"]) <= 1e-12 * f**2 / row["eps"]
+    assert run(["repro-6-4", "--eps", "0.1,0.01", "--seed", "5"], capsys) == (code, out, err)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = str(Path(arveson.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, arveson.cli; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arveson import interp
-from arveson.errors import InputError
+from arveson.errors import InputError, NumericalError
 
 
 def pick_matrix(points, targets, c):
@@ -108,13 +108,13 @@ def test_pick_value_is_sharp_on_ill_conditioned_kernel():
 
 
 def test_strong_separation_rank_one_closed_form():
-    # the pencil for the n-th indicator has rank one, with eigenvalue
-    # K_nn (K^-1)_nn, so eps_n = 1 / sqrt(K_nn (K^-1)_nn)
+    # strong_separation reads every c_n off one inverse (the pencil of the
+    # n-th indicator has rank one); the oracle solves each pencil on its own
     pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3], [-0.2, -0.6j]]
     rep = interp.strong_separation(pts)
-    K = interp.kernel_matrix(pts)
-    want = 1.0 / np.sqrt(np.diag(K).real * np.diag(np.linalg.inv(K)).real)
-    assert_allclose(rep.eps, want, rtol=1e-9)
+    want = [interp.pick_min_norm(pts, np.eye(len(pts))[n]).value for n in range(len(pts))]
+    assert_allclose(rep.pick_norms, want, rtol=1e-9)
+    assert_allclose(rep.eps, 1.0 / np.array(want), rtol=1e-9)
 
 
 def test_strong_separation_two_points():
@@ -145,3 +145,9 @@ def test_theta_jets_certificate_shape():
 def test_theta_jets_rejects_bad_window():
     with pytest.raises(InputError):
         interp.theta_jets([[0.0], [0.5]], omega=[5], kappa=0)
+
+
+def test_strong_separation_refuses_a_failed_pick_certificate(monkeypatch):
+    monkeypatch.setattr(interp, "_pick_feasible", lambda K, a, c: (False, -1.0))
+    with pytest.raises(NumericalError, match="indicator 0"):
+        interp.strong_separation([[0.0], [0.5]])

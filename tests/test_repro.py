@@ -1,9 +1,48 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from arveson import repro
-from arveson.errors import InputError
+from arveson import numerics, repro
+from arveson.errors import InputError, NumericalError
+
+EPS_CASES = (1.0, 0.1, 0.01, 0.001)
+
+
+def oracle_min_cond_1var(eps):
+    # the former search: an 81-point grid over s = |b| in [0, 4], then Brent
+    def cond_at(s):
+        return numerics.cond(np.array([[1.0, s], [0.0, eps]], dtype=complex))
+
+    grid = np.linspace(0.0, 4.0, 81)
+    vals = [cond_at(s) for s in grid]
+    k = int(np.argmin(vals))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    res = scipy.optimize.minimize_scalar(
+        cond_at, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+    )
+    return min(vals[k], float(res.fun))
+
+
+def oracle_min_cond_2var(eps, f):
+    # the former search: Nelder-Mead over (Re b, Im b, Re c, Im c) from three starts
+    def cond_at(v):
+        b = complex(v[0], v[1])
+        c = complex(v[2], v[3])
+        return numerics.cond(repro._x_of(1.0, b, c, eps, f))
+
+    best = np.inf
+    for start in ([0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.3, -0.3, 0.0]):
+        res = scipy.optimize.minimize(
+            cond_at,
+            np.array(start),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+        )
+        best = min(best, float(res.fun))
+    return best
 
 
 def test_f_two_variable_closed_values():
@@ -93,3 +132,64 @@ def test_dichotomy_degrading_regime():
 def test_dichotomy_rejects_bad_kappa():
     with pytest.raises(InputError):
         repro.dichotomy_demo(kappa=3)
+
+
+@pytest.mark.parametrize("eps", EPS_CASES)
+def test_one_variable_search_oracle_agrees(eps):
+    certified = repro._min_cond_1var(eps)
+    found = oracle_min_cond_1var(eps)
+    assert found >= certified * (1 - 1e-9)
+    assert_allclose(found, certified, rtol=1e-6)
+
+
+@pytest.mark.parametrize("eps", EPS_CASES)
+def test_two_variable_search_oracle_agrees(eps):
+    f = repro.f_two_variable(eps)
+    certified = repro._min_cond_2var(eps, f)
+    found = oracle_min_cond_2var(eps, f)
+    assert found >= certified * (1 - 1e-9)
+    assert_allclose(found, certified, rtol=1e-6)
+
+
+_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+_complex = st.builds(complex, _coord, _coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EPS_CASES), _complex, _complex)
+def test_no_one_variable_intertwiner_beats_certified(eps, a, b):
+    assume(abs(a) >= 1e-3)  # a = 0 is singular
+    X = np.array([[a, b], [0.0, eps * a]], dtype=complex)
+    assert numerics.cond(X) >= repro._min_cond_1var(eps) * (1 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EPS_CASES), _complex, _complex, _complex)
+def test_no_two_variable_intertwiner_beats_certified(eps, a, b, c):
+    assume(abs(a) >= 1e-3)  # a = 0 is singular
+    f = repro.f_two_variable(eps)
+    X = repro._x_of(a, b, c, eps, f)
+    assert numerics.cond(X) >= repro._min_cond_2var(eps, f) * (1 - 1e-12)
+
+
+def test_measured_min_cond_is_exact():
+    one = repro.example_one_variable(eps_list=EPS_CASES, lams=[0.5])
+    for r in one.rows:
+        assert_allclose(r.measured_min_cond, 1.0 / r.eps, rtol=1e-12)
+    two = repro.example_two_variable(eps_list=EPS_CASES)
+    for r in two.rows:
+        f = repro.f_two_variable(r.eps)
+        assert_allclose(r.measured_min_cond, f**2 / r.eps, rtol=1e-12)
+        assert r.witness_cond == r.measured_min_cond
+    rep = repro.dichotomy_demo(kappa=1)
+    for row in rep.rows:
+        assert_allclose(row.block_min_cond, 1.0 / row.eps, rtol=1e-12)
+
+
+def test_min_cond_gate_refuses_a_witness_above_the_bound(monkeypatch):
+    cond = numerics.cond
+    monkeypatch.setattr(repro.numerics, "cond", lambda X: 2.0 * cond(X))
+    with pytest.raises(NumericalError, match="compression bound"):
+        repro._min_cond_1var(0.1)
+    with pytest.raises(NumericalError, match="compression bound"):
+        repro.example_two_variable(eps_list=[0.1])
