@@ -36,21 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(p: _Parser, deg: bool = False, tol: bool = True, seed: bool = True) -> None:
-    if tol:
-        p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    if deg:
-        p.add_argument(
-            "--deg",
-            type=int,
-            default=None,
-            help="degree bound (default: twice the matrix size)",
-        )
-
-
 def _parse_float_list(text: str, flag: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -117,10 +102,7 @@ def _cmd_jordan(args):
         ],
     }
     return ser.report_envelope(
-        "jordan",
-        result,
-        seed=args.seed,
-        tolerances={"tol": args.tol, "cluster_tol": args.cluster_tol},
+        "jordan", result, seed=args.seed, tolerances={"cluster_tol": args.cluster_tol}
     )
 
 
@@ -156,9 +138,7 @@ def _cmd_model_monomial(args):
         "row_defect": model.tuple.row_defect,
         "gauge_defect": gauge_defect,
     }
-    return ser.report_envelope(
-        "model-monomial", result, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("model-monomial", result)
 
 
 def _cmd_model_jet(args):
@@ -181,8 +161,6 @@ def _cmd_model_jet(args):
         "points": [[ser.dump_complex(z) for z in p] for p in model.points],
         "orders": list(model.orders),
         "local_dims": list(model.local_dims),
-        "truncation_degree": model.truncation_degree,
-        "tail_bound": model.tail_bound,
         "matrices": [ser.dump_matrix(M) for M in model.tuple.matrices],
         "commutator_defect": model.tuple.commutator_defect,
         "row_defect": model.tuple.row_defect,
@@ -209,9 +187,7 @@ def _cmd_interp_check(args):
             "pick_norms": list(strong.pick_norms),
         },
     }
-    return ser.report_envelope(
-        "interp-check", result, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("interp-check", result)
 
 
 def _cmd_pick(args):
@@ -230,7 +206,7 @@ def _cmd_pick(args):
         "upper": r.upper,
         "iterations": r.iterations,
     }
-    return ser.report_envelope("pick", result, tolerances={"tol": args.tol})
+    return ser.report_envelope("pick", result)
 
 
 def _certificate_result(cert: nilsim.SimilarityCertificate) -> dict:
@@ -277,9 +253,7 @@ def _cmd_nilsim(args):
         "gauge_commute_defect": nec.gauge_commute_defect,
         "gauge_fix_defect": nec.gauge_fix_defect,
     }
-    return ser.report_envelope(
-        "nilsim", result, seed=args.seed, tolerances={"tol": args.tol}
-    )
+    return ser.report_envelope("nilsim", result, tolerances={"tol": args.tol})
 
 
 def _cmd_repro_6_2(args):
@@ -338,34 +312,42 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_, input_=True, deg=False, tol=True, seed=True):
+    # --tol and --seed only where the command reads them
+    def cmd(name, fn, help_, input_=True, deg=False, tol=False, seed=False):
         p = sub.add_parser(name, help=help_)
         if input_:
             p.add_argument("--in", dest="input", required=True, metavar="FILE")
-        _add_common(p, deg=deg, tol=tol, seed=seed)
+        if tol:
+            p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("-o", "--out", default=None)
+        if deg:
+            p.add_argument("--deg", type=int, default=None,
+                           help="degree bound (default: twice the matrix size)")
         p.set_defaults(func=fn)
         return p
 
-    cmd("tuple-check", _cmd_tuple_check, "validate a commuting tuple")
-    cmd("tuple-ann", _cmd_tuple_ann, "annihilator slice of a tuple", deg=True)
-    p = cmd("jordan", _cmd_jordan, "block diagonalize a commuting tuple")
+    cmd("tuple-check", _cmd_tuple_check, "validate a commuting tuple", tol=True)
+    cmd("tuple-ann", _cmd_tuple_ann, "annihilator slice of a tuple", deg=True, tol=True)
+    p = cmd("jordan", _cmd_jordan, "block diagonalize a commuting tuple", seed=True)
     p.add_argument("--cluster-tol", type=float, default=1e-6)
     cmd("model-monomial", _cmd_model_monomial, "compressed shift model of a monomial ideal")
-    cmd("model-jet", _cmd_model_jet, "jet model for points with local ideals")
+    cmd("model-jet", _cmd_model_jet, "jet model for points with local ideals", tol=True)
     cmd("interp-check", _cmd_interp_check, "separation and Carleson constants")
     cmd("pick", _cmd_pick, "minimal multiplier interpolation norm")
-    cmd("nilsim", _cmd_nilsim, "similarity certificate onto the monomial model")
+    cmd("nilsim", _cmd_nilsim, "similarity certificate onto the monomial model", tol=True)
 
     # the reproductions certify closed forms: no tolerance applies
     p = cmd("repro-6-2", _cmd_repro_6_2, "one-variable troubled similarity family",
-            input_=False, tol=False, seed=False)
+            input_=False)
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--lams", default="0.5")
     p = cmd("repro-6-4", _cmd_repro_6_4, "two-variable troubled similarity family",
-            input_=False, tol=False)
+            input_=False, seed=True)
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p = cmd("dichotomy", _cmd_dichotomy, "bounded versus degrading similarity",
-            input_=False, tol=False, seed=False)
+            input_=False)
     p.add_argument("--in", dest="input", default=None, metavar="FILE")
     p.add_argument("--kappa", type=int, default=0)
     p.add_argument("--eps", default=None)

@@ -34,9 +34,7 @@ class ModelTuple:
     ``kind`` is "monomial" or "jet". For monomial models ``basis_indices``
     lists the surviving monomial exponents (graded lex). For jet models
     ``points`` and ``local_dims`` describe which derivative functionals
-    built the space. Jet models are built without truncation, so
-    ``tail_bound`` and ``truncation_degree`` keep their defaults of 0; the
-    fields stay because the model-jet report carries them.
+    built the space.
     """
 
     kind: str
@@ -46,8 +44,6 @@ class ModelTuple:
     points: tuple = ()
     local_dims: tuple = ()
     orders: tuple = ()
-    tail_bound: float = 0.0
-    truncation_degree: int = 0
 
     @property
     def d(self) -> int:
@@ -89,8 +85,10 @@ def monomial_model(generators: Sequence, d: int) -> ModelTuple:
 
     Z_j maps the normalized monomial at beta to the ratio
     ||x^(beta+e_j)|| / ||x^beta|| times the one at beta+e_j, or to zero if
-    the shifted monomial falls in the ideal. Entries are exact up to one
-    floating square root of a rational.
+    the shifted monomial falls in the ideal. With ||x^beta||^2 =
+    beta!/|beta|! the squared ratio is (beta_j + 1) / (|beta| + 1), whose
+    correctly rounded quotient of integers is the double of that rational;
+    entries are exact up to one floating square root.
     """
     comp = _monomial_complement(generators, d)
     pos = {beta: i for i, beta in enumerate(comp)}
@@ -99,12 +97,9 @@ def monomial_model(generators: Sequence, d: int) -> ModelTuple:
     for j in range(d):
         Z = np.zeros((m, m), dtype=complex)
         for beta, col in pos.items():
-            target = mi.add(beta, mi.unit(d, j))
-            row = pos.get(target)
-            if row is None:
-                continue
-            ratio = mi.monomial_norm_sq(target) / mi.monomial_norm_sq(beta)
-            Z[row, col] = math.sqrt(float(ratio))
+            row = pos.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
+            if row is not None:
+                Z[row, col] = math.sqrt((beta[j] + 1) / (sum(beta) + 1))
         mats.append(Z)
     cyclic = np.zeros(m, dtype=complex)
     cyclic[pos[(0,) * d]] = 1.0

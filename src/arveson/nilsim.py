@@ -83,16 +83,17 @@ def _require_unit(xi, n: int) -> np.ndarray:
 
 
 def _require_nilpotent(N: tuples.CommutingTuple, tol: float = NILPOTENT_RTOL) -> None:
-    for j, Nj in enumerate(N.matrices):
+    for j, (Nj, norm) in enumerate(zip(N.matrices, N.norms)):
         P = np.linalg.matrix_power(Nj, N.n)
-        gate = tol * max(1.0, numerics.operator_norm(Nj)) ** N.n
+        gate = tol * max(1.0, norm) ** N.n
         if float(np.linalg.norm(P)) <= gate:
             # Frobenius dominates the spectral norm
             continue
-        if numerics.operator_norm(P) > gate:
+        norm_P = numerics.operator_norm(P)
+        if norm_P > gate:
             raise ValidationError(
                 f"matrix {j + 1} is not nilpotent within tolerance "
-                f"(||N^n|| = {numerics.operator_norm(P):.3e})"
+                f"(||N^n|| = {norm_P:.3e})"
             )
 
 
@@ -262,6 +263,12 @@ def correspondence_similarity(
     norm bounds attached to the certificate do not apply to it. A singular
     orbit matrix means the ideal is wrong and raises ValidationError.
     """
+    X, _, model, residual = _correspondence(N, xi, generators)
+    return X, model, residual
+
+
+def _correspondence(N: tuples.CommutingTuple, xi, generators) -> tuple:
+    """(X, U, model, residual) with U the weighted orbit matrix and X = U^-1."""
     model = models.monomial_model(generators, N.d)
     if model.dim != N.n:
         raise ValidationError(
@@ -286,7 +293,7 @@ def correspondence_similarity(
         numerics.operator_norm(X @ Nj @ U - Zj)
         for Nj, Zj in zip(N.matrices, model.tuple.matrices)
     )
-    return X, model, residual
+    return X, U, model, residual
 
 
 @dataclass(frozen=True)
@@ -323,11 +330,19 @@ def build_similarity(
     annihilator is therefore computed only when the residual gate fails,
     where it tells a wrong ideal (ValidationError) from an ill-conditioned
     correspondence (NumericalError).
+
+    One SVD of X gives every norm the certificate reports: ||X|| is the
+    largest singular value s_max and ||X^-1|| = 1/s_min, since the singular
+    values of X^-1 are the reciprocals of those of X; cond is their product.
+    X^-1 itself is the orbit matrix U that X inverts, so no inverse is
+    taken here.
     """
     hyps = check_hypotheses(N, xi, tol=tol)
-    X, model, residual = correspondence_similarity(N, hyps.xi, generators)
+    X, X_inv, model, residual = _correspondence(N, hyps.xi, generators)
+    norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
+    cond = norm_X * norm_X_inv
     scale = max(1.0, N.scale())
-    intertwines = residual <= RESIDUAL_RTOL * scale * numerics.cond(X)
+    intertwines = residual <= RESIDUAL_RTOL * scale * cond
     if not intertwines and not _annihilator_matches_ideal(N, generators, model):
         raise ValidationError(
             "annihilator of the tuple does not match the monomial ideal"
@@ -347,9 +362,6 @@ def build_similarity(
             f"conjugation residual {residual:.3e} is too large; the "
             f"correspondence matrix is unreliable"
         )
-    norm_X = numerics.operator_norm(X)
-    X_inv = numerics.inv(X)
-    norm_X_inv = numerics.operator_norm(X_inv)
     bound_X = (
         (hyps.L + 1)
         * hyps.gamma
@@ -367,7 +379,7 @@ def build_similarity(
         hypotheses=hyps,
         norm_X=norm_X,
         norm_X_inv=norm_X_inv,
-        cond=norm_X * norm_X_inv,
+        cond=cond,
         bound_X=bound_X,
         bound_X_inv=bound_X_inv,
         bounds_hold=holds,
@@ -413,11 +425,12 @@ def necessity_check(
         )
     scale = max(1.0, N.scale())
     X_inv = numerics.inv(X)
+    norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
     resid = max(
         numerics.operator_norm(X @ Nj - Zj @ X)
         for Nj, Zj in zip(N.matrices, model.tuple.matrices)
     )
-    if resid > tol * scale * numerics.operator_norm(X):
+    if resid > tol * scale * norm_X:
         raise ValidationError(
             f"matrix does not intertwine the tuple with the model "
             f"(residual {resid:.3e})"
@@ -427,7 +440,7 @@ def necessity_check(
         xi = v / np.linalg.norm(v)
     else:
         xi = _require_unit(xi, N.n)
-    cond = numerics.operator_norm(X) * numerics.operator_norm(X_inv)
+    cond = norm_X * norm_X_inv
     # The survival floor: w |N^a xi|^2 = w |X^-1 Z^a 1|^2 / |X^-1 1|^2 with
     # |X^-1 Z^a 1| >= |Z^a 1| / |X| and |X^-1 1| <= |X^-1|, so the provable
     # constant is 1/cond^2. It is attained: scaling the model by s makes

@@ -37,7 +37,7 @@ def operator_norm(a) -> float:
     a = as_cmatrix(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hermitian_eig(a, tol: float = 1e-10):
@@ -112,6 +112,15 @@ def cond(a) -> float:
     if s[-1] == 0:
         return np.inf
     return float(s[0] / s[-1])
+
+
+def norm_and_inverse_norm(a) -> tuple:
+    """(||a||, ||a^-1||) from one SVD: the singular values of a^-1 are the
+    reciprocals of those of a, so ||a^-1|| = 1/s_min (inf if singular)."""
+    a = as_cmatrix(a)
+    _require_square(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0]), (float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
 
 
 def nullspace(a, rtol: float = RANK_RTOL, gap: float = GAP_RATIO) -> np.ndarray:

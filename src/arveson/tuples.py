@@ -8,6 +8,7 @@ defects instead of silently trusting the caller; downstream code calls
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,6 +23,10 @@ from .polynomials import Polynomial
 
 @dataclass(frozen=True)
 class CommutingTuple:
+    """Validated coordinates with their measured defects. The coordinate
+    operator norms (``norms``, whose maximum is ``scale``) are computed on
+    first use and cached, so every gate reading them shares d SVDs."""
+
     matrices: tuple
     commutator_defect: float
     row_defect: float
@@ -34,13 +39,14 @@ class CommutingTuple:
     def n(self) -> int:
         return self.matrices[0].shape[0]
 
+    @functools.cached_property
+    def norms(self) -> tuple:
+        """Operator norm of each coordinate."""
+        return tuple(numerics.operator_norm(T) for T in self.matrices)
+
     def scale(self) -> float:
-        """Largest operator norm among the coordinates (computed once)."""
-        cached = self.__dict__.get("_scale")
-        if cached is None:
-            cached = max(numerics.operator_norm(T) for T in self.matrices)
-            object.__setattr__(self, "_scale", cached)
-        return cached
+        """Largest operator norm among the coordinates."""
+        return max(self.norms)
 
     def is_row_contraction(self, tol: float = numerics.DEFAULT_TOL) -> bool:
         return self.row_defect <= tol
@@ -79,8 +85,12 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
                 defect,
                 numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
             )
+    # sum M M^* is Hermitian by construction, so the asymmetry check of
+    # numerics.hermitian_eig cannot fire here; the symmetrized Gram is the
+    # matrix it would hand to the eigensolver
     gram = sum(M @ M.conj().T for M in mats)
-    excess = numerics.hermitian_eig(gram)[0].max() - 1.0
+    gram = numerics.as_cmatrix((gram + gram.conj().T) / 2.0)
+    excess = np.linalg.eigvalsh(gram)[-1] - 1.0
     return CommutingTuple(
         matrices=mats,
         commutator_defect=defect,

@@ -266,3 +266,50 @@ def test_cli_import_does_not_load_scipy_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--tol") for c in ("jordan", "model-monomial", "interp-check", "pick")]
+    + [
+        (c, "--seed")
+        for c in (
+            "tuple-check",
+            "tuple-ann",
+            "model-monomial",
+            "model-jet",
+            "interp-check",
+            "pick",
+            "nilsim",
+        )
+    ],
+)
+def test_unused_input_flags_are_gone(command, flag, tuple_file, capsys):
+    # these commands never read the flag; the parser refuses it before the
+    # input is loaded
+    code, out, err = run([command, "--in", tuple_file, flag, "1"], capsys)
+    assert code == 1
+    assert flag in err
+
+
+def test_model_jet_report_has_no_truncation_keys(tmp_path, capsys):
+    def ideal(terms):
+        return {"d": 1, "degree_bound": 4, "generators": [{"d": 1, "terms": terms}]}
+
+    obj = {
+        "d": 1,
+        "points": [[0.0], [0.5]],
+        "local_ideals": [
+            ideal([{"coeff": 1, "alpha": [1]}]),
+            ideal([{"coeff": 1, "alpha": [1]}, {"coeff": -0.5, "alpha": [0]}]),
+        ],
+    }
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(["model-jet", "--in", str(p)], capsys)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["result"]["dimension"] == 2
+    assert rep["result"]["all_localizations_match"] is True
+    assert "truncation_degree" not in rep["result"]
+    assert "tail_bound" not in rep["result"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from arveson import models, multiindex as mi, numerics, polyideal, tuples
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
+from test_acceptance import _downset_family, _staircase_generators
 from test_fockspace import FockTruncation, jet_vector, mult_matrix, truncation_degree
 
 
@@ -42,6 +45,35 @@ def test_monomial_model_weights_are_norm_ratios():
         np.sqrt(1 / 3),
         rtol=1e-12,
     )
+
+
+def _fraction_oracle(basis, d):
+    """Z_j from the exact rational ratios ||x^(beta+e_j)||^2 / ||x^beta||^2."""
+    pos = {beta: i for i, beta in enumerate(basis)}
+    mats = []
+    for j in range(d):
+        Z = np.zeros((len(basis), len(basis)), dtype=complex)
+        for beta, col in pos.items():
+            target = mi.add(beta, mi.unit(d, j))
+            if target in pos:
+                ratio = mi.monomial_norm_sq(target) / mi.monomial_norm_sq(beta)
+                Z[pos[target], col] = math.sqrt(float(ratio))
+        mats.append(Z)
+    return mats
+
+
+def test_monomial_model_is_bit_equal_to_fraction_oracle():
+    # the closed form (beta_j + 1) / (|beta| + 1) and the Fraction ratio are
+    # the same rational, so both round to the same double on every staircase
+    count = 0
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 20):
+            m = models.monomial_model(_staircase_generators(d, comp), d)
+            assert set(m.basis_indices) == set(comp)
+            oracle = _fraction_oracle(m.basis_indices, d)
+            assert all(np.array_equal(Z, W) for Z, W in zip(m.tuple.matrices, oracle))
+            count += 1
+    assert count == 2542
 
 
 def test_monomial_model_rejects_unit():
@@ -234,7 +266,8 @@ def test_jet_model_high_radius():
     m, reports = _one_variable_jet_report([(0.99, 0.0), (0.0, 0.3)], ideals)
     assert m.dim == 3
     assert m.local_dims == (2, 1)
-    assert m.tail_bound == 0.0 and m.truncation_degree == 0
+    # built without truncation: no truncation degree or tail bound exists
+    assert not hasattr(m, "tail_bound") and not hasattr(m, "truncation_degree")
     assert all(r.matches for r in reports)
 
 

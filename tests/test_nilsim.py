@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import models, nilsim, repro, tuples
+from arveson import models, nilsim, numerics, repro, tuples
 from arveson.errors import InputError, ValidationError
+from test_acceptance import _perturbed_input
 
 SQUARE = [(2, 0), (1, 1), (0, 2)]
 
@@ -209,3 +210,55 @@ def test_lemma_checks_scaled_tuple_stays_sound():
     T = tuples.validate([0.9 * M for M in m.tuple.matrices])
     rep = nilsim.lemma_checks(T, m.cyclic, epsilon=0.3, seed=2)
     assert rep.ok
+
+
+def _separate_norms(X):
+    norm_X = numerics.operator_norm(X)
+    norm_X_inv = numerics.operator_norm(numerics.inv(X))
+    return norm_X, norm_X_inv, norm_X * norm_X_inv
+
+
+def test_certificate_norms_match_separate_svds():
+    # ||X||, ||X^-1|| and cond come from one set of singular values of X;
+    # each must agree with its own SVD (and an explicit inverse)
+    for seed in range(20):
+        N, xi, gens = _perturbed_input(seed)
+        cert = nilsim.build_similarity(N, xi, gens)
+        want = _separate_norms(cert.X)
+        got = (cert.norm_X, cert.norm_X_inv, cert.cond)
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+        nec = nilsim.necessity_check(N, cert.X, gens)
+        assert_allclose(nec.cond, want[2], rtol=1e-12, atol=0)
+    # the troubled family is refused a certificate, but its correspondence
+    # matrix still goes through the necessity check
+    for t in (0.05, 0.15, 0.3):
+        R1, R2, _ = repro.two_variable_family(t)
+        T = tuples.validate([R1, R2])
+        X, _, _ = nilsim.correspondence_similarity(T, np.array([1.0, 0, 0]), SQUARE)
+        nec = nilsim.necessity_check(T, X, SQUARE)
+        assert_allclose(nec.cond, _separate_norms(X)[2], rtol=1e-12, atol=0)
+
+
+# Exact numbers of dense LAPACK calls made by build_similarity on an exact
+# staircase model, so that a deleted call cannot come back unnoticed. Before
+# ||X||, ||X^-1|| and cond came from one SVD, the nilpotency gate reused the
+# cached coordinate norms and validate called eigvalsh instead of
+# hermitian_eig, the same calls made
+#   <x^3, y^2> (d=2, n=6): svd 20, eigh 1, eigvalsh 0, inv 2;
+#   <x^2, y^2, z^2, xy, xz, yz> (d=3, n=4): svd 24, eigh 1, eigvalsh 0, inv 2.
+@pytest.mark.parametrize(
+    "gens, d, want",
+    [
+        ([(3, 0), (0, 2)], 2, {"svd": 14, "eigh": 0, "eigvalsh": 1, "inv": 1}),
+        (
+            [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
+            3,
+            {"svd": 17, "eigh": 0, "eigvalsh": 1, "inv": 1},
+        ),
+    ],
+)
+def test_build_similarity_lapack_calls(gens, d, want, lapack_counts):
+    m = models.monomial_model(gens, d)
+    lapack_counts.clear()
+    nilsim.build_similarity(m.tuple, m.cyclic, gens)
+    assert {k: lapack_counts[k] for k in want} == want

@@ -120,3 +120,14 @@ def test_solve_and_inv():
 def test_solve_singular_raises():
     with pytest.raises(NumericalError):
         numerics.inv(np.zeros((2, 2)))
+
+
+def test_norm_and_inverse_norm_matches_separate_svds():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    norm, norm_inv = numerics.norm_and_inverse_norm(a)
+    assert norm == numerics.operator_norm(a)
+    assert abs(norm_inv - numerics.operator_norm(numerics.inv(a))) <= 1e-12 * norm_inv
+    assert numerics.norm_and_inverse_norm(np.zeros((2, 2))) == (0.0, np.inf)
+    with pytest.raises(InputError):
+        numerics.norm_and_inverse_norm(np.ones((2, 3)))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import tuples
+from arveson import models, numerics, tuples
 from arveson.errors import InputError, ValidationError
 from arveson.polynomials import Polynomial
+from test_acceptance import _downset_family, _perturbed_input, _staircase_generators
 
 E21 = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 E31 = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=complex)
@@ -39,6 +40,25 @@ def test_require_commuting_gate():
 def test_row_defect_detects_expansion():
     big = tuples.validate([2 * np.eye(2, dtype=complex)])
     assert not big.is_row_contraction()
+
+
+def _hermitian_eig_row_defect(mats):
+    gram = sum(M @ M.conj().T for M in mats)
+    return max(0.0, float(numerics.hermitian_eig(gram)[0].max() - 1.0))
+
+
+def test_row_defect_matches_hermitian_eig_oracle():
+    # exact models have a diagonal Gram, whose eigenvalues every Hermitian
+    # solver returns exactly; on perturbed tuples eigvalsh and eigh take
+    # different LAPACK paths and may differ by rounding (seen: one ulp of 1)
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 20):
+            m = models.monomial_model(_staircase_generators(d, comp), d)
+            assert m.tuple.row_defect == _hermitian_eig_row_defect(m.tuple.matrices)
+    for seed in range(20):
+        N, _, _ = _perturbed_input(seed)
+        want = _hermitian_eig_row_defect(N.matrices)
+        assert abs(N.row_defect - want) <= 1e-14, seed
 
 
 def test_apply_poly_matches_direct():
