@@ -84,7 +84,9 @@ def separation_constants(points) -> SeparationReport:
             if v < delta:
                 delta = v
                 worst = (i, j)
-    gamma = float(numerics.hermitian_eig(G)[0][-1])
+    # G is Hermitian by construction, so hermitian_eig's asymmetry check
+    # cannot fire; eigh gets the symmetrized matrix it would hand over
+    gamma = float(np.linalg.eigh(numerics.as_cmatrix((G + G.conj().T) / 2.0))[0][-1])
     return SeparationReport(
         points=tuple(tuple(p.tolist()) for p in pts),
         delta_weak=float(delta),
@@ -108,7 +110,8 @@ class PickResult:
 
 def _pick_feasible(K: np.ndarray, a: np.ndarray, c: float):
     M = (c * c - np.outer(a, a.conj())) * K
-    vals = numerics.hermitian_eig(M)[0]
+    # Hermitian by construction, as in separation_constants
+    vals = np.linalg.eigh(numerics.as_cmatrix((M + M.conj().T) / 2.0))[0]
     scale = max(1.0, float(abs(vals[-1])))
     return float(vals[0]) >= -PICK_PSD_RTOL * scale, float(vals[0])
 

@@ -231,7 +231,9 @@ def jet_model(
     # the unit columns are W D^-1 with D = diag(norms), so M_j^* acts on
     # them by D A_j D^-1
     A = A * norms[:, None] / norms[None, :]
-    vals, vecs = numerics.hermitian_eig(G)
+    # G is Hermitian by construction, so hermitian_eig's asymmetry check
+    # cannot fire; eigh gets the symmetrized matrix it would hand over
+    vals, vecs = np.linalg.eigh(numerics.as_cmatrix((G + G.conj().T) / 2.0))
     if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
         raise NumericalError(
             f"kernel data Gram matrix is numerically singular (eigenvalue "
@@ -271,7 +273,11 @@ def verify_localizations(
 
     The annihilator is sliced at a degree where products of local
     generators with enough separating factors already live, so localizing
-    its span at each point must reproduce the local jet image exactly.
+    its span at each point must reproduce the local jet image exactly. The
+    slice stays a dense coefficient matrix: its Taylor rows at a point are
+    one product with the Taylor table of the slice's monomials
+    (``polyideal.localize_coeffs``), and the expected side is the jet image
+    of the prescribed generators at the same order.
     """
     if model.kind != "jet":
         raise InputError("localization checks need a jet model")
@@ -283,25 +289,20 @@ def verify_localizations(
     sep_deg = sum(k + 1 for k in model.orders)
     D_found = gen_deg + sep_deg
     mus = [k + 2 for k in model.orders]
-    D_ann = D_found + max(mus) - 1
-    ann = tuples.annihilator_slice(model.tuple, D_found, tol=numerics.DEFAULT_TOL)
-    if not ann:
+    basis, ann = tuples.annihilator_coeffs(model.tuple, D_found, tol=numerics.DEFAULT_TOL)
+    if ann.shape[1] == 0:
         raise ValidationError(
             f"model has no annihilating polynomials up to degree {D_found}"
         )
-    ann_ideal = polyideal.PolyIdeal(ann, D_ann, d=model.d)
     out = []
     for z, kappa, mu, ideal in zip(model.points, model.orders, mus, local_ideals):
-        got = polyideal.localize(ann_ideal, np.asarray(z), mu)
-        want = polyideal.localize(
-            polyideal.PolyIdeal(ideal.generators, ideal.max_generator_degree + mu - 1, d=model.d),
-            np.asarray(z),
-            mu,
-        )
+        z = np.asarray(z, dtype=complex)
+        got = polyideal.localize_coeffs(ann, basis, z, mu)
+        want = polyideal._local_jets(ideal.generators, z, mu)
         ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis, tol)
         out.append(
             LocalizationReport(
-                point=tuple(z),
+                point=tuple(z.tolist()),
                 order=kappa,
                 jet_order=mu,
                 annihilator_dim=got.dim,

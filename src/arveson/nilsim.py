@@ -233,17 +233,15 @@ def _annihilator_matches_ideal(
     gens = [mi.as_index(g) for g in generators]
     box_degree = max((mi.degree(b) for b in model.basis_indices), default=0)
     D = max(box_degree + 1, max(mi.degree(g) for g in gens))
-    ann = tuples.annihilator_slice(N, D)
-    basis = mi.enumerate_indices(N.d, D)
+    basis, A = tuples.annihilator_coeffs(N, D)
     # for monomial generators the degree slice is the span of the divisible
     # monomials, which is a coordinate subspace
     B = np.array(basis, dtype=np.int64)
     G = np.array(gens, dtype=np.int64)
     in_ideal = (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
     k = int(in_ideal.sum())
-    if not ann:
+    if A.shape[1] == 0:
         return k == 0
-    A = np.column_stack([p.coeff_vector(basis) for p in ann])
     if A.shape[1] != k:
         return False
     E = np.eye(len(basis), dtype=complex)[:, in_ideal]

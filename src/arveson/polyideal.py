@@ -12,11 +12,20 @@ Both spans are built on dense coefficient arrays, never by multiplying
 ``Polynomial`` objects: x^q * g has coefficient g[gamma - q] at x^gamma,
 and (x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at z, where
 t_g is the Taylor row of g. Every column is a gather through
-``_shift_index``.
+``_shift_index``, and every Taylor row comes from one table of the Taylor
+coefficients of monomials (``_taylor_table``).
+
+The slice is built on first read of ``slice_basis`` (``slice_dim``,
+``contains`` and ``repr`` read it), so an ambiguous rank decision there
+raises ``NumericalError`` at that read, not in the constructor. An ideal
+given by a dense coefficient matrix, such as a tuple's annihilator from
+``tuples.annihilator_coeffs``, is localized by ``localize_coeffs`` without
+becoming polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,9 +62,11 @@ class PolyIdeal:
                 f"degree bound {degree_bound}"
             )
         self.basis = mi.enumerate_indices(self.d, self.degree_bound)
-        self.slice_basis = self._build_slice()
 
-    def _build_slice(self) -> np.ndarray:
+    @functools.cached_property
+    def slice_basis(self) -> np.ndarray:
+        """Orthonormal basis of the degree slice, built on first read; an
+        ambiguous rank decision raises ``NumericalError`` there."""
         if not self.generators:
             return np.zeros((len(self.basis), 0), dtype=complex)
         # the multipliers x^q with |q| <= room are the first C(d+room, d)
@@ -149,18 +160,44 @@ def localize(ideal: PolyIdeal, z: Sequence[complex], mu: int) -> LocalJetIdeal:
             f"jet order {mu} exceeds what degree_bound={ideal.degree_bound} "
             f"supports (max {max_mu})"
         )
-    jet_basis = mi.enumerate_indices(ideal.d, mu)
+    return _local_jets(ideal.generators, z, mu)
+
+
+def localize_coeffs(coeffs: np.ndarray, basis: Sequence[tuple], z, mu: int) -> LocalJetIdeal:
+    """Order-mu jet image at z of the ideal generated by the columns of
+    ``coeffs``, coefficient vectors on the monomials ``basis``.
+
+    The dense form of ``localize``: the Taylor rows are one product with the
+    Taylor table of the basis monomials, and no degree bound is checked.
+    """
+    z = np.asarray(z, dtype=complex)
+    alphas = np.array(basis, dtype=np.int64)
+    if alphas.shape[1:] != z.shape or coeffs.shape[0] != len(alphas):
+        raise InputError(
+            f"point of shape {z.shape} with {coeffs.shape[0]} coefficients on "
+            f"monomials of shape {alphas.shape}"
+        )
+    return _jet_span(z, mu, lambda jets: coeffs.T @ _taylor_table(alphas, z, jets))
+
+
+def _local_jets(generators: Sequence[Polynomial], z: np.ndarray, mu: int) -> LocalJetIdeal:
+    """``localize`` without its input checks, at a point of shape (d,)."""
+    return _jet_span(z, mu, lambda jets: _taylor_rows(generators, z, jets))
+
+
+def _jet_span(z: np.ndarray, mu: int, taylor_rows) -> LocalJetIdeal:
+    """Span of the jets of (x - z)^beta * g, |beta| <= mu, from the Taylor
+    rows t_g = ``taylor_rows(jets)`` of the generators: column (g, beta)
+    holds t_g[gamma - beta] in row gamma."""
+    jet_basis = mi.enumerate_indices(z.size, mu)
+    jets = np.array(jet_basis, dtype=np.int64)
+    rows = taylor_rows(jets)
     m = len(jet_basis)
-    if not ideal.generators:
-        basis = np.zeros((m, 0), dtype=complex)
-    else:
-        jets = np.array(jet_basis, dtype=np.int64)
-        rows = np.zeros((len(ideal.generators), m + 1), dtype=complex)  # index -1 reads a zero
-        rows[:, :m] = _taylor_rows(ideal.generators, z, jets)
-        # column (g, beta) holds t_g[gamma - beta] in row gamma
-        cols = rows[:, _shift_index(jets, jets)]
-        basis = numerics.orth_columns(cols.transpose(1, 0, 2).reshape(m, -1))
-    return LocalJetIdeal(z=tuple(z.tolist()), mu=mu, d=ideal.d, jet_basis=jet_basis, basis=basis)
+    padded = np.zeros((rows.shape[0], m + 1), dtype=complex)  # index -1 reads a zero
+    padded[:, :m] = rows
+    cols = padded[:, _shift_index(jets, jets)]
+    basis = numerics.orth_columns(cols.transpose(1, 0, 2).reshape(m, -1))
+    return LocalJetIdeal(z=tuple(z.tolist()), mu=mu, d=z.size, jet_basis=jet_basis, basis=basis)
 
 
 def _binomials(n: int, k: int) -> np.ndarray:
@@ -194,54 +231,65 @@ def _shift_index(gammas: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.where(divides, pos, -1)
 
 
+def _taylor_table(alphas: np.ndarray, z: np.ndarray, jets: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of the monomials x^alpha (rows of ``alphas``) at
+    z on the indices ``jets``: prod_j C(a_j, gamma_j) z_j^(a_j - gamma_j)."""
+    top = int(alphas.max(initial=0))
+    binom = _binomials(top, top).astype(float)
+    table = np.ones((len(alphas), len(jets)), dtype=complex)
+    for j in range(z.size):
+        a = alphas[:, None, j]
+        gamma = jets[None, :, j]
+        ok = gamma <= a
+        power = z[j] ** np.where(ok, a - gamma, 0)
+        table *= np.where(ok, binom[a, np.minimum(gamma, a)] * power, 0)
+    return table
+
+
 def _taylor_rows(generators: Sequence[Polynomial], z: np.ndarray, jets: np.ndarray) -> np.ndarray:
     """Taylor coefficients of each generator at z on the indices ``jets``:
-    t_g[gamma] = sum_a c_a prod_j C(a_j, gamma_j) z_j^(a_j - gamma_j)."""
-    top = max(g.degree() for g in generators)
-    binom = _binomials(top, top).astype(float)
+    t_g[gamma] = sum_a c_a prod_j C(a_j, gamma_j) z_j^(a_j - gamma_j), from
+    one Taylor table over the union of the generators' exponents."""
+    row_of = {}
+    for g in generators:
+        for alpha in g.coeffs:
+            row_of.setdefault(alpha, len(row_of))
+    table = _taylor_table(np.array(list(row_of), dtype=np.int64).reshape(-1, z.size), z, jets)
     rows = np.empty((len(generators), len(jets)), dtype=complex)
     for i, g in enumerate(generators):
-        alphas = np.array(list(g.coeffs), dtype=np.int64)
-        weight = np.ones((len(alphas), len(jets)), dtype=complex)
-        for j in range(z.size):
-            a = alphas[:, None, j]
-            gamma = jets[None, :, j]
-            ok = gamma <= a
-            power = z[j] ** np.where(ok, a - gamma, 0)
-            weight *= np.where(ok, binom[a, np.minimum(gamma, a)] * power, 0)
         # summed term by term, as Polynomial.shift sums; a BLAS product may
         # fuse multiply-adds and leave other roundoff in cancelling jets
+        weight = table[[row_of[alpha] for alpha in g.coeffs]]
         rows[i] = np.einsum("k,km->m", np.array(list(g.coeffs.values())), weight)
     return rows
+
+
+def _isolation_probes(d: int, z: np.ndarray, seed: int, radius: float) -> np.ndarray:
+    """64 seeded random points and the 2d axis points at distance radius
+    from z, one per row."""
+    v = np.random.default_rng(seed).standard_normal((64, 2, d))
+    v = v[:, 0] + 1j * v[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    axis = radius * np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d)
+    return z + np.concatenate([radius * v, axis])
 
 
 def _isolation_mesh_check(ideal: PolyIdeal, z: np.ndarray, seed: int = 0) -> None:
     # Definite non-isolation test: a nearby point where every generator
     # vanishes means z cannot be an isolated common zero.
-    rng = np.random.default_rng(seed)
     radius = 0.1
-    probes = []
-    for _ in range(64):
-        v = rng.standard_normal(ideal.d) + 1j * rng.standard_normal(ideal.d)
-        v /= np.linalg.norm(v)
-        probes.append(z + radius * v)
-    for j in range(ideal.d):
-        e = np.zeros(ideal.d, dtype=complex)
-        e[j] = radius
-        probes.append(z + e)
-        probes.append(z - e)
-    for w in probes:
-        all_vanish = True
-        for g in ideal.generators:
-            scale = 1.0 + max(abs(c) for c in g.coeffs.values())
-            if abs(g(w)) > 1e-10 * scale:
-                all_vanish = False
-                break
-        if all_vanish:
-            raise ValidationError(
-                f"common zero of all generators at distance {radius} from the "
-                f"point; it is not isolated"
-            )
+    probes = _isolation_probes(ideal.d, z, seed, radius)
+    vanish = np.ones(len(probes), dtype=bool)
+    for g in ideal.generators:
+        alphas = np.array(list(g.coeffs), dtype=np.int64)
+        c = np.array(list(g.coeffs.values()))
+        values = np.prod(probes[:, None, :] ** alphas, axis=2) @ c
+        vanish &= np.abs(values) <= 1e-10 * (1.0 + np.abs(c).max())
+    if vanish.any():
+        raise ValidationError(
+            f"common zero of all generators at distance {radius} from the "
+            f"point; it is not isolated"
+        )
 
 
 def polynomial_order(
@@ -267,16 +315,12 @@ def polynomial_order(
     while kappa + 2 <= max_mu:
         mu = kappa + 2
         local = localize(ideal, z, mu)
-        contained = True
-        for beta in local.jet_basis:
-            if mi.degree(beta) < kappa + 1:
-                continue
-            e = np.zeros(len(local.jet_basis), dtype=complex)
-            e[local.jet_basis.index(beta)] = 1.0
-            if not local.contains_jet(e, tol):
-                contained = False
-                break
-        if contained:
+        # the jets of order kappa+1 and above are unit vectors, so each
+        # residual is a column of I - B B^* on those indices
+        B = local.basis
+        high = [k for k, beta in enumerate(local.jet_basis) if sum(beta) > kappa]
+        resid = np.eye(len(local.jet_basis))[:, high] - B @ B.conj().T[:, high]
+        if np.all(np.linalg.norm(resid, axis=0) <= tol):
             return kappa
         kappa += 1
     raise ValidationError(
@@ -316,24 +360,15 @@ def vanishing_ideal_slice(
     if any(k < 0 for k in kappas):
         raise InputError(f"orders must be >= 0, got {kappas}")
     basis = mi.enumerate_indices(d, degree_bound)
-    rows = []
-    for z, kz in zip(pts, kappas):
-        for alpha in mi.enumerate_indices(d, kz):
-            row = np.zeros(len(basis), dtype=complex)
-            for col, gamma in enumerate(basis):
-                if not mi.divides(alpha, gamma):
-                    continue
-                c = 1.0
-                zpow = 1.0 + 0j
-                for gj, aj, zj in zip(gamma, alpha, z):
-                    c *= float(np.prod(np.arange(gj - aj + 1, gj + 1)))
-                    if gj - aj:
-                        zpow *= zj ** (gj - aj)
-                row[col] = c * zpow
-            nrm = np.linalg.norm(row)
-            if nrm > 0:
-                row /= nrm
-            rows.append(row)
-    kernel = numerics.nullspace(np.array(rows), rtol=tol)
+    alphas = np.array(basis, dtype=np.int64)
+    # p -> d^alpha p(z) is alpha! times the Taylor coefficient of p at z on
+    # (x - z)^alpha, and every row is normalized
+    rows = np.vstack([
+        _taylor_table(alphas, z, np.array(mi.enumerate_indices(d, kz), dtype=np.int64)).T
+        for z, kz in zip(pts, kappas)
+    ])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= np.where(norms > 0, norms, 1.0)
+    kernel = numerics.nullspace(rows, rtol=tol)
     gens = [Polynomial.from_coeff_vector(d, kernel[:, j], basis) for j in range(kernel.shape[1])]
     return PolyIdeal(gens, degree_bound, d=d)

@@ -142,12 +142,7 @@ def example_one_variable(eps_list=(0.1, 0.01, 0.001), lams=(0.5,)) -> OneVariabl
             vanish = polyideal.vanishing_ideal_slice([[lam]], 1, 2)
             ann_ok = True
             for blk in (TS, TT):
-                ann = tuples.annihilator_slice(blk, 2)
-                got = numerics.orth_columns(
-                    np.column_stack(
-                        [p.coeff_vector(vanish.basis) for p in ann]
-                    )
-                )
+                got = numerics.orth_columns(tuples.annihilator_coeffs(blk, 2)[1])
                 ann_ok = ann_ok and numerics.subspace_equal(
                     got, vanish.slice_basis, 1e-8
                 )
@@ -318,11 +313,8 @@ def example_two_variable(
         z = np.asarray(z, dtype=complex).reshape(-1)
         GN = tuples.moebius(N, z)
         GR = tuples.moebius(R, z)
-        ann = tuples.annihilator_slice(GN, 2)
         vanish = polyideal.vanishing_ideal_slice([z], 1, 2)
-        got = numerics.orth_columns(
-            np.column_stack([p.coeff_vector(vanish.basis) for p in ann])
-        )
+        got = numerics.orth_columns(tuples.annihilator_coeffs(GN, 2)[1])
         ann_ok = numerics.subspace_equal(got, vanish.slice_basis, 1e-8)
         transport = max(
             numerics.operator_norm(X0 @ GNj - GRj @ X0)

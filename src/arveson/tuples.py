@@ -191,16 +191,18 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     )
 
 
-def annihilator_slice(
+def annihilator_coeffs(
     T: CommutingTuple,
     degree_bound: int,
     tol: float = numerics.DEFAULT_TOL,
-) -> list:
-    """Basis of {p : deg p <= degree_bound, p(T) = 0 up to tolerance}.
+) -> tuple:
+    """(basis, K): the monomials of degree <= degree_bound in graded order
+    and a matrix whose unit columns are coefficient vectors on them spanning
+    {p : p(T) = 0 up to tolerance}.
 
     Columns vec(T^alpha) are rescaled by max(1, scale^|alpha|) so that a
     tuple with large norm does not drown low-degree relations; the kernel
-    coefficients are rescaled back before returning polynomials.
+    coefficients are rescaled back before they are normalized.
     """
     T.require_commuting(tol)
     basis = mi.enumerate_indices(T.d, degree_bound)
@@ -208,13 +210,18 @@ def annihilator_slice(
     s = max(1.0, T.scale())
     col_scales = np.array([max(1.0, s ** mi.degree(a)) for a in basis])
     A = np.column_stack([cache[a].ravel() / w for a, w in zip(basis, col_scales)])
-    kernel = numerics.nullspace(A, rtol=tol)
-    out = []
-    for j in range(kernel.shape[1]):
-        coeffs = kernel[:, j] / col_scales
-        coeffs /= np.linalg.norm(coeffs)
-        out.append(Polynomial.from_coeff_vector(T.d, coeffs, basis))
-    return out
+    coeffs = numerics.nullspace(A, rtol=tol) / col_scales[:, None]
+    for j in range(coeffs.shape[1]):
+        coeffs[:, j] /= np.linalg.norm(coeffs[:, j])
+    return basis, coeffs
+
+
+def annihilator_slice(
+    T: CommutingTuple, degree_bound: int, tol: float = numerics.DEFAULT_TOL
+) -> list:
+    """``annihilator_coeffs`` as a list of polynomials."""
+    basis, coeffs = annihilator_coeffs(T, degree_bound, tol)
+    return [Polynomial.from_coeff_vector(T.d, c, basis) for c in coeffs.T]
 
 
 def moebius(T: CommutingTuple, w: Sequence[complex]) -> CommutingTuple:

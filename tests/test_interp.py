@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import interp
+from arveson import interp, numerics
 from arveson.errors import InputError, NumericalError
 
 
@@ -151,3 +151,25 @@ def test_strong_separation_refuses_a_failed_pick_certificate(monkeypatch):
     monkeypatch.setattr(interp, "_pick_feasible", lambda K, a, c: (False, -1.0))
     with pytest.raises(NumericalError, match="indicator 0"):
         interp.strong_separation([[0.0], [0.5]])
+
+
+# Kernel Gram and Pick matrices are Hermitian by construction; their
+# eigenvalues must be bit-identical to those of numerics.hermitian_eig, which
+# adds only an asymmetry check that cannot fire on them.
+
+
+def test_separation_gamma_matches_hermitian_eig_oracle():
+    for pts in ([[0.0], [0.5]], [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]]):
+        rep = interp.separation_constants(pts)
+        assert rep.gamma_carleson == float(numerics.hermitian_eig(rep.gram)[0][-1])
+
+
+def test_pick_feasible_matches_hermitian_eig_oracle():
+    pts = [[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]]
+    K = interp.kernel_matrix(pts)
+    a = np.array([0.3, -0.2 + 0.4j, 0.8])
+    for c in (0.5, 0.9, interp.pick_min_norm(pts, a).upper, 2.0):
+        vals = numerics.hermitian_eig((c * c - np.outer(a, a.conj())) * K)[0]
+        scale = max(1.0, float(abs(vals[-1])))
+        want = (float(vals[0]) >= -interp.PICK_PSD_RTOL * scale, float(vals[0]))
+        assert interp._pick_feasible(K, a, c) == want

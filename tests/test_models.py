@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import models, multiindex as mi, numerics, polyideal, tuples
+from arveson import interp, models, multiindex as mi, numerics, polyideal, tuples
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
 from test_acceptance import _downset_family, _staircase_generators
@@ -364,3 +364,108 @@ def test_jet_model_matches_fock_oracle(name):
     for got, want in zip(m.tuple.matrices, mats):
         assert_allclose(got, want, rtol=0, atol=1e-10)
     assert_allclose(m.cyclic, cyclic, rtol=0, atol=1e-10)
+
+
+def oracle_localization_reports(model, ideals):
+    """verify_localizations through Polynomial generators: the annihilator
+    as a list of polynomials in a PolyIdeal, the expected side as a PolyIdeal
+    rebuilt with just enough degree for the jet order."""
+    gen_deg = max(i.max_generator_degree for i in ideals)
+    D_found = gen_deg + sum(k + 1 for k in model.orders)
+    mus = [k + 2 for k in model.orders]
+    ann = tuples.annihilator_slice(model.tuple, D_found)
+    ann_ideal = polyideal.PolyIdeal(ann, D_found + max(mus) - 1, d=model.d)
+    out = []
+    for z, mu, ideal in zip(model.points, mus, ideals):
+        got = polyideal.localize(ann_ideal, np.asarray(z), mu)
+        want = polyideal.localize(
+            polyideal.PolyIdeal(ideal.generators, ideal.max_generator_degree + mu - 1, d=model.d),
+            np.asarray(z),
+            mu,
+        )
+        ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis, 1e-8)
+        out.append((got.dim, want.dim, bool(ok)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_jet_cases()))
+def test_verify_localizations_matches_polynomial_oracle(name):
+    points, ideals = _jet_cases()[name]
+    m = models.jet_model(points, ideals)
+    reports = models.verify_localizations(m, ideals)
+    got = [(r.annihilator_dim, r.expected_dim, r.matches) for r in reports]
+    assert got == oracle_localization_reports(m, ideals)
+
+
+def _symmetrizing(orig):
+    def wrapped(a, *args, **kwargs):
+        a = np.asarray(a)
+        return orig((a + a.conj().T) / 2.0, *args, **kwargs)
+
+    return wrapped
+
+
+def test_hermitian_eigensolves_see_the_symmetrized_matrix(monkeypatch):
+    # hermitian_eig hands eigh the symmetrized matrix (a + a^*)/2, which is
+    # exactly Hermitian, so symmetrizing it once more changes no bit; a
+    # caller that skipped the symmetrization would read different results
+    # here, since LAPACK reads one triangle only
+    points, ideals = _jet_cases()["tilted jet at complex points"]
+    sep_pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]]
+    pick_tgt = [0.3, -0.2 + 0.4j, 0.8, 0.1j]
+
+    def run():
+        m = models.jet_model(points, ideals)
+        sep = interp.separation_constants(sep_pts)
+        pick = interp.pick_min_norm(sep_pts, pick_tgt)
+        strong = interp.strong_separation(sep_pts)
+        return (
+            [Z.copy() for Z in m.tuple.matrices] + [m.cyclic],
+            [sep.gamma_carleson, pick.value, pick.margin] + list(strong.eps),
+        )
+
+    mats, values = run()
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _symmetrizing(getattr(np.linalg, name)))
+    mats2, values2 = run()
+    assert all(np.array_equal(a, b) for a, b in zip(mats, mats2))
+    assert values == values2
+
+
+@pytest.mark.parametrize("name", list(_jet_cases()))
+def test_dense_annihilator_localizations_match_polynomial_route(name):
+    points, ideals = _jet_cases()[name]
+    m = models.jet_model(points, ideals)
+    D = max(i.max_generator_degree for i in ideals) + sum(k + 1 for k in m.orders)
+    basis, coeffs = tuples.annihilator_coeffs(m.tuple, D)
+    ann = tuples.annihilator_slice(m.tuple, D)
+    assert coeffs.shape == (len(basis), len(ann))
+    mus = [k + 2 for k in m.orders]
+    ann_ideal = polyideal.PolyIdeal(ann, D + max(mus) - 1, d=m.d)
+    for z, mu in zip(m.points, mus):
+        got = polyideal.localize_coeffs(coeffs, basis, z, mu)
+        want = polyideal.localize(ann_ideal, z, mu)
+        assert got.dim == want.dim
+        assert got.jet_basis == want.jet_basis
+        assert numerics.subspace_equal(got.basis, want.basis, 1e-10)
+
+
+# Exact numbers of dense LAPACK calls made by jet_model and
+# verify_localizations for the maximal ideal at (0.1, 0) and the jet ideal
+# <x1, (x2 - 0.3)^2> at (0, 0.3), the ideals built beforehand. While every
+# PolyIdeal built its degree slice eagerly, the annihilator was localized
+# through a PolyIdeal of polynomials, and the kernel Gram went through
+# hermitian_eig, the same calls made svd 25, eigh 1, eigvalsh 1, inv 0.
+def test_jet_model_lapack_calls(lapack_counts):
+    x1 = Polynomial.variable(2, 0)
+    x2 = Polynomial.variable(2, 1)
+    ideals = [
+        polyideal.PolyIdeal([x1 - 0.1, x2], 8),
+        polyideal.PolyIdeal([x1, (x2 - 0.3) ** 2], 8),
+    ]
+    lapack_counts.clear()
+    m = models.jet_model([[0.1, 0.0], [0.0, 0.3]], ideals)
+    reports = models.verify_localizations(m, ideals)
+    assert m.dim == 3 and all(r.matches for r in reports)
+    want = {"svd": 20, "eigh": 1, "eigvalsh": 1, "inv": 0}
+    assert {k: lapack_counts[k] for k in want} == want

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from arveson import multiindex as mi
 from arveson import numerics, polyideal
-from arveson.errors import InputError, ValidationError
+from arveson.errors import InputError, NumericalError, ValidationError
 from arveson.polynomials import Polynomial
 
 
@@ -136,6 +136,45 @@ def test_localize_matches_vanishing_slice_on_annihilated_jets():
         assert loc.contains(p)
 
 
+
+def oracle_vanishing_kernel(points, kappas, degree_bound):
+    """The derivative functionals of vanishing_ideal_slice entry by entry:
+    d^alpha x^gamma at z is the falling factorial gamma!/(gamma-alpha)!
+    times z^(gamma-alpha); each row normalized."""
+    basis = mi.enumerate_indices(len(points[0]), degree_bound)
+    rows = []
+    for z, kz in zip(points, kappas):
+        for alpha in mi.enumerate_indices(len(z), kz):
+            row = np.zeros(len(basis), dtype=complex)
+            for col, gamma in enumerate(basis):
+                if mi.divides(alpha, gamma):
+                    c = 1.0 + 0j
+                    for gj, aj, zj in zip(gamma, alpha, z):
+                        c *= float(np.prod(np.arange(gj - aj + 1, gj + 1))) * complex(zj) ** (gj - aj)
+                    row[col] = c
+            if np.linalg.norm(row) > 0:
+                row /= np.linalg.norm(row)
+            rows.append(row)
+    return numerics.nullspace(np.array(rows))
+
+
+@pytest.mark.parametrize(
+    "points, kappas, degree_bound",
+    [
+        ([[0.5]], [0], 3),
+        ([[0.25, -0.5]], [1], 4),
+        ([[0.0], [0.7]], [1, 0], 3),
+        ([[0.3 + 0.1j, -0.2], [0.1, 0.4j]], [1, 0], 4),
+        ([[0.2, 0.1j, -0.3]], [2], 3),
+        ([[0.4]], [3], 2),
+    ],
+)
+def test_vanishing_ideal_slice_matches_entrywise_oracle(points, kappas, degree_bound):
+    vi = polyideal.vanishing_ideal_slice(points, kappas, degree_bound)
+    want = oracle_vanishing_kernel(points, kappas, degree_bound)
+    assert vi.slice_dim == want.shape[1]
+    assert numerics.subspace_equal(vi.slice_basis, want, 1e-10)
+
 # The Polynomial-product constructions that the dense gathers replaced,
 # kept as oracles: every column is an explicit product, so they share no
 # index arithmetic with the code under test.
@@ -223,3 +262,136 @@ def test_dense_spans_match_polynomial_products(case):
         want = oracle_localize(ideal, z, mu)
         assert got.dim == want.shape[1]
         assert numerics.subspace_equal(got.basis, want, 1e-10)
+
+
+# The per-generator Taylor table and the per-probe isolation loop that the
+# shared weight table and the array probe replaced, kept as oracles.
+
+
+def oracle_taylor_rows(generators, z, jets):
+    top = max(g.degree() for g in generators)
+    binom = polyideal._binomials(top, top).astype(float)
+    rows = np.empty((len(generators), len(jets)), dtype=complex)
+    for i, g in enumerate(generators):
+        alphas = np.array(list(g.coeffs), dtype=np.int64)
+        weight = np.ones((len(alphas), len(jets)), dtype=complex)
+        for j in range(z.size):
+            a = alphas[:, None, j]
+            gamma = jets[None, :, j]
+            ok = gamma <= a
+            power = z[j] ** np.where(ok, a - gamma, 0)
+            weight *= np.where(ok, binom[a, np.minimum(gamma, a)] * power, 0)
+        rows[i] = np.einsum("k,km->m", np.array(list(g.coeffs.values())), weight)
+    return rows
+
+
+def oracle_isolation_probes(d, z, seed=0):
+    rng = np.random.default_rng(seed)
+    radius = 0.1
+    probes = []
+    for _ in range(64):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        probes.append(z + radius * v)
+    for j in range(d):
+        e = np.zeros(d, dtype=complex)
+        e[j] = radius
+        probes.append(z + e)
+        probes.append(z - e)
+    return probes
+
+
+def oracle_isolated(ideal, z, seed=0):
+    for w in oracle_isolation_probes(ideal.d, z, seed):
+        if all(
+            abs(g(w)) <= 1e-10 * (1.0 + max(abs(c) for c in g.coeffs.values()))
+            for g in ideal.generators
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal_point_case())
+def test_taylor_rows_match_per_generator_oracle(case):
+    ideal, z = case
+    if not ideal.generators:  # g - g(z) is zero for a constant g
+        return
+    for mu in range(ideal.degree_bound - ideal.max_generator_degree + 2):
+        jets = np.array(mi.enumerate_indices(ideal.d, mu), dtype=np.int64)
+        got = polyideal._taylor_rows(ideal.generators, z, jets)
+        assert np.array_equal(got, oracle_taylor_rows(ideal.generators, z, jets))
+
+
+def _maximal_ideal(w):
+    d = len(w)
+    return polyideal.PolyIdeal([x(j, d) - complex(w[j]) for j in range(d)], 1, d=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_oracle_probe_is_probed(d):
+    # the maximal ideal at an oracle probe point vanishes at that probe (to
+    # the 1e-10 threshold), so the check must refuse z; at z itself the
+    # maximal ideal is isolated and passes
+    z = np.array([0.1 + 0.2j, -0.3, 0.05j][:d])
+    for w in oracle_isolation_probes(d, z):
+        with pytest.raises(ValidationError, match="not isolated"):
+            polyideal._isolation_mesh_check(_maximal_ideal(w), z)
+    polyideal._isolation_mesh_check(_maximal_ideal(z), z)
+
+
+def test_isolation_decision_matches_oracle():
+    z = np.zeros(2, dtype=complex)
+    line = polyideal.PolyIdeal([x(0)], 6)
+    assert not oracle_isolated(line, z)
+    with pytest.raises(ValidationError, match="not isolated"):
+        polyideal._isolation_mesh_check(line, z)
+    point = polyideal.PolyIdeal([x(0) ** 2 - x(1), x(1) ** 2], 6)
+    assert oracle_isolated(point, z)
+    polyideal._isolation_mesh_check(point, z)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_isolation_probes_match_oracle(d):
+    z = np.array([0.1 + 0.2j, -0.3, 0.05j][:d])
+    for seed in (0, 7):
+        got = polyideal._isolation_probes(d, z, seed, 0.1)
+        want = np.array(oracle_isolation_probes(d, z, seed))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_poly_ideal_construction_makes_no_lapack_call(lapack_counts):
+    gens = [x(0) ** 2 - x(1), x(0) * x(1), x(1) ** 3]
+    lapack_counts.clear()
+    ideal = polyideal.PolyIdeal(gens, 6)
+    assert sum(lapack_counts.values()) == 0
+    assert ideal.slice_dim > 0
+    assert lapack_counts["svd"] == 1
+
+
+def test_ambiguous_slice_rank_raises_on_first_read():
+    # the straddling matrix of test_numerics as coefficients of linear forms
+    # in three variables: at degree bound 1 every generator is its own only
+    # multiple, so the slice matrix has singular values 1, 2e-9 and 5e-10
+    straddling = np.diag([1.0, 2e-9, 5e-10])
+    linear = mi.enumerate_indices(3, 1)[1:]
+    gens = [Polynomial.from_coeff_vector(3, col, linear) for col in straddling.T]
+    ideal = polyideal.PolyIdeal(gens, 1)
+    for read in (
+        lambda: ideal.slice_basis,
+        lambda: ideal.slice_dim,
+        lambda: ideal.contains(x(0, 3)),
+    ):
+        with pytest.raises(NumericalError, match="ambiguous rank decision"):
+            read()
+
+
+def test_localize_coeffs_rejects_mismatched_shapes():
+    basis = mi.enumerate_indices(2, 1)
+    coeffs = np.eye(3, dtype=complex)[:, 1:]
+    assert polyideal.localize_coeffs(coeffs, basis, [0.0, 0.0], 1).dim == 2  # <x1, x2> at 0
+    with pytest.raises(InputError):
+        polyideal.localize_coeffs(coeffs, basis, [0.1], 1)
+    with pytest.raises(InputError):
+        polyideal.localize_coeffs(coeffs[:2], basis, [0.1, 0.2], 1)
