@@ -6,7 +6,7 @@ algebra with explicit tolerances everywhere else.
 """
 
 from .errors import ArvesonError, InputError, NumericalError, ValidationError
-from .fockspace import kernel, kernel_gram
+from .fockspace import kernel_gram
 from .interp import (
     PickResult,
     SeparationReport,
@@ -78,7 +78,6 @@ __all__ = [
     "jet_model",
     "joint_eigenvalues",
     "jordan_decompose",
-    "kernel",
     "kernel_gram",
     "krylov",
     "lemma_checks",

@@ -19,17 +19,6 @@ from . import multiindex as mi
 from .errors import InputError
 
 
-def _as_point(z: Sequence[complex], d: int | None = None) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1 or z.size == 0:
-        raise InputError("point must be a nonempty vector")
-    if d is not None and z.size != d:
-        raise InputError(f"point has dimension {z.size}, expected {d}")
-    if not np.all(np.isfinite(z.view(float))):
-        raise InputError("point has non-finite entries")
-    return z
-
-
 def _require_in_ball(z: np.ndarray) -> float:
     r = float(np.linalg.norm(z))
     if r >= 1.0:
@@ -37,13 +26,26 @@ def _require_in_ball(z: np.ndarray) -> float:
     return r
 
 
-def kernel(z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """k(z,w) = 1/(1 - <z,w>) for z, w inside the open unit ball."""
-    z = _as_point(z)
-    w = _as_point(w, z.size)
-    _require_in_ball(z)
-    _require_in_ball(w)
-    return 1.0 / (1.0 - complex(np.vdot(w, z)))
+def _as_points(points) -> list:
+    """Points as 1-d complex arrays: at least one, of one dimension, in the
+    open unit ball and pairwise distinct."""
+    pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
+    if not pts:
+        raise InputError("need at least one point")
+    d = pts[0].size
+    for k, p in enumerate(pts):
+        if p.size != d:
+            raise InputError(f"point {k} has dimension {p.size}, expected {d}")
+        if float(np.linalg.norm(p)) >= 1.0:
+            raise InputError(
+                f"point {k} with norm {float(np.linalg.norm(p)):.6g} is not "
+                f"inside the open unit ball"
+            )
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
+                raise InputError(f"points {i} and {j} coincide")
+    return pts
 
 
 def kernel_gram(points, jets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -23,28 +23,8 @@ PICK_PSD_RTOL = 1e-12
 PICK_CERT_RTOL = 1e-6  # relative offset of the level the value is certified at
 
 
-def _as_points(points) -> list:
-    pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
-    if not pts:
-        raise InputError("need at least one point")
-    d = pts[0].size
-    for k, p in enumerate(pts):
-        if p.size != d:
-            raise InputError(f"point {k} has dimension {p.size}, expected {d}")
-        if float(np.linalg.norm(p)) >= 1.0:
-            raise InputError(
-                f"point {k} with norm {float(np.linalg.norm(p)):.6g} is not "
-                f"inside the open unit ball"
-            )
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
-                raise InputError(f"points {i} and {j} coincide")
-    return pts
-
-
 def kernel_matrix(points) -> np.ndarray:
-    pts = _as_points(points)
+    pts = fockspace._as_points(points)
     return fockspace.kernel_gram(pts, [(0,) * pts[0].size])
 
 
@@ -69,7 +49,7 @@ def separation_constants(points) -> SeparationReport:
     Gram, which is the best constant in
     sum |f(l_n)|^2 / ||k_n||^2 <= gamma ||f||^2 for a finite set.
     """
-    pts = _as_points(points)
+    pts = fockspace._as_points(points)
     if len(pts) < 2:
         raise InputError("separation needs at least two points")
     K = kernel_matrix(pts)
@@ -84,9 +64,7 @@ def separation_constants(points) -> SeparationReport:
             if v < delta:
                 delta = v
                 worst = (i, j)
-    # G is Hermitian by construction, so hermitian_eig's asymmetry check
-    # cannot fire; eigh gets the symmetrized matrix it would hand over
-    gamma = float(np.linalg.eigh(numerics.as_cmatrix((G + G.conj().T) / 2.0))[0][-1])
+    gamma = float(np.linalg.eigh(numerics._hermitian_part(G))[0][-1])
     return SeparationReport(
         points=tuple(tuple(p.tolist()) for p in pts),
         delta_weak=float(delta),
@@ -109,9 +87,7 @@ class PickResult:
 
 
 def _pick_feasible(K: np.ndarray, a: np.ndarray, c: float):
-    M = (c * c - np.outer(a, a.conj())) * K
-    # Hermitian by construction, as in separation_constants
-    vals = np.linalg.eigh(numerics.as_cmatrix((M + M.conj().T) / 2.0))[0]
+    vals = np.linalg.eigh(numerics._hermitian_part((c * c - np.outer(a, a.conj())) * K))[0]
     scale = max(1.0, float(abs(vals[-1])))
     return float(vals[0]) >= -PICK_PSD_RTOL * scale, float(vals[0])
 
@@ -126,7 +102,7 @@ def pick_min_norm(points, targets) -> PickResult:
     eigenvalue there and ``lower`` = max |a_n| is the trivial bound.
     Nothing is iterated, so ``iterations`` is 0.
     """
-    pts = _as_points(points)
+    pts = fockspace._as_points(points)
     a = np.asarray(targets, dtype=complex).reshape(-1)
     if a.size != len(pts):
         raise InputError(f"{len(pts)} points but {a.size} targets")
@@ -165,7 +141,7 @@ def strong_separation(points) -> StrongSeparationReport:
     has rank one, so c_n = sqrt(max(K_nn (K^-1)_nn, 1)) from one inverse,
     certified as in ``pick_min_norm`` by one PSD check at c_n (1 + PICK_CERT_RTOL).
     """
-    pts = _as_points(points)
+    pts = fockspace._as_points(points)
     K = kernel_matrix(pts)
     top = np.diag(K).real * np.diag(numerics.inv(K)).real
     norms = np.sqrt(np.maximum(top, 1.0))
@@ -215,7 +191,7 @@ class ThetaJetCertificate:
 
 def theta_jets(points, omega, kappa: int) -> ThetaJetCertificate:
     """Idempotent-like multiplier certificate for a subset of the points."""
-    pts = _as_points(points)
+    pts = fockspace._as_points(points)
     omega = sorted(set(int(i) for i in omega))
     if not omega:
         raise InputError("omega must select at least one point")

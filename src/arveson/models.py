@@ -74,10 +74,15 @@ def _monomial_complement(generators: Sequence, d: int) -> list:
         box.append(min(powers))
     max_deg = sum(p - 1 for p in box)
     cand = mi.enumerate_indices(d, max_deg)
-    B = np.array(cand, dtype=np.int64)
+    return [beta for beta, hit in zip(cand, _in_monomial_ideal(cand, gens)) if not hit]
+
+
+def _in_monomial_ideal(indices: Sequence, gens: Sequence) -> np.ndarray:
+    """Boolean mask over ``indices``: whether x^beta lies in the ideal
+    generated by the monomials x^g, i.e. some g divides beta."""
+    B = np.array(indices, dtype=np.int64)
     G = np.array(gens, dtype=np.int64)
-    in_ideal = (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
-    return [beta for beta, hit in zip(cand, in_ideal) if not hit]
+    return (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
 
 
 def monomial_model(generators: Sequence, d: int) -> ModelTuple:
@@ -161,27 +166,12 @@ def jet_model(
     Z_j = G^(-1/2) A_j^* G G^(-1/2), and the constant function projects to
     G^(-1/2) applied to the constant terms c_0.
     """
-    pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
-    if not pts:
-        raise InputError("need at least one point")
+    pts = fockspace._as_points(points)
     d = pts[0].size
-    for p in pts:
-        if p.size != d:
-            raise InputError("points live in different dimensions")
     if len(local_ideals) != len(pts):
         raise InputError(
             f"{len(pts)} points but {len(local_ideals)} local ideals"
         )
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
-                raise InputError(f"points {i} and {j} coincide")
-    for p in pts:
-        r = float(np.linalg.norm(p))
-        if r >= 1.0:
-            raise InputError(
-                f"point with norm {r:.6g} is not inside the open unit ball"
-            )
 
     orders = []
     duals = []
@@ -231,9 +221,7 @@ def jet_model(
     # the unit columns are W D^-1 with D = diag(norms), so M_j^* acts on
     # them by D A_j D^-1
     A = A * norms[:, None] / norms[None, :]
-    # G is Hermitian by construction, so hermitian_eig's asymmetry check
-    # cannot fire; eigh gets the symmetrized matrix it would hand over
-    vals, vecs = np.linalg.eigh(numerics.as_cmatrix((G + G.conj().T) / 2.0))
+    vals, vecs = np.linalg.eigh(numerics._hermitian_part(G))
     if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
         raise NumericalError(
             f"kernel data Gram matrix is numerically singular (eigenvalue "
@@ -266,7 +254,6 @@ class LocalizationReport:
 def verify_localizations(
     model: ModelTuple,
     local_ideals: Sequence[polyideal.PolyIdeal],
-    tol: float = 1e-8,
 ) -> list:
     """Check that the model's polynomial annihilator localizes back to the
     prescribed local ideal at every point.
@@ -299,7 +286,7 @@ def verify_localizations(
         z = np.asarray(z, dtype=complex)
         got = polyideal.localize_coeffs(ann, basis, z, mu)
         want = polyideal._local_jets(ideal.generators, z, mu)
-        ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis, tol)
+        ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis)
         out.append(
             LocalizationReport(
                 point=tuple(z.tolist()),

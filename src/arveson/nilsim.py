@@ -28,6 +28,11 @@ from .errors import InputError, NumericalError, ValidationError
 NILPOTENT_RTOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 BOUND_SLACK = 1e-7
+GAMMA_GRID = 64  # grid points over [0, 2pi) for the gauge supremum gamma
+NECESSITY_TOL = 1e-8
+NECESSITY_GAUGE_SAMPLES = 8
+LEMMA_SAMPLES = 100
+LEMMA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class NilsimHypotheses:
     layer_dims: tuple
     gamma: float | None
     gauge_defect: float | None
-    grid: int
     _layer_basis: np.ndarray | None = field(default=None, repr=False)
     _layer_labels: tuple = field(default=(), repr=False)
 
@@ -67,9 +71,14 @@ class NilsimHypotheses:
             raise ValidationError(
                 "layers are not a direct sum; no layer gauge is available"
             )
-        phases = np.array([cmath.exp(1j * ell * t) for ell in self._layer_labels])
         B = self._layer_basis
-        return (B * phases) @ numerics.inv(B)
+        return _layer_gauge(B, self._layer_labels, numerics.inv(B), t)
+
+
+def _layer_gauge(B: np.ndarray, labels: tuple, B_inv: np.ndarray, t: float) -> np.ndarray:
+    """B diag(e^{i l t}) B_inv, with l the layer label of each column of B."""
+    phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
+    return (B * phases) @ B_inv
 
 
 def _require_unit(xi, n: int) -> np.ndarray:
@@ -100,15 +109,14 @@ def _require_nilpotent(N: tuples.CommutingTuple, tol: float = NILPOTENT_RTOL) ->
 def check_hypotheses(
     N: tuples.CommutingTuple,
     xi,
-    grid: int = 64,
     tol: float = numerics.DEFAULT_TOL,
 ) -> NilsimHypotheses:
     """Measure (epsilon, gamma, L, card Xi) for a cyclic nilpotent tuple.
 
+    The powers N^alpha come one degree at a time from ``tuples._levels``.
     gamma is a grid supremum over [0, 2pi) refined once locally around the
     maximizer; for orthogonal layers it is exactly 1. When the layers fail
-    to span directly the gauge is reported as unavailable rather than
-    estimated.
+    to span directly the gauge is reported as unavailable, not estimated.
     """
     N.require_commuting(tol)
     _require_nilpotent(N)
@@ -127,19 +135,9 @@ def check_hypotheses(
     support = []
     eps = 0.0
     root_n = math.sqrt(N.n)
-    level = {(0,) * N.d: np.eye(N.n, dtype=complex)}
-    for ell in range(max(N.n - 1, 0) + 1):
-        if ell > 0:
-            nxt = {}
-            for alpha in mi._homogeneous(N.d, ell):
-                j = next(i for i, a in enumerate(alpha) if a > 0)
-                parent = list(alpha)
-                parent[j] -= 1
-                nxt[alpha] = N.matrices[j] @ level[tuple(parent)]
-            level = nxt
+    for _, level in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
         alive = False
-        for alpha in mi._homogeneous(N.d, ell):
-            P = level[alpha]
+        for alpha, P in level.items():
             fro = float(np.linalg.norm(P))
             if fro > 0.0:
                 alive = True
@@ -180,17 +178,16 @@ def check_hypotheses(
             B_inv = numerics.inv(layer_basis)
 
             def norm_at(t: float) -> float:
-                phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
-                return numerics.operator_norm((layer_basis * phases) @ B_inv)
+                return numerics.operator_norm(_layer_gauge(layer_basis, labels, B_inv, t))
 
-            ts = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+            ts = np.linspace(0.0, 2.0 * np.pi, GAMMA_GRID, endpoint=False)
             vals = [norm_at(t) for t in ts]
             k = int(np.argmax(vals))
             gamma = vals[k]
             if len(set(labels)) > 1:
                 import scipy.optimize  # here, so that importing arveson does not load it
 
-                width = 2.0 * np.pi / grid
+                width = 2.0 * np.pi / GAMMA_GRID
                 res = scipy.optimize.minimize_scalar(
                     lambda t: -norm_at(t),
                     bounds=(ts[k] - width, ts[k] + width),
@@ -200,9 +197,8 @@ def check_hypotheses(
                 gamma = max(gamma, -float(res.fun))
         # subdiagonal layer structure makes the commutation exact; measure it
         t0 = np.pi / 3.0
-        phases = np.array([cmath.exp(1j * ell * t0) for ell in labels])
-        Y = (layer_basis * phases) @ B_inv
-        Y_inv = (layer_basis * phases.conj()) @ B_inv
+        Y = _layer_gauge(layer_basis, labels, B_inv, t0)
+        Y_inv = _layer_gauge(layer_basis, labels, B_inv, -t0)
         gauge_defect = max(
             numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
             for Nj in N.matrices
@@ -218,7 +214,6 @@ def check_hypotheses(
         layer_dims=kry.layer_dims,
         gamma=gamma,
         gauge_defect=gauge_defect,
-        grid=grid,
         _layer_basis=layer_basis,
         _layer_labels=labels,
     )
@@ -228,7 +223,6 @@ def _annihilator_matches_ideal(
     N: tuples.CommutingTuple,
     generators,
     model: models.ModelTuple,
-    tol: float = 1e-8,
 ) -> bool:
     gens = [mi.as_index(g) for g in generators]
     box_degree = max((mi.degree(b) for b in model.basis_indices), default=0)
@@ -236,16 +230,14 @@ def _annihilator_matches_ideal(
     basis, A = tuples.annihilator_coeffs(N, D)
     # for monomial generators the degree slice is the span of the divisible
     # monomials, which is a coordinate subspace
-    B = np.array(basis, dtype=np.int64)
-    G = np.array(gens, dtype=np.int64)
-    in_ideal = (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
+    in_ideal = models._in_monomial_ideal(basis, gens)
     k = int(in_ideal.sum())
     if A.shape[1] == 0:
         return k == 0
     if A.shape[1] != k:
         return False
     E = np.eye(len(basis), dtype=complex)[:, in_ideal]
-    return numerics.subspace_equal(numerics.orth_columns(A), E, tol)
+    return numerics.subspace_equal(numerics.orth_columns(A), E)
 
 
 def correspondence_similarity(
@@ -405,8 +397,6 @@ def necessity_check(
     X,
     generators,
     xi=None,
-    t_values: int = 8,
-    tol: float = 1e-8,
 ) -> NecessityReport:
     """Consequences any intertwiner X N_j X^{-1} = Z_j must satisfy.
 
@@ -428,7 +418,7 @@ def necessity_check(
         numerics.operator_norm(X @ Nj - Zj @ X)
         for Nj, Zj in zip(N.matrices, model.tuple.matrices)
     )
-    if resid > tol * scale * norm_X:
+    if resid > NECESSITY_TOL * scale * norm_X:
         raise ValidationError(
             f"matrix does not intertwine the tuple with the model "
             f"(residual {resid:.3e})"
@@ -452,13 +442,13 @@ def necessity_check(
         val = mi.multinomial_weight(beta) * float(np.linalg.norm(cache[beta] @ xi)) ** 2
         per_alpha.append((beta, val))
         worst = min(worst, val - floor)
-    orbit_ok = worst >= -tol
+    orbit_ok = worst >= -NECESSITY_TOL
 
     gauge_norm = 0.0
     commute = 0.0
     fix = 0.0
-    for k in range(t_values):
-        t = 2.0 * np.pi * k / t_values
+    for k in range(NECESSITY_GAUGE_SAMPLES):
+        t = 2.0 * np.pi * k / NECESSITY_GAUGE_SAMPLES
         W = models.gauge_unitary(model, t)
         Y = X_inv @ W @ X
         Y_inv = X_inv @ W.conj().T @ X
@@ -472,9 +462,9 @@ def necessity_check(
         )
         fix = max(fix, float(np.linalg.norm(Y_inv @ xi - xi)))
     gauge_ok = (
-        gauge_norm <= cond * (1.0 + tol)
-        and commute <= tol * scale * max(1.0, cond)
-        and fix <= tol * max(1.0, cond)
+        gauge_norm <= cond * (1.0 + NECESSITY_TOL)
+        and commute <= NECESSITY_TOL * scale * max(1.0, cond)
+        and fix <= NECESSITY_TOL * max(1.0, cond)
     )
     return NecessityReport(
         ok=bool(orbit_ok and gauge_ok),
@@ -516,8 +506,6 @@ def lemma_checks(
     xi,
     epsilon: float,
     seed: int = 0,
-    samples: int = 100,
-    tol: float = 1e-10,
 ) -> LemmaCheckReport:
     """Numerical witnesses for the orbit inequalities.
 
@@ -567,7 +555,7 @@ def lemma_checks(
             ran=pairs > 0,
             samples=pairs,
             worst_slack=float(worst) if pairs else 0.0,
-            passed=bool(pairs == 0 or worst <= tol),
+            passed=bool(pairs == 0 or worst <= LEMMA_TOL),
             note="" if pairs else "no qualifying pair at this epsilon",
         )
     )
@@ -579,7 +567,7 @@ def lemma_checks(
         Q = [a for a in idxs if weighted[a] >= 1.0 - epsilon]
         if not Q:
             continue
-        for _ in range(max(1, samples // max(1, len(by_level)))):
+        for _ in range(max(1, LEMMA_SAMPLES // max(1, len(by_level)))):
             mask = rng.random(len(Q)) < 0.7
             if not mask.any():
                 mask[rng.integers(len(Q))] = True
@@ -599,7 +587,7 @@ def lemma_checks(
             ran=runs > 0,
             samples=runs,
             worst_slack=float(worst) if runs else 0.0,
-            passed=bool(runs == 0 or worst <= tol * max(1.0, abs(worst) + 1.0)),
+            passed=bool(runs == 0 or worst <= LEMMA_TOL * max(1.0, abs(worst) + 1.0)),
             note="" if runs else "no qualifying index at this epsilon",
         )
     )
@@ -635,7 +623,7 @@ def lemma_checks(
     lower_factor = (1.0 - eps_eff * hyps.card) / ((hyps.L + 1) * hyps.gamma**2)
     upper_factor = float(hyps.L + 1)
     worst = -np.inf
-    for _ in range(samples):
+    for _ in range(LEMMA_SAMPLES):
         c = rng.standard_normal(hyps.card) + 1j * rng.standard_normal(hyps.card)
         h = sum(
             cv * math.sqrt(mi.multinomial_weight(a)) * orbit[a]
@@ -651,9 +639,9 @@ def lemma_checks(
         LemmaSection(
             name="two_sided_equivalence",
             ran=True,
-            samples=samples,
+            samples=LEMMA_SAMPLES,
             worst_slack=float(worst),
-            passed=bool(worst <= tol * max(1.0, upper_factor)),
+            passed=bool(worst <= LEMMA_TOL * max(1.0, upper_factor)),
             note=note,
         )
     )

@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel used by all higher modules.
 
 Thin, contract-checked wrappers around LAPACK via numpy/scipy. All tolerances
-are relative to the input norm; rank decisions go through :func:`nullspace`,
-which refuses to guess when the singular-value gap is ambiguous.
+are relative to the input norm; rank decisions go through one cut
+(:func:`_rank`), which refuses to guess when the singular-value gap is
+ambiguous.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-9
 GAP_RATIO = 1e6
+HERMITIAN_RTOL = 1e-10
+PD_RTOL = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -40,22 +43,30 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def hermitian_eig(a, tol: float = 1e-10):
+def _hermitian_part(a) -> np.ndarray:
+    """(a + a^*)/2, the matrix every Hermitian eigensolve is handed (LAPACK
+    reads one triangle only). A matrix Hermitian by construction (a Gram
+    matrix, a sum of M M^*, a Pick matrix) comes here directly, since the
+    asymmetry check of :func:`hermitian_eig` cannot fire on it."""
+    a = as_cmatrix(a)
+    return (a + a.conj().T) / 2.0
+
+
+def hermitian_eig(a):
     """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
 
     The input is symmetrized internally; a deviation from Hermitian symmetry
-    beyond ``tol`` relative to the norm is an error.
+    beyond ``HERMITIAN_RTOL`` relative to the norm is an error.
     """
     a = as_cmatrix(a)
     _require_square(a)
     scale = max(operator_norm(a), 1.0)
     defect = operator_norm(a - a.conj().T)
-    if defect > tol * scale:
+    if defect > HERMITIAN_RTOL * scale:
         raise InputError(
-            f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds {tol:.1e}*{scale:.3e}"
+            f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e}*{scale:.3e}"
         )
-    h = (a + a.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian_part(a))
     return vals, vecs
 
 
@@ -67,16 +78,6 @@ def schur(a):
     return q, u
 
 
-def solve(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    _require_square(a)
-    b = np.asarray(b, dtype=complex)
-    try:
-        return scipy.linalg.solve(a, b)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"linear solve failed: {exc}") from exc
-
-
 def inv(a) -> np.ndarray:
     a = as_cmatrix(a)
     _require_square(a)
@@ -86,23 +87,18 @@ def inv(a) -> np.ndarray:
         raise NumericalError(f"matrix inversion failed: {exc}") from exc
 
 
-def inv_sqrt(a, rtol: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix."""
+def sqrt_and_inv_sqrt(a) -> tuple:
+    """(S^(1/2), S^(-1/2)) of a positive definite Hermitian matrix S, from
+    one eigensolve. S counts as positive definite when its smallest
+    eigenvalue exceeds ``PD_RTOL`` times its largest."""
     vals, vecs = hermitian_eig(a)
     top = float(vals[-1])
-    if top <= 0 or float(vals[0]) <= rtol * top:
+    if top <= 0 or float(vals[0]) <= PD_RTOL * top:
         raise NumericalError(
             f"matrix not safely positive definite: min eigenvalue {vals[0]:.3e}, "
             f"max {top:.3e}"
         )
-    return (vecs * (vals ** -0.5)) @ vecs.conj().T
-
-
-def sqrtm_psd(a) -> np.ndarray:
-    """Square root of a positive semidefinite Hermitian matrix."""
-    vals, vecs = hermitian_eig(a)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * (vals ** -0.5)) @ vecs.conj().T
 
 
 def cond(a) -> float:
@@ -123,59 +119,46 @@ def norm_and_inverse_norm(a) -> tuple:
     return float(s[0]), (float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
 
 
-def nullspace(a, rtol: float = RANK_RTOL, gap: float = GAP_RATIO) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``a``.
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Numerical rank from descending singular values: those below
+    rtol * s[0] count as zero (all of them when s[0] is 0). The decision must
+    be unambiguous: the smallest kept singular value must exceed the largest
+    discarded one by ``GAP_RATIO``, otherwise a NumericalError is raised
+    rather than a silent misclassification."""
+    if not s.size or s[0] == 0.0:
+        return 0
+    cut = rtol * s[0]
+    kept = s[s >= cut]
+    dropped = s[s < cut]
+    if kept.size and dropped.size and 0 < dropped[0] and kept[-1] < GAP_RATIO * dropped[0]:
+        raise NumericalError(
+            "ambiguous rank decision: singular values "
+            f"{kept[-1]:.3e} vs {dropped[0]:.3e} straddle the cutoff with "
+            f"gap ratio below {GAP_RATIO:.1e}"
+        )
+    return int(kept.size)
 
-    Singular values below rtol*sigma_max count as zero. The decision must be
-    unambiguous: the smallest kept singular value must exceed the largest
-    discarded one by the ``gap`` ratio, otherwise a NumericalError is raised
-    rather than a silent misclassification.
-    """
+
+def nullspace(a, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of ``a``, past the rank
+    cut of :func:`_rank`; a zero matrix keeps the standard basis."""
     a = as_cmatrix(a)
     m, n = a.shape
     if m == 0:
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n, dtype=complex)
-    cut = rtol * smax
-    kept = s[s >= cut]
-    dropped = s[s < cut]
-    if kept.size and dropped.size and dropped[0] > 0:
-        if kept[-1] < gap * dropped[0]:
-            raise NumericalError(
-                "ambiguous rank decision: singular values "
-                f"{kept[-1]:.3e} vs {dropped[0]:.3e} straddle the cutoff with "
-                f"gap ratio below {gap:.1e}"
-            )
-    rank = int(kept.size)
-    extra = n - min(m, n)  # columns beyond the singular-value count
-    basis = vh[rank:].conj().T
-    if extra > 0 and basis.shape[1] < (n - rank):
-        raise NumericalError("inconsistent nullspace dimensions")  # pragma: no cover
-    return basis
+    rank = _rank(s, rtol)
+    return vh[rank:].conj().T if rank else np.eye(n, dtype=complex)
 
 
-def orth_columns(a, rtol: float = RANK_RTOL, gap: float = GAP_RATIO) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of ``a``."""
+def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the column span of ``a``, up to the
+    rank cut of :func:`_rank`."""
     a = as_cmatrix(a)
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    cut = rtol * smax
-    kept = s[s >= cut]
-    dropped = s[s < cut]
-    if kept.size and dropped.size and dropped[0] > 0:
-        if kept[-1] < gap * dropped[0]:
-            raise NumericalError(
-                "ambiguous rank decision in column-span computation: "
-                f"{kept[-1]:.3e} vs {dropped[0]:.3e}"
-            )
-    return u[:, : kept.size]
+    return u[:, : _rank(s, rtol)]
 
 
 def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:

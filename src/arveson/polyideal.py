@@ -274,11 +274,11 @@ def _isolation_probes(d: int, z: np.ndarray, seed: int, radius: float) -> np.nda
     return z + np.concatenate([radius * v, axis])
 
 
-def _isolation_mesh_check(ideal: PolyIdeal, z: np.ndarray, seed: int = 0) -> None:
+def _isolation_mesh_check(ideal: PolyIdeal, z: np.ndarray) -> None:
     # Definite non-isolation test: a nearby point where every generator
     # vanishes means z cannot be an isolated common zero.
     radius = 0.1
-    probes = _isolation_probes(ideal.d, z, seed, radius)
+    probes = _isolation_probes(ideal.d, z, seed=0, radius=radius)
     vanish = np.ones(len(probes), dtype=bool)
     for g in ideal.generators:
         alphas = np.array(list(g.coeffs), dtype=np.int64)
@@ -296,7 +296,6 @@ def polynomial_order(
     ideal: PolyIdeal,
     z: Sequence[complex],
     tol: float = numerics.DEFAULT_TOL,
-    seed: int = 0,
 ) -> int:
     """Smallest k >= 0 with every jet of m_z^(k+1) inside the jet image.
 
@@ -309,7 +308,7 @@ def polynomial_order(
         raise InputError(f"point has shape {z.shape}, expected ({ideal.d},)")
     if not ideal.generators:
         raise ValidationError("the zero ideal has no finite vanishing order")
-    _isolation_mesh_check(ideal, z, seed=seed)
+    _isolation_mesh_check(ideal, z)
     max_mu = ideal.degree_bound - ideal.max_generator_degree + 1
     kappa = 0
     while kappa + 2 <= max_mu:

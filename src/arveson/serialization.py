@@ -80,7 +80,7 @@ def dump_matrix(M: np.ndarray) -> dict:
     return {
         "rows": M.shape[0],
         "cols": M.shape[1],
-        "data": [[dump_complex(z) for z in row] for row in M],
+        "data": np.stack([M.real, M.imag], axis=-1).tolist(),
     }
 
 

@@ -21,6 +21,7 @@ from .errors import InputError, NumericalError
 from .tuples import CommutingTuple, validate
 
 TRIANGULARIZE_RTOL = 1e-7
+TRIANGULARIZE_ATTEMPTS = 5  # random combinations tried before giving up
 IDEMPOTENT_TOL = 1e-8
 BLOCK_RESIDUAL_RTOL = 1e-7
 # largest clustering radius jordan_decompose will escalate to; triangular
@@ -105,7 +106,6 @@ def joint_eigenvalues(
     T: CommutingTuple,
     cluster_tol: float = 1e-6,
     seed: int = 0,
-    max_attempts: int = 5,
 ) -> JointSpectrum:
     """Diagonal d-tuples of a simultaneous triangularization, clustered.
 
@@ -118,7 +118,7 @@ def joint_eigenvalues(
     rng = np.random.default_rng(seed)
     scale = max(1.0, T.scale())
     last_defect = None
-    for _ in range(max_attempts):
+    for _ in range(TRIANGULARIZE_ATTEMPTS):
         c = rng.standard_normal(T.d)
         c /= np.linalg.norm(c)
         A = sum(cj * Tj for cj, Tj in zip(c, T.matrices))
@@ -164,7 +164,7 @@ def joint_eigenvalues(
             cluster_tol=cluster_tol,
         )
     raise NumericalError(
-        f"no random combination triangularized the tuple in {max_attempts} "
+        f"no random combination triangularized the tuple in {TRIANGULARIZE_ATTEMPTS} "
         f"attempts (last defect {last_defect:.3e}); the tuple may be too far "
         f"from commuting"
     )
@@ -309,8 +309,7 @@ def jordan_decompose(
             f"certified spectral idempotents; last failure: {last_err}"
         )
     S = sum(Q.conj().T @ Q for Q in Qs)
-    Y = numerics.sqrtm_psd(S)
-    Y_inv = numerics.inv_sqrt(S)
+    Y, Y_inv = numerics.sqrt_and_inv_sqrt(S)
     Us = []
     for Q, m in zip(Qs, spectrum.multiplicities):
         P = Y @ Q @ Y_inv

@@ -9,6 +9,7 @@ defects instead of silently trusting the caller; downstream code calls
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -85,11 +86,7 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
                 defect,
                 numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
             )
-    # sum M M^* is Hermitian by construction, so the asymmetry check of
-    # numerics.hermitian_eig cannot fire here; the symmetrized Gram is the
-    # matrix it would hand to the eigensolver
-    gram = sum(M @ M.conj().T for M in mats)
-    gram = numerics.as_cmatrix((gram + gram.conj().T) / 2.0)
+    gram = numerics._hermitian_part(sum(M @ M.conj().T for M in mats))
     excess = np.linalg.eigvalsh(gram)[-1] - 1.0
     return CommutingTuple(
         matrices=mats,
@@ -98,17 +95,30 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
     )
 
 
+def _levels(T: CommutingTuple, start: np.ndarray):
+    """Yield {alpha: T^alpha start} over |alpha| = 0, 1, 2, ..., one degree
+    at a time, keys in graded-lex order.
+
+    Each entry is the one product T_j @ (entry at alpha - e_j), with j the
+    first nonzero coordinate of alpha. The generator never ends: bound it
+    with ``zip(range(n), _levels(...))``, so that a consumer that stops at
+    a dead degree computes nothing beyond it.
+    """
+    level = {(0,) * T.d: start}
+    for ell in itertools.count(1):
+        yield level
+        prev = level
+        level = {}
+        for alpha in mi._homogeneous(T.d, ell):
+            j = next(i for i, a in enumerate(alpha) if a > 0)
+            level[alpha] = T.matrices[j] @ prev[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+
+
 def _power_cache(T: CommutingTuple, degree: int) -> dict:
-    """All T^alpha for |alpha| <= degree, built one multiplication each."""
-    n = T.n
-    cache = {(0,) * T.d: np.eye(n, dtype=complex)}
-    for alpha in mi.enumerate_indices(T.d, degree):
-        if alpha in cache:
-            continue
-        j = next(i for i, a in enumerate(alpha) if a > 0)
-        prev = list(alpha)
-        prev[j] -= 1
-        cache[alpha] = T.matrices[j] @ cache[tuple(prev)]
+    """All T^alpha for |alpha| <= degree, one product each (:func:`_levels`)."""
+    cache = {}
+    for _, level in zip(range(degree + 1), _levels(T, np.eye(T.n, dtype=complex))):
+        cache.update(level)
     return cache
 
 
@@ -141,7 +151,8 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     layer_dims[l] is the dimension of span{T^alpha xi : |alpha| = l};
     layers_direct records whether those homogeneous layers sum directly
     (their dimensions add up to the full Krylov dimension). Trailing zero
-    layers are dropped.
+    layers are dropped. The orbit vectors come from :func:`_levels`, one
+    matvec each.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.size != T.n:
@@ -153,19 +164,10 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     all_cols = []
     s = max(1.0, T.scale())
     ref = float(np.linalg.norm(xi))
-    level = {(0,) * T.d: xi}
-    for ell in range(max_degree + 1):
-        if ell > 0:
-            # orbit vectors one matvec at a time; the dead-layer break below
-            # means nothing past the first dead layer is ever computed
-            nxt = {}
-            for alpha in mi._homogeneous(T.d, ell):
-                j = next(i for i, a in enumerate(alpha) if a > 0)
-                parent = list(alpha)
-                parent[j] -= 1
-                nxt[alpha] = T.matrices[j] @ level[tuple(parent)]
-            level = nxt
-        V = np.column_stack([level[a] for a in mi._homogeneous(T.d, ell)])
+    # the dead-layer break below means nothing past the first dead layer is
+    # ever computed
+    for ell, level in zip(range(max_degree + 1), _levels(T, xi)):
+        V = np.column_stack(list(level.values()))
         scale = float(np.abs(V).max())
         # every orbit vector at this degree is bounded by s^ell |xi|, so a
         # layer this far below that bound is numerically zero; deeper layers

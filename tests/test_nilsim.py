@@ -1,8 +1,12 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
-from arveson import models, nilsim, numerics, repro, tuples
+from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
 from arveson.errors import InputError, ValidationError
 from test_acceptance import _perturbed_input
 
@@ -262,3 +266,74 @@ def test_build_similarity_lapack_calls(gens, d, want, lapack_counts):
     lapack_counts.clear()
     nilsim.build_similarity(m.tuple, m.cyclic, gens)
     assert {k: lapack_counts[k] for k in want} == want
+
+
+def _oracle_hypotheses(N, xi, tol=1e-9):
+    # the former level loop of check_hypotheses and its gamma search
+    xi = xi / float(np.linalg.norm(xi))
+    kry = tuples.krylov(N, xi, N.n)
+    support = []
+    eps = 0.0
+    root_n = math.sqrt(N.n)
+    level = {(0,) * N.d: np.eye(N.n, dtype=complex)}
+    for ell in range(max(N.n - 1, 0) + 1):
+        if ell > 0:
+            nxt = {}
+            for alpha in mi._homogeneous(N.d, ell):
+                j = next(i for i, a in enumerate(alpha) if a > 0)
+                parent = list(alpha)
+                parent[j] -= 1
+                nxt[alpha] = N.matrices[j] @ level[tuple(parent)]
+            level = nxt
+        alive = False
+        for alpha in mi._homogeneous(N.d, ell):
+            P = level[alpha]
+            fro = float(np.linalg.norm(P))
+            if fro > 0.0:
+                alive = True
+            if fro <= tol:
+                continue
+            if fro <= tol * root_n and numerics.operator_norm(P) <= tol:
+                continue
+            support.append(alpha)
+            val = mi.multinomial_weight(alpha) * float(np.linalg.norm(P @ xi)) ** 2
+            eps = max(eps, 1.0 - val)
+        if not alive:
+            break
+    B = np.hstack(kry.layer_bases)
+    labels = [ell for ell, L in enumerate(kry.layer_bases) for _ in range(L.shape[1])]
+    if numerics.operator_norm(B.conj().T @ B - np.eye(B.shape[1])) <= 1e-12:
+        return tuple(support), max(eps, 0.0), 1.0, kry.layer_dims
+    B_inv = numerics.inv(B)
+
+    def norm_at(t):
+        phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
+        return numerics.operator_norm((B * phases) @ B_inv)
+
+    grid = 64
+    ts = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    vals = [norm_at(t) for t in ts]
+    k = int(np.argmax(vals))
+    gamma = vals[k]
+    width = 2.0 * np.pi / grid
+    res = scipy.optimize.minimize_scalar(
+        lambda t: -norm_at(t),
+        bounds=(ts[k] - width, ts[k] + width),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    gamma = max(gamma, -float(res.fun))
+    return tuple(support), max(eps, 0.0), gamma, kry.layer_dims
+
+
+def test_check_hypotheses_matches_the_former_loops():
+    # the scaled inputs have orthonormal layers (gamma 1); the conjugated
+    # ones take gamma from the grid search and its refine
+    for seed in range(20):
+        N, xi, _ = _perturbed_input(seed)
+        h = nilsim.check_hypotheses(N, xi)
+        support, eps, gamma, layer_dims = _oracle_hypotheses(N, xi)
+        assert h.support == support, seed
+        assert h.epsilon == eps, seed
+        assert h.gamma == gamma, seed
+        assert h.layer_dims == layer_dims, seed

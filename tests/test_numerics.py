@@ -44,15 +44,14 @@ def test_inv_sqrt_and_sqrtm():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((5, 5))
     s = b @ b.T + 5 * np.eye(5)
-    r = numerics.sqrtm_psd(s)
+    r, ri = numerics.sqrt_and_inv_sqrt(s)
     assert_allclose(r @ r, s, atol=1e-10)
-    ri = numerics.inv_sqrt(s)
     assert_allclose(r @ ri, np.eye(5), atol=1e-10)
 
 
 def test_inv_sqrt_rejects_indefinite():
     with pytest.raises(NumericalError):
-        numerics.inv_sqrt(np.diag([1.0, -1.0]))
+        numerics.sqrt_and_inv_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_nullspace_known_kernel():
@@ -109,12 +108,10 @@ def test_cond_of_diag():
     assert_allclose(numerics.cond(np.diag([4.0, 2.0])), 2.0, rtol=1e-12)
 
 
-def test_solve_and_inv():
+def test_inv_inverts():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    x = numerics.solve(a, np.eye(4))
-    assert_allclose(a @ x, np.eye(4), atol=1e-10)
-    assert_allclose(numerics.inv(a), x, atol=1e-10)
+    assert_allclose(a @ numerics.inv(a), np.eye(4), atol=1e-10)
 
 
 def test_solve_singular_raises():
@@ -131,3 +128,80 @@ def test_norm_and_inverse_norm_matches_separate_svds():
     assert numerics.norm_and_inverse_norm(np.zeros((2, 2))) == (0.0, np.inf)
     with pytest.raises(InputError):
         numerics.norm_and_inverse_norm(np.ones((2, 3)))
+
+
+# -- rank cut and PSD roots, pinned against the code they replaced ---------
+
+
+def _oracle_rank(s, rtol, gap):
+    cut = rtol * s[0]
+    kept = s[s >= cut]
+    dropped = s[s < cut]
+    if kept.size and dropped.size and dropped[0] > 0:
+        if kept[-1] < gap * dropped[0]:
+            raise NumericalError("ambiguous rank decision")
+    return int(kept.size)
+
+
+def _oracle_nullspace(a, rtol=numerics.RANK_RTOL):
+    # the former nullspace with its own copy of the cutoff and gap refusal
+    a = numerics.as_cmatrix(a)
+    m, n = a.shape
+    if m == 0:
+        return np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(a)
+    if (s[0] if s.size else 0.0) == 0.0:
+        return np.eye(n, dtype=complex)
+    rank = _oracle_rank(s, rtol, numerics.GAP_RATIO)
+    return vh[rank:].conj().T
+
+
+def _oracle_orth_columns(a, rtol=numerics.RANK_RTOL):
+    # the former orth_columns, likewise
+    a = numerics.as_cmatrix(a)
+    if a.shape[1] == 0:
+        return a.copy()
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if (s[0] if s.size else 0.0) == 0.0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    return u[:, : _oracle_rank(s, rtol, numerics.GAP_RATIO)]
+
+
+def test_rank_decisions_match_the_former_copies():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        a = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ (
+            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        )
+        a *= 10.0 ** rng.uniform(-3, 3)
+        for rtol in (numerics.RANK_RTOL, 1e-6):
+            assert np.array_equal(numerics.nullspace(a, rtol), _oracle_nullspace(a, rtol)), trial
+            assert np.array_equal(
+                numerics.orth_columns(a, rtol), _oracle_orth_columns(a, rtol)
+            ), trial
+    for a in (np.zeros((3, 4)), np.zeros((0, 3)), np.zeros((3, 0))):
+        assert np.array_equal(numerics.nullspace(a), _oracle_nullspace(a))
+        assert np.array_equal(numerics.orth_columns(a), _oracle_orth_columns(a))
+
+
+def _oracle_psd_roots(a, rtol=1e-12):
+    # the former sqrtm_psd and inv_sqrt, one eigensolve each
+    vals, vecs = numerics.hermitian_eig(a)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    vals, vecs = numerics.hermitian_eig(a)
+    top = float(vals[-1])
+    if top <= 0 or float(vals[0]) <= rtol * top:
+        raise NumericalError("matrix not safely positive definite")
+    return root, (vecs * (vals ** -0.5)) @ vecs.conj().T
+
+
+def test_sqrt_and_inv_sqrt_match_the_former_pair():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5, 9):
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s = b @ b.conj().T + 0.1 * np.eye(n)
+        got = numerics.sqrt_and_inv_sqrt(s)
+        want = _oracle_psd_roots(s)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import models, numerics, tuples
+from arveson import models, multiindex as mi, numerics, tuples
 from arveson.errors import InputError, ValidationError
 from arveson.polynomials import Polynomial
 from test_acceptance import _downset_family, _perturbed_input, _staircase_generators
@@ -145,3 +147,93 @@ def test_moebius_preserves_row_contraction():
 def test_moebius_rejects_outside_ball():
     with pytest.raises(InputError):
         tuples.moebius(pair(), [1.0, 0.2])
+
+
+# -- power orbits, pinned against the loops they replaced ------------------
+
+
+def _oracle_power_cache(T, degree):
+    # the former tuples._power_cache: one product per index, parent found
+    # by lowering the first nonzero coordinate
+    cache = {(0,) * T.d: np.eye(T.n, dtype=complex)}
+    for alpha in mi.enumerate_indices(T.d, degree):
+        if alpha in cache:
+            continue
+        j = next(i for i, a in enumerate(alpha) if a > 0)
+        prev = list(alpha)
+        prev[j] -= 1
+        cache[alpha] = T.matrices[j] @ cache[tuple(prev)]
+    return cache
+
+
+def _oracle_krylov(T, xi, max_degree):
+    # the former tuples.krylov with its hand-written level loop
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    layer_bases, layer_dims, all_cols = [], [], []
+    s = max(1.0, T.scale())
+    ref = float(np.linalg.norm(xi))
+    level = {(0,) * T.d: xi}
+    for ell in range(max_degree + 1):
+        if ell > 0:
+            nxt = {}
+            for alpha in mi._homogeneous(T.d, ell):
+                j = next(i for i, a in enumerate(alpha) if a > 0)
+                parent = list(alpha)
+                parent[j] -= 1
+                nxt[alpha] = T.matrices[j] @ level[tuple(parent)]
+            level = nxt
+        V = np.column_stack([level[a] for a in mi._homogeneous(T.d, ell)])
+        scale = float(np.abs(V).max())
+        thresh = 1e-13 * ref * s**ell
+        if scale == 0.0 or (math.isfinite(thresh) and scale <= thresh):
+            break
+        B = numerics.orth_columns(V)
+        layer_bases.append(B)
+        layer_dims.append(B.shape[1])
+        all_cols.append(V)
+    if all_cols:
+        basis = numerics.orth_columns(np.hstack(all_cols))
+    else:
+        basis = np.zeros((T.n, 0), dtype=complex)
+    total = basis.shape[1]
+    return tuples.KrylovData(
+        basis=basis,
+        is_cyclic=(total == T.n),
+        layer_dims=tuple(layer_dims),
+        layers_direct=(sum(layer_dims) == total),
+        layer_bases=tuple(layer_bases),
+    )
+
+
+def _orbit_cases():
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 8):
+            m = models.monomial_model(_staircase_generators(d, comp), d)
+            yield m.tuple, m.cyclic
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    A /= 2.0 * np.linalg.norm(A, 2)
+    xi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    yield tuples.validate([A, A @ A - 0.3 * A, 0.5 * np.eye(5) + A]), xi / np.linalg.norm(xi)
+
+
+def _assert_krylov_equal(got, want):
+    assert got.is_cyclic == want.is_cyclic
+    assert got.layer_dims == want.layer_dims
+    assert got.layers_direct == want.layers_direct
+    assert np.array_equal(got.basis, want.basis)
+    assert len(got.layer_bases) == len(want.layer_bases)
+    assert all(np.array_equal(a, b) for a, b in zip(got.layer_bases, want.layer_bases))
+
+
+def test_power_orbits_match_the_former_loops():
+    for T, xi in _orbit_cases():
+        for degree in (0, 1, T.n):
+            got = tuples._power_cache(T, degree)
+            want = _oracle_power_cache(T, degree)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[a], want[a]) for a in want)
+        for max_degree in (0, 2, T.n):
+            _assert_krylov_equal(
+                tuples.krylov(T, xi, max_degree), _oracle_krylov(T, xi, max_degree)
+            )
