@@ -26,9 +26,9 @@ def _require_in_ball(z: np.ndarray) -> float:
     return r
 
 
-def _as_points(points) -> list:
-    """Points as 1-d complex arrays: at least one, of one dimension, in the
-    open unit ball and pairwise distinct."""
+def _distinct_points(points) -> list:
+    """Points as 1-d complex arrays: at least one, of one dimension and
+    pairwise distinct."""
     pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
     if not pts:
         raise InputError("need at least one point")
@@ -36,15 +36,20 @@ def _as_points(points) -> list:
     for k, p in enumerate(pts):
         if p.size != d:
             raise InputError(f"point {k} has dimension {p.size}, expected {d}")
-        if float(np.linalg.norm(p)) >= 1.0:
-            raise InputError(
-                f"point {k} with norm {float(np.linalg.norm(p)):.6g} is not "
-                f"inside the open unit ball"
-            )
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
                 raise InputError(f"points {i} and {j} coincide")
+    return pts
+
+
+def _as_points(points) -> list:
+    """:func:`_distinct_points`, each in the open unit ball."""
+    pts = _distinct_points(points)
+    for k, p in enumerate(pts):
+        r = float(np.linalg.norm(p))
+        if r >= 1.0:
+            raise InputError(f"point {k} with norm {r:.6g} is not inside the open unit ball")
     return pts
 
 

@@ -52,7 +52,7 @@ def separation_constants(points) -> SeparationReport:
     pts = fockspace._as_points(points)
     if len(pts) < 2:
         raise InputError("separation needs at least two points")
-    K = kernel_matrix(pts)
+    K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
     norms = np.sqrt(np.diag(K).real)
     G = K / np.outer(norms, norms)
     m = len(pts)
@@ -102,11 +102,14 @@ def pick_min_norm(points, targets) -> PickResult:
     eigenvalue there and ``lower`` = max |a_n| is the trivial bound.
     Nothing is iterated, so ``iterations`` is 0.
     """
-    pts = fockspace._as_points(points)
+    return _pick_min_norm(fockspace._as_points(points), targets)
+
+
+def _pick_min_norm(pts: list, targets) -> PickResult:
     a = np.asarray(targets, dtype=complex).reshape(-1)
     if a.size != len(pts):
         raise InputError(f"{len(pts)} points but {a.size} targets")
-    K = kernel_matrix(pts)
+    K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
     lo = float(np.abs(a).max())
     try:
         top = scipy.linalg.eigh(np.outer(a, a.conj()) * K, K, eigvals_only=True)[-1]
@@ -142,7 +145,7 @@ def strong_separation(points) -> StrongSeparationReport:
     certified as in ``pick_min_norm`` by one PSD check at c_n (1 + PICK_CERT_RTOL).
     """
     pts = fockspace._as_points(points)
-    K = kernel_matrix(pts)
+    K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
     top = np.diag(K).real * np.diag(numerics.inv(K)).real
     norms = np.sqrt(np.maximum(top, 1.0))
     for n, (c, e) in enumerate(zip(norms.tolist(), np.eye(len(pts)))):
@@ -201,7 +204,7 @@ def theta_jets(points, omega, kappa: int) -> ThetaJetCertificate:
         raise InputError(f"kappa must be >= 0, got {kappa}")
     indicator = np.zeros(len(pts))
     indicator[omega] = 1.0
-    r = pick_min_norm(pts, indicator)
+    r = _pick_min_norm(pts, indicator)
     c = r.value
     proxy = 1.0 + (1.0 + c ** (kappa + 1)) ** (kappa + 1)
     rows = []

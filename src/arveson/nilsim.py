@@ -17,6 +17,7 @@ cyclic vector, gauge operators with norm at most cond(X), and a floor of
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +42,11 @@ class NilsimHypotheses:
 
     epsilon is the worst defect 1 - (|a|!/a!) ||N^a xi||^2 over the support
     Xi = {a : N^a != 0} (the zero index included), L the top degree in Xi.
-    gamma is the supremum norm of the layer gauge Y_t over t, available
-    only when the homogeneous layers span directly.
+    gamma is the norm of the layer gauge Y_t maximized over t, available
+    only when the homogeneous layers span directly. It is the largest of
+    ``GAMMA_GRID`` equispaced samples refined once locally, so it is an
+    estimate from below of the supremum, not a certified bound.
+    ``gauge_defect`` is measured on first read.
     """
 
     xi: np.ndarray
@@ -53,9 +57,13 @@ class NilsimHypotheses:
     layers_direct: bool
     layer_dims: tuple
     gamma: float | None
-    gauge_defect: float | None
     _layer_basis: np.ndarray | None = field(default=None, repr=False)
     _layer_labels: tuple = field(default=(), repr=False)
+    _layer_basis_inv: np.ndarray | None = field(default=None, repr=False)
+    _matrices: tuple = field(default=(), repr=False)
+    # {alpha: N^alpha xi} over the degrees up to the first one at which every
+    # power vanishes identically
+    _orbit: dict = field(default_factory=dict, repr=False)
 
     @property
     def admissible(self) -> bool:
@@ -73,6 +81,22 @@ class NilsimHypotheses:
             )
         B = self._layer_basis
         return _layer_gauge(B, self._layer_labels, numerics.inv(B), t)
+
+    @functools.cached_property
+    def gauge_defect(self) -> float | None:
+        """max_j ||Y_t N_j Y_t^-1 - e^{it} N_j|| at t = pi/3, or None without
+        a direct layer decomposition. The subdiagonal layer structure makes
+        the commutation exact; this measures it."""
+        if self._layer_basis is None:
+            return None
+        t0 = np.pi / 3.0
+        B, labels, B_inv = self._layer_basis, self._layer_labels, self._layer_basis_inv
+        Y = _layer_gauge(B, labels, B_inv, t0)
+        Y_inv = _layer_gauge(B, labels, B_inv, -t0)
+        return max(
+            numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
+            for Nj in self._matrices
+        )
 
 
 def _layer_gauge(B: np.ndarray, labels: tuple, B_inv: np.ndarray, t: float) -> np.ndarray:
@@ -113,10 +137,12 @@ def check_hypotheses(
 ) -> NilsimHypotheses:
     """Measure (epsilon, gamma, L, card Xi) for a cyclic nilpotent tuple.
 
-    The powers N^alpha come one degree at a time from ``tuples._levels``.
-    gamma is a grid supremum over [0, 2pi) refined once locally around the
-    maximizer; for orthogonal layers it is exactly 1. When the layers fail
-    to span directly the gauge is reported as unavailable, not estimated.
+    The powers N^alpha come one degree at a time from ``tuples._levels``;
+    the orbit vectors N^alpha xi are kept for the correspondence. gamma is
+    the largest gauge norm on a grid over [0, 2pi) (one stacked SVD),
+    refined once locally around the maximizer; for orthogonal layers it is
+    exactly 1. When the layers fail to span directly the gauge is reported
+    as unavailable, not estimated.
     """
     N.require_commuting(tol)
     _require_nilpotent(N)
@@ -133,11 +159,13 @@ def check_hypotheses(
         )
 
     support = []
+    orbit = {}
     eps = 0.0
     root_n = math.sqrt(N.n)
     for _, level in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
         alive = False
         for alpha, P in level.items():
+            orbit[alpha] = P @ xi
             fro = float(np.linalg.norm(P))
             if fro > 0.0:
                 alive = True
@@ -148,7 +176,7 @@ def check_hypotheses(
                 continue
             support.append(alpha)
             w = mi.multinomial_weight(alpha)
-            val = w * float(np.linalg.norm(P @ xi)) ** 2
+            val = w * float(np.linalg.norm(orbit[alpha])) ** 2
             eps = max(eps, 1.0 - val)
         if not alive:
             # every power at this degree vanished identically, so all deeper
@@ -159,8 +187,8 @@ def check_hypotheses(
 
     layer_basis = None
     labels = ()
+    B_inv = None
     gamma = None
-    gauge_defect = None
     if kry.layers_direct:
         layer_basis = np.hstack(kry.layer_bases)
         labels = tuple(
@@ -181,9 +209,11 @@ def check_hypotheses(
                 return numerics.operator_norm(_layer_gauge(layer_basis, labels, B_inv, t))
 
             ts = np.linspace(0.0, 2.0 * np.pi, GAMMA_GRID, endpoint=False)
-            vals = [norm_at(t) for t in ts]
+            phases = np.array([[cmath.exp(1j * ell * t) for ell in labels] for t in ts])
+            W = (layer_basis[None] * phases[:, None, :]) @ B_inv
+            vals = np.linalg.svd(W, compute_uv=False)[:, 0]
             k = int(np.argmax(vals))
-            gamma = vals[k]
+            gamma = float(vals[k])
             if len(set(labels)) > 1:
                 import scipy.optimize  # here, so that importing arveson does not load it
 
@@ -195,14 +225,6 @@ def check_hypotheses(
                     options={"xatol": 1e-10},
                 )
                 gamma = max(gamma, -float(res.fun))
-        # subdiagonal layer structure makes the commutation exact; measure it
-        t0 = np.pi / 3.0
-        Y = _layer_gauge(layer_basis, labels, B_inv, t0)
-        Y_inv = _layer_gauge(layer_basis, labels, B_inv, -t0)
-        gauge_defect = max(
-            numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
-            for Nj in N.matrices
-        )
 
     return NilsimHypotheses(
         xi=xi,
@@ -213,9 +235,11 @@ def check_hypotheses(
         layers_direct=kry.layers_direct,
         layer_dims=kry.layer_dims,
         gamma=gamma,
-        gauge_defect=gauge_defect,
         _layer_basis=layer_basis,
         _layer_labels=labels,
+        _layer_basis_inv=B_inv,
+        _matrices=N.matrices,
+        _orbit=orbit,
     )
 
 
@@ -253,24 +277,34 @@ def correspondence_similarity(
     norm bounds attached to the certificate do not apply to it. A singular
     orbit matrix means the ideal is wrong and raises ValidationError.
     """
-    X, _, model, residual = _correspondence(N, xi, generators)
+    model = _model_on(N, generators)
+    xi = _require_unit(xi, N.n)
+    cache = tuples._power_cache(N, max(mi.degree(b) for b in model.basis_indices))
+    orbit = {beta: cache[beta] @ xi for beta in model.basis_indices}
+    X, _, residual = _correspondence(N, orbit, model)
     return X, model, residual
 
 
-def _correspondence(N: tuples.CommutingTuple, xi, generators) -> tuple:
-    """(X, U, model, residual) with U the weighted orbit matrix and X = U^-1."""
+def _model_on(N: tuples.CommutingTuple, generators) -> models.ModelTuple:
+    """The monomial model of the ideal, refused unless it acts on C^n."""
     model = models.monomial_model(generators, N.d)
     if model.dim != N.n:
         raise ValidationError(
             f"tuple acts on dimension {N.n} but the ideal complement has "
             f"dimension {model.dim}"
         )
-    xi = _require_unit(xi, N.n)
-    cache = tuples._power_cache(N, max(mi.degree(b) for b in model.basis_indices))
+    return model
+
+
+def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTuple) -> tuple:
+    """(X, U, residual) with U the weighted orbit matrix and X = U^-1.
+    ``orbit`` maps alpha to N^alpha xi; an index it lacks lies past a degree
+    at which every power of N vanishes, so its column is zero."""
+    zero = np.zeros(N.n, dtype=complex)
     cols = []
     for beta in model.basis_indices:
         w = math.sqrt(mi.multinomial_weight(beta))
-        cols.append(w * (cache[beta] @ xi))
+        cols.append(w * orbit.get(beta, zero))
     U = np.column_stack(cols)
     try:
         X = numerics.inv(U)
@@ -283,7 +317,7 @@ def _correspondence(N: tuples.CommutingTuple, xi, generators) -> tuple:
         numerics.operator_norm(X @ Nj @ U - Zj)
         for Nj, Zj in zip(N.matrices, model.tuple.matrices)
     )
-    return X, U, model, residual
+    return X, U, residual
 
 
 @dataclass(frozen=True)
@@ -328,7 +362,8 @@ def build_similarity(
     taken here.
     """
     hyps = check_hypotheses(N, xi, tol=tol)
-    X, X_inv, model, residual = _correspondence(N, hyps.xi, generators)
+    model = _model_on(N, generators)
+    X, X_inv, residual = _correspondence(N, hyps._orbit, model)
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
     cond = norm_X * norm_X_inv
     scale = max(1.0, N.scale())
@@ -444,23 +479,18 @@ def necessity_check(
         worst = min(worst, val - floor)
     orbit_ok = worst >= -NECESSITY_TOL
 
-    gauge_norm = 0.0
-    commute = 0.0
-    fix = 0.0
-    for k in range(NECESSITY_GAUGE_SAMPLES):
-        t = 2.0 * np.pi * k / NECESSITY_GAUGE_SAMPLES
-        W = models.gauge_unitary(model, t)
-        Y = X_inv @ W @ X
-        Y_inv = X_inv @ W.conj().T @ X
-        gauge_norm = max(gauge_norm, numerics.operator_norm(Y))
-        commute = max(
-            commute,
-            max(
-                numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t) * Nj)
-                for Nj in N.matrices
-            ),
-        )
-        fix = max(fix, float(np.linalg.norm(Y_inv @ xi - xi)))
+    # every sample at once: one SVD call for the gauges Y_t, one for the
+    # commutator defects Y_t N_j Y_t^-1 - e^{it} N_j
+    ts = [2.0 * np.pi * k / NECESSITY_GAUGE_SAMPLES for k in range(NECESSITY_GAUGE_SAMPLES)]
+    W = np.stack([models.gauge_unitary(model, t) for t in ts])
+    Y = X_inv @ W @ X
+    Y_inv = X_inv @ np.swapaxes(W.conj(), -1, -2) @ X
+    gauge_norm = float(np.linalg.svd(Y, compute_uv=False)[:, 0].max())
+    Ns = np.stack(N.matrices)
+    phases = np.array([cmath.exp(1j * t) for t in ts])
+    D = Y[:, None] @ Ns[None] @ Y_inv[:, None] - phases[:, None, None, None] * Ns[None]
+    commute = float(np.linalg.svd(D.reshape(-1, N.n, N.n), compute_uv=False)[:, 0].max())
+    fix = max(float(np.linalg.norm(Yi @ xi - xi)) for Yi in Y_inv)
     gauge_ok = (
         gauge_norm <= cond * (1.0 + NECESSITY_TOL)
         and commute <= NECESSITY_TOL * scale * max(1.0, cond)

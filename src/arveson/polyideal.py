@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import multiindex as mi
+from . import fockspace, multiindex as mi
 from . import numerics
 from .errors import InputError, ValidationError
 from .polynomials import Polynomial
@@ -337,17 +337,8 @@ def vanishing_ideal_slice(
     """Degree slice of the polynomials whose derivatives of order <= kappa
     vanish at every point; kappa may be one order for all points or one
     order per point."""
-    pts = [np.asarray(p, dtype=complex) for p in points]
-    if not pts:
-        raise InputError("need at least one point")
+    pts = fockspace._distinct_points(points)
     d = pts[0].size
-    for p in pts:
-        if p.size != d:
-            raise InputError("points live in different dimensions")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
-                raise InputError(f"points {i} and {j} coincide")
     try:
         kappas = [int(kappa)] * len(pts)
     except TypeError:

@@ -267,7 +267,7 @@ def example_two_variable(
         M1 = N1
         M2 = N1 + eps * N2
         gram = M1 @ M1.conj().T + M2 @ M2.conj().T
-        f_meas = math.sqrt(float(numerics.hermitian_eig(gram)[0][-1]))
+        f_meas = math.sqrt(float(np.linalg.eigh(numerics._hermitian_part(gram))[0][-1]))
         basis = _intertwiner_space([N1, N2], [R1, R2])
         dim = basis.shape[1]
         expected = np.column_stack(

@@ -1,9 +1,10 @@
 """Commuting tuples of matrices: validation, calculus, Krylov data.
 
 A tuple T = (T_1, ..., T_d) on C^n is the basic object everything else
-consumes. Validation records the worst commutator and row-contraction
-defects instead of silently trusting the caller; downstream code calls
-``require_commuting`` before relying on functional calculus.
+consumes. The tuple carries its worst commutator and row-contraction
+defects instead of silently trusting the caller; they are measured on
+first read, so a tuple that is never inspected costs no SVD. Downstream
+code calls ``require_commuting`` before relying on functional calculus.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .polynomials import Polynomial
 
 @dataclass(frozen=True)
 class CommutingTuple:
-    """Validated coordinates with their measured defects. The coordinate
-    operator norms (``norms``, whose maximum is ``scale``) are computed on
-    first use and cached, so every gate reading them shares d SVDs."""
+    """Validated coordinates with their measured defects. The defects and
+    the coordinate operator norms (``norms``, whose maximum is ``scale``)
+    are computed on first read and cached, so every gate reading them
+    shares one measurement."""
 
     matrices: tuple
-    commutator_defect: float
-    row_defect: float
 
     @property
     def d(self) -> int:
@@ -39,6 +39,26 @@ class CommutingTuple:
     @property
     def n(self) -> int:
         return self.matrices[0].shape[0]
+
+    @functools.cached_property
+    def commutator_defect(self) -> float:
+        """Largest operator norm of a commutator T_i T_j - T_j T_i."""
+        mats = self.matrices
+        defect = 0.0
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                defect = max(
+                    defect,
+                    numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
+                )
+        return defect
+
+    @functools.cached_property
+    def row_defect(self) -> float:
+        """How far ||sum T_j T_j^*|| exceeds 1 (0 for a row contraction)."""
+        gram = numerics._hermitian_part(sum(M @ M.conj().T for M in self.matrices))
+        excess = np.linalg.eigvalsh(gram)[-1] - 1.0
+        return max(0.0, float(excess))
 
     @functools.cached_property
     def norms(self) -> tuple:
@@ -69,7 +89,11 @@ class CommutingTuple:
 
 
 def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
-    """Wrap matrices as a tuple, measuring commutator and row defects."""
+    """Wrap matrices as a tuple: at least one, square, of one size, finite.
+
+    No defect is measured here; ``commutator_defect`` and ``row_defect``
+    are measured on first read.
+    """
     if len(matrices) == 0:
         raise InputError("a tuple needs at least one matrix")
     mats = tuple(numerics.as_cmatrix(M) for M in matrices)
@@ -79,20 +103,7 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
             raise InputError(
                 f"matrix {k} has shape {M.shape}, expected ({n}, {n})"
             )
-    defect = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            defect = max(
-                defect,
-                numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
-            )
-    gram = numerics._hermitian_part(sum(M @ M.conj().T for M in mats))
-    excess = np.linalg.eigvalsh(gram)[-1] - 1.0
-    return CommutingTuple(
-        matrices=mats,
-        commutator_defect=defect,
-        row_defect=max(0.0, float(excess)),
-    )
+    return CommutingTuple(matrices=mats)
 
 
 def _levels(T: CommutingTuple, start: np.ndarray):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import interp, numerics
+from arveson import fockspace, interp, numerics
 from arveson.errors import InputError, NumericalError
 
 
@@ -173,3 +173,25 @@ def test_pick_feasible_matches_hermitian_eig_oracle():
         scale = max(1.0, float(abs(vals[-1])))
         want = (float(vals[0]) >= -interp.PICK_PSD_RTOL * scale, float(vals[0]))
         assert interp._pick_feasible(K, a, c) == want
+
+
+def test_each_entry_point_validates_its_points_once(monkeypatch):
+    calls = []
+    gate = fockspace._as_points
+
+    def counted(points):
+        calls.append(1)
+        return gate(points)
+
+    monkeypatch.setattr(fockspace, "_as_points", counted)
+    pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5]]
+    for run in (
+        lambda: interp.kernel_matrix(pts),
+        lambda: interp.separation_constants(pts),
+        lambda: interp.pick_min_norm(pts, [0.3, -0.2, 0.5]),
+        lambda: interp.strong_separation(pts),
+        lambda: interp.theta_jets(pts, [0], 1),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1

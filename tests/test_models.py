@@ -456,6 +456,8 @@ def test_dense_annihilator_localizations_match_polynomial_route(name):
 # PolyIdeal built its degree slice eagerly, the annihilator was localized
 # through a PolyIdeal of polynomials, and the kernel Gram went through
 # hermitian_eig, the same calls made svd 25, eigh 1, eigvalsh 1, inv 0.
+# While validate measured the row defect of the model eagerly, though
+# nothing here reads it, they made svd 20, eigh 1, eigvalsh 1, inv 0.
 def test_jet_model_lapack_calls(lapack_counts):
     x1 = Polynomial.variable(2, 0)
     x2 = Polynomial.variable(2, 1)
@@ -467,5 +469,5 @@ def test_jet_model_lapack_calls(lapack_counts):
     m = models.jet_model([[0.1, 0.0], [0.0, 0.3]], ideals)
     reports = models.verify_localizations(m, ideals)
     assert m.dim == 3 and all(r.matches for r in reports)
-    want = {"svd": 20, "eigh": 1, "eigvalsh": 1, "inv": 0}
+    want = {"svd": 20, "eigh": 1, "eigvalsh": 0, "inv": 0}
     assert {k: lapack_counts[k] for k in want} == want

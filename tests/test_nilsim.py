@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -118,12 +119,17 @@ def test_singular_orbit_matrix_is_a_wrong_ideal():
     # the square model kills x^2, so against <x^3, y> (same dimension 3)
     # the weighted orbit {xi, N1 xi, N1^2 xi} has a zero column: it is not
     # a basis, which is a broken precondition, not a numerical failure
-    m = square_model()
-    gens = [(3, 0), (0, 1)]
-    with pytest.raises(ValidationError, match="not a basis"):
-        nilsim.correspondence_similarity(m.tuple, m.cyclic, gens)
-    with pytest.raises(ValidationError, match="not a basis"):
-        nilsim.build_similarity(m.tuple, m.cyclic, gens)
+    # the same holds for the cube of the maximal ideal against <x^4, y, z>,
+    # whose basis index x^3 lies past the first degree at which every power
+    # of the tuple vanishes
+    cube = models.monomial_model(
+        [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)], 3
+    )
+    for m, gens in ((square_model(), [(3, 0), (0, 1)]), (cube, [(4, 0, 0), (0, 1, 0), (0, 0, 1)])):
+        with pytest.raises(ValidationError, match="not a basis"):
+            nilsim.correspondence_similarity(m.tuple, m.cyclic, gens)
+        with pytest.raises(ValidationError, match="not a basis"):
+            nilsim.build_similarity(m.tuple, m.cyclic, gens)
 
 
 def test_troubled_family_is_never_admissible():
@@ -250,14 +256,18 @@ def test_certificate_norms_match_separate_svds():
 # hermitian_eig, the same calls made
 #   <x^3, y^2> (d=2, n=6): svd 20, eigh 1, eigvalsh 0, inv 2;
 #   <x^2, y^2, z^2, xy, xz, yz> (d=3, n=4): svd 24, eigh 1, eigvalsh 0, inv 2.
+# While the hypotheses measured the gauge defect eagerly (d SVDs), they made
+# svd 14 and 17. The commutator SVDs and the eigvalsh now count here because
+# the defects of m.tuple are measured on first read, inside the call; the
+# model rebuilt for the correspondence no longer measures its own.
 @pytest.mark.parametrize(
     "gens, d, want",
     [
-        ([(3, 0), (0, 2)], 2, {"svd": 14, "eigh": 0, "eigvalsh": 1, "inv": 1}),
+        ([(3, 0), (0, 2)], 2, {"svd": 12, "eigh": 0, "eigvalsh": 1, "inv": 1}),
         (
             [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
             3,
-            {"svd": 17, "eigh": 0, "eigvalsh": 1, "inv": 1},
+            {"svd": 14, "eigh": 0, "eigvalsh": 1, "inv": 1},
         ),
     ],
 )
@@ -328,7 +338,8 @@ def _oracle_hypotheses(N, xi, tol=1e-9):
 
 def test_check_hypotheses_matches_the_former_loops():
     # the scaled inputs have orthonormal layers (gamma 1); the conjugated
-    # ones take gamma from the grid search and its refine
+    # ones take gamma from the grid search, now one stacked SVD, and its
+    # refine, which the oracle evaluates one gauge at a time
     for seed in range(20):
         N, xi, _ = _perturbed_input(seed)
         h = nilsim.check_hypotheses(N, xi)
@@ -337,3 +348,151 @@ def test_check_hypotheses_matches_the_former_loops():
         assert h.epsilon == eps, seed
         assert h.gamma == gamma, seed
         assert h.layer_dims == layer_dims, seed
+
+
+def _oracle_gauge_defect(N, xi):
+    # the former inline measurement of check_hypotheses
+    kry = tuples.krylov(N, xi / float(np.linalg.norm(xi)), N.n)
+    if not kry.layers_direct:
+        return None
+    B = np.hstack(kry.layer_bases)
+    labels = [ell for ell, L in enumerate(kry.layer_bases) for _ in range(L.shape[1])]
+    if numerics.operator_norm(B.conj().T @ B - np.eye(B.shape[1])) <= 1e-12:
+        B_inv = B.conj().T
+    else:
+        B_inv = numerics.inv(B)
+
+    def gauge(t):
+        phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
+        return (B * phases) @ B_inv
+
+    t0 = np.pi / 3.0
+    Y, Y_inv = gauge(t0), gauge(-t0)
+    return max(
+        numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
+        for Nj in N.matrices
+    )
+
+
+def _gauge_cases():
+    for seed in range(20):
+        N, xi, _ = _perturbed_input(seed)
+        yield N, xi
+    for gens, d in (([(3, 0), (0, 2)], 2), (SQUARE, 2), ([(2,)], 1)):
+        m = models.monomial_model(gens, d)
+        yield m.tuple, m.cyclic
+    # the Jordan block pair has layers that are not a direct sum
+    J = np.diag([1.0, 1.0], -1) / np.sqrt(2)
+    yield tuples.validate([J, J]), np.array([1.0, 0.0, 0.0])
+
+
+def test_gauge_defect_read_on_first_use_matches_the_former_formula():
+    for N, xi in _gauge_cases():
+        h = nilsim.check_hypotheses(N, xi)
+        assert h.gauge_defect == _oracle_gauge_defect(N, xi)
+
+
+def _oracle_necessity(N, X, generators):
+    # the former necessity_check with its per-sample gauge loop
+    model = models.monomial_model(generators, N.d)
+    X = numerics.as_cmatrix(X)
+    scale = max(1.0, N.scale())
+    X_inv = numerics.inv(X)
+    norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
+    resid = max(
+        numerics.operator_norm(X @ Nj - Zj @ X)
+        for Nj, Zj in zip(N.matrices, model.tuple.matrices)
+    )
+    v = X_inv @ model.cyclic
+    xi = v / np.linalg.norm(v)
+    cond = norm_X * norm_X_inv
+    floor = 1.0 / cond**2
+    cache = tuples._power_cache(N, max(mi.degree(b) for b in model.basis_indices))
+    per_alpha = []
+    worst = np.inf
+    for beta in model.basis_indices:
+        val = mi.multinomial_weight(beta) * float(np.linalg.norm(cache[beta] @ xi)) ** 2
+        per_alpha.append((beta, val))
+        worst = min(worst, val - floor)
+    orbit_ok = worst >= -nilsim.NECESSITY_TOL
+    gauge_norm = commute = fix = 0.0
+    for k in range(nilsim.NECESSITY_GAUGE_SAMPLES):
+        t = 2.0 * np.pi * k / nilsim.NECESSITY_GAUGE_SAMPLES
+        W = models.gauge_unitary(model, t)
+        Y = X_inv @ W @ X
+        Y_inv = X_inv @ W.conj().T @ X
+        gauge_norm = max(gauge_norm, numerics.operator_norm(Y))
+        commute = max(
+            commute,
+            max(
+                numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t) * Nj)
+                for Nj in N.matrices
+            ),
+        )
+        fix = max(fix, float(np.linalg.norm(Y_inv @ xi - xi)))
+    tol = nilsim.NECESSITY_TOL
+    gauge_ok = (
+        gauge_norm <= cond * (1.0 + tol)
+        and commute <= tol * scale * max(1.0, cond)
+        and fix <= tol * max(1.0, cond)
+    )
+    return nilsim.NecessityReport(
+        ok=bool(orbit_ok and gauge_ok),
+        cond=cond,
+        intertwine_residual=resid,
+        xi=xi,
+        orbit_floor=floor,
+        worst_orbit_margin=float(worst),
+        per_alpha=tuple(per_alpha),
+        gauge_ok=bool(gauge_ok),
+        gauge_norm_max=gauge_norm,
+        gauge_commute_defect=commute,
+        gauge_fix_defect=fix,
+    )
+
+
+def test_necessity_check_matches_the_per_sample_loop():
+    for seed in range(20):
+        N, xi, gens = _perturbed_input(seed)
+        X = nilsim.build_similarity(N, xi, gens).X
+        got = nilsim.necessity_check(N, X, gens)
+        want = _oracle_necessity(N, X, gens)
+        for f in dataclasses.fields(nilsim.NecessityReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), (seed, f.name)
+            else:
+                assert a == b, (seed, f.name)
+
+
+def test_build_similarity_uses_the_hypotheses_xi_as_is():
+    # X^-1 is the weighted orbit of the unit vector check_hypotheses made,
+    # not of that vector normalized once more; on two of these inputs the
+    # second normalization moves the last bits of xi
+    moved = 0
+    for seed in range(20):
+        N, xi, gens = _perturbed_input(seed)
+        cert = nilsim.build_similarity(N, xi, gens)
+        x = cert.hypotheses.xi
+        cache = tuples._power_cache(N, N.n)
+        U = np.column_stack(
+            [math.sqrt(mi.multinomial_weight(b)) * (cache[b] @ x) for b in cert.model.basis_indices]
+        )
+        assert np.array_equal(cert.X_inv, U), seed
+        moved += not np.array_equal(nilsim._require_unit(x, N.n), x)
+    assert moved > 0
+
+
+# Exact numbers of dense LAPACK calls made by build_similarity on a
+# conjugated staircase, whose layers are not orthonormal, so gamma comes
+# from the grid and its refine. While the 64 grid gauges took one SVD each,
+# the hypotheses measured the gauge defect eagerly and the model rebuilt for
+# the correspondence measured its row defect, the same call made svd 83,
+# eigh 0, eigvalsh 1, inv 2.
+def test_build_similarity_grid_branch_lapack_calls(lapack_counts):
+    N, xi, gens = _perturbed_input(9)
+    lapack_counts.clear()
+    cert = nilsim.build_similarity(N, xi, gens)
+    assert cert.hypotheses.gamma > 1.0
+    want = {"svd": 17, "eigh": 0, "eigvalsh": 0, "inv": 2}
+    assert {k: lapack_counts[k] for k in want} == want

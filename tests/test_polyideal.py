@@ -126,6 +126,17 @@ def test_vanishing_ideal_rejects_duplicates():
         polyideal.vanishing_ideal_slice([[0.1], [0.1]], [0, 0], 3)
 
 
+def test_vanishing_ideal_shares_the_point_gate_but_not_the_ball():
+    # the distinct-points gate of the kernel code, with its messages; a
+    # vanishing ideal is defined at any point, so no ball check applies
+    with pytest.raises(InputError, match="^point 1 has dimension 2, expected 1$"):
+        polyideal.vanishing_ideal_slice([[0.1], [0.1, 0.2]], 0, 2)
+    with pytest.raises(InputError, match="^points 0 and 1 coincide$"):
+        polyideal.vanishing_ideal_slice([[0.1], [0.1]], 0, 2)
+    vi = polyideal.vanishing_ideal_slice([[2.0], [-3.0]], 0, 2)
+    assert vi.slice_dim == 1
+
+
 def test_localize_matches_vanishing_slice_on_annihilated_jets():
     # cross check two independently built objects on shared territory:
     # membership in the localization at z with mu=1 implies the first jet

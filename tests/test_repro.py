@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -193,3 +195,15 @@ def test_min_cond_gate_refuses_a_witness_above_the_bound(monkeypatch):
         repro._min_cond_1var(0.1)
     with pytest.raises(NumericalError, match="compression bound"):
         repro.example_two_variable(eps_list=[0.1])
+
+
+def test_two_variable_row_norm_matches_hermitian_eig_oracle():
+    # the Gram of a row is Hermitian by construction, so the asymmetry check
+    # of hermitian_eig cannot fire and its eigenvalues are those measured
+    N1, N2 = repro._two_variable_base()
+    eps_list = (0.1, 0.01, 0.001)
+    rep = repro.example_two_variable(eps_list=eps_list)
+    for eps, r in zip(eps_list, rep.rows):
+        M2 = N1 + eps * N2
+        gram = N1 @ N1.conj().T + M2 @ M2.conj().T
+        assert r.f_measured == math.sqrt(float(numerics.hermitian_eig(gram)[0][-1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arveson import models, multiindex as mi, numerics, tuples
+from arveson import models, multiindex as mi, numerics, spectral, tuples
 from arveson.errors import InputError, ValidationError
 from arveson.polynomials import Polynomial
 from test_acceptance import _downset_family, _perturbed_input, _staircase_generators
@@ -237,3 +237,50 @@ def test_power_orbits_match_the_former_loops():
             _assert_krylov_equal(
                 tuples.krylov(T, xi, max_degree), _oracle_krylov(T, xi, max_degree)
             )
+
+
+def _eager_defects(mats):
+    # the former validate, which measured both defects on construction
+    defect = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            defect = max(
+                defect,
+                numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
+            )
+    gram = numerics._hermitian_part(sum(M @ M.conj().T for M in mats))
+    excess = np.linalg.eigvalsh(gram)[-1] - 1.0
+    return defect, max(0.0, float(excess))
+
+
+def _defect_cases():
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 8):
+            yield models.monomial_model(_staircase_generators(d, comp), d).tuple
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A /= np.linalg.norm(A, 2)
+        # commuting: polynomials in A; the last pair does not commute
+        yield tuples.validate([A, A @ A - 0.3 * A, 0.5 * np.eye(n) + A])
+        yield tuples.validate([A, A.conj().T])
+    T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
+    dec = spectral.jordan_decompose(T)
+    yield from dec.blocks
+    yield from dec.nilpotents
+
+
+def test_defects_read_on_first_use_match_the_eager_validate():
+    for T in _defect_cases():
+        commutator, row = _eager_defects(T.matrices)
+        assert T.commutator_defect == commutator
+        assert T.row_defect == row
+
+
+def test_validate_measures_no_defect(lapack_counts):
+    mats = [E21, E31]
+    lapack_counts.clear()
+    T = tuples.validate(mats)
+    assert sum(lapack_counts.values()) == 0
+    assert T.commutator_defect == 0.0 and T.row_defect == 0.0
+    assert lapack_counts["svd"] == 1 and lapack_counts["eigvalsh"] == 1
