@@ -137,12 +137,12 @@ def check_hypotheses(
 ) -> NilsimHypotheses:
     """Measure (epsilon, gamma, L, card Xi) for a cyclic nilpotent tuple.
 
-    The powers N^alpha come one degree at a time from ``tuples._levels``;
-    the orbit vectors N^alpha xi are kept for the correspondence. gamma is
-    the largest gauge norm on a grid over [0, 2pi) (one stacked SVD),
-    refined once locally around the maximizer; for orthogonal layers it is
-    exactly 1. When the layers fail to span directly the gauge is reported
-    as unavailable, not estimated.
+    The powers N^alpha come one degree at a time from ``tuples._levels``,
+    as one stack per degree; the orbit vectors N^alpha xi are kept for the
+    correspondence. gamma is the largest gauge norm on a grid over
+    [0, 2pi) (one stacked SVD), refined once locally around the maximizer;
+    for orthogonal layers it is exactly 1. When the layers fail to span
+    directly the gauge is reported as unavailable, not estimated.
     """
     N.require_commuting(tol)
     _require_nilpotent(N)
@@ -162,23 +162,19 @@ def check_hypotheses(
     orbit = {}
     eps = 0.0
     root_n = math.sqrt(N.n)
-    for _, level in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
-        alive = False
-        for alpha, P in level.items():
-            orbit[alpha] = P @ xi
-            fro = float(np.linalg.norm(P))
-            if fro > 0.0:
-                alive = True
-            if fro <= tol:
-                # the spectral norm is dominated by the Frobenius norm
+    for _, (keys, stack) in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
+        vecs = stack @ xi
+        orbit.update(zip(keys, vecs))
+        # Frobenius norms, only compared with tol: they dominate the
+        # spectral norms
+        fros = np.linalg.norm(stack, axis=(1, 2))
+        for i in np.flatnonzero(fros > tol):
+            if fros[i] <= tol * root_n and numerics.operator_norm(stack[i]) <= tol:
                 continue
-            if fro <= tol * root_n and numerics.operator_norm(P) <= tol:
-                continue
-            support.append(alpha)
-            w = mi.multinomial_weight(alpha)
-            val = w * float(np.linalg.norm(orbit[alpha])) ** 2
+            support.append(keys[i])
+            val = mi.multinomial_weight(keys[i]) * float(np.linalg.norm(vecs[i])) ** 2
             eps = max(eps, 1.0 - val)
-        if not alive:
+        if not stack.any():
             # every power at this degree vanished identically, so all deeper
             # ones are products with these and vanish too
             break

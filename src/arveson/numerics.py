@@ -4,12 +4,20 @@ Thin, contract-checked wrappers around LAPACK via numpy/scipy. All tolerances
 are relative to the input norm; rank decisions go through one cut
 (:func:`_rank`), which refuses to guess when the singular-value gap is
 ambiguous.
+
+Single-matrix SVDs (:func:`_svd`) call the ``zgesdd`` handle of
+``scipy.linalg.lapack`` with its queried workspace, as ``numpy.linalg.svd``
+does, without numpy's per-call dispatch, which costs as much as the SVD on
+the few-row matrices certificates make by the thousand; stacked SVDs stay
+on numpy. Both agree bit for bit, except where the OpenBLAS builds bundled
+with numpy and scipy split a threaded call apart (tall, 64 rows and up).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import InputError, NumericalError
 
@@ -19,13 +27,16 @@ GAP_RATIO = 1e6
 HERMITIAN_RTOL = 1e-10
 PD_RTOL = 1e-12
 
+_gesdd = scipy.linalg.lapack.zgesdd
+_gesdd_lwork = scipy.linalg.lapack.zgesdd_lwork
+
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     out = np.asarray(a, dtype=complex)
     if out.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {out.ndim}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InputError("matrix contains non-finite entries")
     return out
 
@@ -35,12 +46,23 @@ def _require_square(a: np.ndarray) -> None:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
 
 
+def _svd(a: np.ndarray, uv: bool = False, full: bool = False):
+    """s, or (u, s, vh) with ``uv`` (square u, vh with ``full``), of a
+    nonempty matrix: LAPACK rejects an empty one."""
+    m, n = a.shape
+    work, _ = _gesdd_lwork(m, n, compute_uv=uv, full_matrices=full)
+    u, s, vh, info = _gesdd(a, compute_uv=uv, full_matrices=full, lwork=int(work.real))
+    if info:
+        raise NumericalError(f"SVD of a {m}x{n} matrix failed: LAPACK zgesdd info {info}")
+    return (u, s, vh) if uv else s
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
     a = as_cmatrix(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_svd(a)[0])
 
 
 def _hermitian_part(a) -> np.ndarray:
@@ -104,7 +126,9 @@ def sqrt_and_inv_sqrt(a) -> tuple:
 def cond(a) -> float:
     """2-norm condition number."""
     a = as_cmatrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
+    if a.size == 0:
+        raise InputError(f"no condition number for an empty matrix of shape {a.shape}")
+    s = _svd(a)
     if s[-1] == 0:
         return np.inf
     return float(s[0] / s[-1])
@@ -115,7 +139,9 @@ def norm_and_inverse_norm(a) -> tuple:
     reciprocals of those of a, so ||a^-1|| = 1/s_min (inf if singular)."""
     a = as_cmatrix(a)
     _require_square(a)
-    s = np.linalg.svd(a, compute_uv=False)
+    if a.size == 0:
+        raise InputError(f"no inverse norm for an empty matrix of shape {a.shape}")
+    s = _svd(a)
     return float(s[0]), (float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
 
 
@@ -143,10 +169,10 @@ def nullspace(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``, past the rank
     cut of :func:`_rank`; a zero matrix keeps the standard basis."""
     a = as_cmatrix(a)
-    m, n = a.shape
-    if m == 0:
+    n = a.shape[1]
+    if a.size == 0:
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = _svd(a, uv=True, full=True)
     rank = _rank(s, rtol)
     return vh[rank:].conj().T if rank else np.eye(n, dtype=complex)
 
@@ -155,9 +181,9 @@ def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``a``, up to the
     rank cut of :func:`_rank`."""
     a = as_cmatrix(a)
-    if a.shape[1] == 0:
-        return a.copy()
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    u, s, _ = _svd(a, uv=True)
     return u[:, : _rank(s, rtol)]
 
 

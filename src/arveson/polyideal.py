@@ -337,6 +337,15 @@ def vanishing_ideal_slice(
     """Degree slice of the polynomials whose derivatives of order <= kappa
     vanish at every point; kappa may be one order for all points or one
     order per point."""
+    basis, kernel = _vanishing_kernel(points, kappa, degree_bound, tol)
+    d = len(basis[0])
+    gens = [Polynomial.from_coeff_vector(d, kernel[:, j], basis) for j in range(kernel.shape[1])]
+    return PolyIdeal(gens, degree_bound, d=d)
+
+
+def _vanishing_kernel(points, kappa, degree_bound: int, tol: float = numerics.RANK_RTOL) -> tuple:
+    """(basis, K): the monomials of degree <= degree_bound in graded order
+    and orthonormal coefficient columns spanning the vanishing slice."""
     pts = fockspace._distinct_points(points)
     d = pts[0].size
     try:
@@ -359,6 +368,4 @@ def vanishing_ideal_slice(
     ])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows /= np.where(norms > 0, norms, 1.0)
-    kernel = numerics.nullspace(rows, rtol=tol)
-    gens = [Polynomial.from_coeff_vector(d, kernel[:, j], basis) for j in range(kernel.shape[1])]
-    return PolyIdeal(gens, degree_bound, d=d)
+    return basis, numerics.nullspace(rows, rtol=tol)

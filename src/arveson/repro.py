@@ -139,13 +139,11 @@ def example_one_variable(eps_list=(0.1, 0.01, 0.001), lams=(0.5,)) -> OneVariabl
                 tuples.krylov(TS, xi, 2).is_cyclic
                 and tuples.krylov(TT, xi, 2).is_cyclic
             )
-            vanish = polyideal.vanishing_ideal_slice([[lam]], 1, 2)
+            vanish = polyideal._vanishing_kernel([[lam]], 1, 2)[1]
             ann_ok = True
             for blk in (TS, TT):
                 got = numerics.orth_columns(tuples.annihilator_coeffs(blk, 2)[1])
-                ann_ok = ann_ok and numerics.subspace_equal(
-                    got, vanish.slice_basis, 1e-8
-                )
+                ann_ok = ann_ok and numerics.subspace_equal(got, vanish, 1e-8)
             measured = _min_cond_1var(eps)
             formula = 1.0 / eps
             rel = abs(measured - formula) / formula
@@ -313,9 +311,9 @@ def example_two_variable(
         z = np.asarray(z, dtype=complex).reshape(-1)
         GN = tuples.moebius(N, z)
         GR = tuples.moebius(R, z)
-        vanish = polyideal.vanishing_ideal_slice([z], 1, 2)
+        vanish = polyideal._vanishing_kernel([z], 1, 2)[1]
         got = numerics.orth_columns(tuples.annihilator_coeffs(GN, 2)[1])
-        ann_ok = numerics.subspace_equal(got, vanish.slice_basis, 1e-8)
+        ann_ok = numerics.subspace_equal(got, vanish, 1e-8)
         transport = max(
             numerics.operator_norm(X0 @ GNj - GRj @ X0)
             for GNj, GRj in zip(GN.matrices, GR.matrices)

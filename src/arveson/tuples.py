@@ -89,7 +89,7 @@ class CommutingTuple:
 
 
 def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
-    """Wrap matrices as a tuple: at least one, square, of one size, finite.
+    """Wrap matrices as a tuple: at least one, square, of one size n >= 1, finite.
 
     No defect is measured here; ``commutator_defect`` and ``row_defect``
     are measured on first read.
@@ -98,6 +98,8 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
         raise InputError("a tuple needs at least one matrix")
     mats = tuple(numerics.as_cmatrix(M) for M in matrices)
     n = mats[0].shape[0]
+    if n == 0:
+        raise InputError(f"matrix 0 has shape {mats[0].shape}; a tuple acts on C^n with n >= 1")
     for k, M in enumerate(mats):
         if M.shape != (n, n):
             raise InputError(
@@ -106,30 +108,41 @@ def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
     return CommutingTuple(matrices=mats)
 
 
-def _levels(T: CommutingTuple, start: np.ndarray):
-    """Yield {alpha: T^alpha start} over |alpha| = 0, 1, 2, ..., one degree
-    at a time, keys in graded-lex order.
+@functools.lru_cache(maxsize=None)
+def _parent_table(d: int, ell: int) -> tuple:
+    """(keys, js, parents) of degree ell >= 1: the indices alpha with
+    |alpha| = ell in graded-lex order, the first nonzero coordinate j of
+    each, and the position of alpha - e_j among the indices of degree
+    ell - 1. A combinatorial table, like ``multiindex._homogeneous``."""
+    keys = mi._homogeneous(d, ell)
+    position = {alpha: i for i, alpha in enumerate(mi._homogeneous(d, ell - 1))}
+    js = np.array([next(i for i, a in enumerate(alpha) if a > 0) for alpha in keys])
+    parents = np.array([position[a[:j] + (a[j] - 1,) + a[j + 1 :]] for a, j in zip(keys, js)])
+    js.flags.writeable = parents.flags.writeable = False  # shared through the cache
+    return keys, js, parents
 
-    Each entry is the one product T_j @ (entry at alpha - e_j), with j the
-    first nonzero coordinate of alpha. The generator never ends: bound it
-    with ``zip(range(n), _levels(...))``, so that a consumer that stops at
-    a dead degree computes nothing beyond it.
+
+def _levels(T: CommutingTuple, start: np.ndarray):
+    """Yield (keys, stack) for |alpha| = 0, 1, 2, ...: the indices of that
+    degree in graded-lex order and stack[i] = T^keys[i] start, for an n x m
+    block ``start``. A degree is one stacked product T_j (T^(alpha - e_j)
+    start), j the first nonzero coordinate of alpha. The generator never
+    ends: bound it with ``zip(range(n), _levels(...))``, so that a consumer
+    that stops at a dead degree computes nothing beyond it.
     """
-    level = {(0,) * T.d: start}
+    Ns = np.stack(T.matrices)
+    keys, stack = ((0,) * T.d,), start[None]
     for ell in itertools.count(1):
-        yield level
-        prev = level
-        level = {}
-        for alpha in mi._homogeneous(T.d, ell):
-            j = next(i for i, a in enumerate(alpha) if a > 0)
-            level[alpha] = T.matrices[j] @ prev[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+        yield keys, stack
+        keys, js, parents = _parent_table(T.d, ell)
+        stack = Ns[js] @ stack[parents]
 
 
 def _power_cache(T: CommutingTuple, degree: int) -> dict:
     """All T^alpha for |alpha| <= degree, one product each (:func:`_levels`)."""
     cache = {}
-    for _, level in zip(range(degree + 1), _levels(T, np.eye(T.n, dtype=complex))):
-        cache.update(level)
+    for _, (keys, stack) in zip(range(degree + 1), _levels(T, np.eye(T.n, dtype=complex))):
+        cache.update(zip(keys, stack))
     return cache
 
 
@@ -163,7 +176,7 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     layers_direct records whether those homogeneous layers sum directly
     (their dimensions add up to the full Krylov dimension). Trailing zero
     layers are dropped. The orbit vectors come from :func:`_levels`, one
-    matvec each.
+    stacked matvec per degree.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.size != T.n:
@@ -177,8 +190,8 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     ref = float(np.linalg.norm(xi))
     # the dead-layer break below means nothing past the first dead layer is
     # ever computed
-    for ell, level in zip(range(max_degree + 1), _levels(T, xi)):
-        V = np.column_stack(list(level.values()))
+    for ell, (_, stack) in zip(range(max_degree + 1), _levels(T, xi[:, None])):
+        V = stack[:, :, 0].T
         scale = float(np.abs(V).max())
         # every orbit vector at this degree is bounded by s^ell |xi|, so a
         # layer this far below that bound is numerically zero; deeper layers

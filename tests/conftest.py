@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from arveson import numerics
+
 # dense LAPACK entry points whose calls ``lapack_counts`` records
 _COUNTED = {
     "numpy.linalg": ("svd", "eigh", "eigvalsh"),
@@ -19,8 +21,9 @@ def lapack_counts(monkeypatch):
 
     Each function is replaced in every loaded submodule of its package that
     binds it, so a call numpy makes internally (``np.linalg.norm(a, 2)``
-    reaches ``svd`` that way) is counted as well. Clear the counter before
-    the call under test.
+    reaches ``svd`` that way) is counted as well. The ``zgesdd`` handle of
+    ``arveson.numerics`` counts as ``svd``. Clear the counter before the
+    call under test.
     """
     counts = collections.Counter()
     for package, names in _COUNTED.items():
@@ -41,4 +44,10 @@ def lapack_counts(monkeypatch):
                 # vars(), not getattr(): some scipy modules warn on attribute access
                 if vars(mod).get(name) is orig:
                     monkeypatch.setattr(mod, name, counted)
+
+    def gesdd(*args, _orig=numerics._gesdd, **kwargs):
+        counts["svd"] += 1
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_gesdd", gesdd)
     return counts

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import arveson
-from arveson import cli, repro
+from arveson import cli, numerics, repro
 
 
 def run(argv, capsys):
@@ -56,6 +56,16 @@ def test_tuple_check_ok(tuple_file, capsys):
     assert rep["command"] == "tuple-check"
     assert rep["result"]["is_row_contraction"] is True
     assert rep["result"]["cyclic"] is True
+
+
+def test_tuple_check_svd_non_convergence_exits_3(tuple_file, capsys, monkeypatch):
+    def fails(a, **kwargs):
+        return np.zeros((0, 0)), np.zeros(min(a.shape)), np.zeros((0, 0)), 1
+
+    monkeypatch.setattr(numerics, "_gesdd", fails)
+    code, out, err = run(["tuple-check", "--in", tuple_file], capsys)
+    assert code == 3
+    assert "info 1" in err
 
 
 def test_tuple_check_noncommuting_exits_2(tmp_path, capsys):

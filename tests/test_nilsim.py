@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
 from arveson.errors import InputError, ValidationError
 from test_acceptance import _perturbed_input
+from test_tuples import _oracle_power_cache
 
 SQUARE = [(2, 0), (1, 1), (0, 2)]
 
@@ -348,6 +349,23 @@ def test_check_hypotheses_matches_the_former_loops():
         assert h.epsilon == eps, seed
         assert h.gamma == gamma, seed
         assert h.layer_dims == layer_dims, seed
+
+
+def test_check_hypotheses_orbit_matches_per_index_products():
+    # the orbit N^alpha xi kept for the correspondence, against one product
+    # per index, over the degrees the walk reaches
+    cases = [_perturbed_input(seed)[:2] for seed in range(10)]
+    for gens, d in (([(3, 0), (0, 2)], 2), (SQUARE, 2), ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 3)):
+        m = models.monomial_model(gens, d)
+        cases.append((m.tuple, m.cyclic))
+    for N, xi in cases:
+        h = nilsim.check_hypotheses(N, xi)
+        cache = _oracle_power_cache(N, N.n - 1)
+        dead = [ell for ell in range(N.n) if not any(cache[a].any() for a in mi._homogeneous(N.d, ell))]
+        top = min(dead, default=N.n - 1)
+        want = {a: cache[a] @ h.xi for a in cache if mi.degree(a) <= top}
+        assert list(h._orbit) == list(want)
+        assert all(np.array_equal(h._orbit[a], want[a]) for a in want)
 
 
 def _oracle_gauge_defect(N, xi):

@@ -205,3 +205,84 @@ def test_sqrt_and_inv_sqrt_match_the_former_pair():
         got = numerics.sqrt_and_inv_sqrt(s)
         want = _oracle_psd_roots(s)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- single-matrix SVDs through the LAPACK handle, pinned against numpy ----
+
+
+def _svd_cases():
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        m, n = (int(x) for x in rng.integers(1, 31, size=2))
+        r = int(rng.integers(0, min(m, n) + 1)) if trial % 2 else min(m, n)
+        a = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ (
+            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        )
+        yield a * 10.0 ** rng.uniform(-3, 3)
+    yield np.zeros((4, 4))
+    yield np.diag([1.0, 1e-310])
+
+
+def _oracle_operator_norm(a):
+    a = numerics.as_cmatrix(a)
+    return 0.0 if a.size == 0 else float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _oracle_cond(a):
+    s = np.linalg.svd(numerics.as_cmatrix(a), compute_uv=False)
+    return np.inf if s[-1] == 0 else float(s[0] / s[-1])
+
+
+def test_svd_forms_match_numpy():
+    for a in _svd_cases():
+        a = numerics.as_cmatrix(a)
+        assert np.array_equal(numerics._svd(a), np.linalg.svd(a, compute_uv=False))
+        for full in (False, True):
+            got = numerics._svd(a, uv=True, full=full)
+            want = np.linalg.svd(a, full_matrices=full)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # 1 / 1e-310
+def test_kernel_svds_match_the_former_numpy_calls():
+    for a in _svd_cases():
+        assert numerics.operator_norm(a) == _oracle_operator_norm(a)
+        assert numerics.cond(a) == _oracle_cond(a)
+        assert np.array_equal(numerics.nullspace(a), _oracle_nullspace(a))
+        assert np.array_equal(numerics.orth_columns(a), _oracle_orth_columns(a))
+        k = min(a.shape)
+        square = a[:k, :k]
+        s = np.linalg.svd(numerics.as_cmatrix(square), compute_uv=False)
+        want = (float(s[0]), float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
+        assert numerics.norm_and_inverse_norm(square) == want
+
+
+def test_empty_shapes_keep_their_results_and_stay_off_lapack(capfd):
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        a = np.zeros(shape)
+        assert np.array_equal(numerics.orth_columns(a), _oracle_orth_columns(a))
+        assert np.array_equal(numerics.nullspace(a), _oracle_nullspace(a))
+        assert numerics.operator_norm(a) == 0.0
+    assert numerics.orth_columns(np.zeros((0, 3))).shape == (0, 0)
+    assert numerics.orth_columns(np.zeros((3, 0))).shape == (3, 0)
+    assert np.array_equal(numerics.nullspace(np.zeros((0, 3))), np.eye(3))
+    assert numerics.nullspace(np.zeros((3, 0))).shape == (0, 0)
+    assert capfd.readouterr().err == ""
+
+
+def test_empty_shapes_raise_input_error():
+    for f in (numerics.norm_and_inverse_norm, numerics.cond):
+        with pytest.raises(InputError, match=r"\(0, 0\)"):
+            f(np.zeros((0, 0)))
+    with pytest.raises(InputError, match=r"\(0, 3\)"):
+        numerics.cond(np.zeros((0, 3)))
+
+
+def test_svd_non_convergence_raises_numerical_error(monkeypatch):
+    def fails(a, **kwargs):
+        return np.zeros((0, 0)), np.zeros(min(a.shape)), np.zeros((0, 0)), 1
+
+    monkeypatch.setattr(numerics, "_gesdd", fails)
+    for f in (numerics.operator_norm, numerics.cond, numerics.orth_columns, numerics.nullspace):
+        with pytest.raises(NumericalError, match="info 1"):
+            f(np.eye(3))

@@ -102,6 +102,19 @@ def test_vanishing_ideal_slice_single_point():
         assert abs(p((0.5,))) < 1e-10
 
 
+def test_vanishing_kernel_spans_the_slice():
+    # the points of the repro annihilator comparisons, and two more
+    for points, kappa in (
+        ([[0.5]], 1),
+        ([[0.1 + 0.05j, -0.2 + 0.0j]], 1),
+        ([[0.3, 0.1j], [-0.2, 0.4]], [0, 1]),
+    ):
+        basis, kernel = polyideal._vanishing_kernel(points, kappa, 2)
+        vi = polyideal.vanishing_ideal_slice(points, kappa, 2)
+        assert basis == vi.basis
+        assert numerics.subspace_equal(kernel, vi.slice_basis)
+
+
 def test_vanishing_ideal_slice_with_multiplicity():
     vi = polyideal.vanishing_ideal_slice([[0.25, -0.5]], [1], 4)
     for p in vi.generators:

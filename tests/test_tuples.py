@@ -31,6 +31,12 @@ def test_validate_rejects_shape_mismatch():
         tuples.validate([])
 
 
+def test_validate_rejects_the_empty_space():
+    # without the gate, row_defect would index an empty eigenvalue list
+    with pytest.raises(InputError, match=r"\(0, 0\)"):
+        tuples.validate([np.zeros((0, 0))])
+
+
 def test_require_commuting_gate():
     A = np.array([[0, 1], [0, 0]], dtype=complex)
     bad = tuples.validate([A, A.conj().T])
