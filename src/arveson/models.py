@@ -54,7 +54,12 @@ class ModelTuple:
         return self.tuple.n
 
 
-def _monomial_complement(generators: Sequence, d: int) -> list:
+def _monomial_complement(generators: Sequence, d: int) -> tuple:
+    """(comp, entries): the exponents outside the monomial ideal, graded lex,
+    and the entries (j, row, col, value) of the model. Walked one degree at
+    a time: x^c is outside exactly when c is not a generator and every
+    x^(c - e_i) with c_i > 0 is outside, since a generator that divides c
+    properly divides some c - e_i. Z_i maps each such c - e_i to c."""
     gens = [mi.as_index(g) for g in generators]
     for g in gens:
         if len(g) != d:
@@ -62,27 +67,36 @@ def _monomial_complement(generators: Sequence, d: int) -> list:
     if any(mi.degree(g) == 0 for g in gens):
         raise InputError("the ideal contains a unit; the model space is zero")
     # finite complement iff every variable appears as a pure power generator
-    box = []
-    for j in range(d):
-        powers = [g[j] for g in gens if all(g[i] == 0 for i in range(d) if i != j)]
-        powers = [p for p in powers if p > 0]
-        if not powers:
+    box = [min((g[j] for g in gens if 0 < g[j] == sum(g)), default=0) for j in range(d)]
+    for j, p in enumerate(box):
+        if not p:
             raise InputError(
                 f"no pure power of variable {j + 1} among the generators; "
                 f"the quotient is infinite dimensional"
             )
-        box.append(min(powers))
     max_deg = sum(p - 1 for p in box)
-    cand = mi.enumerate_indices(d, max_deg)
-    return [beta for beta, hit in zip(cand, _in_monomial_ideal(cand, gens)) if not hit]
-
-
-def _in_monomial_ideal(indices: Sequence, gens: Sequence) -> np.ndarray:
-    """Boolean mask over ``indices``: whether x^beta lies in the ideal
-    generated by the monomials x^g, i.e. some g divides beta."""
-    B = np.array(indices, dtype=np.int64)
-    G = np.array(gens, dtype=np.int64)
-    return (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
+    if d < 1:
+        raise InputError(f"dimension must be >= 1, got {d}")
+    if max_deg > mi.MAX_DEGREE:
+        raise InputError(f"max_degree {max_deg} exceeds hard limit {mi.MAX_DEGREE}")
+    gens, pos, entries = set(gens), {}, []
+    level = {(0,) * d: []}  # the survivors of one degree -> their entries (j, col, value)
+    while level:
+        for c in sorted(level, reverse=True):  # the order of mi._homogeneous
+            pos[c] = len(pos)
+            entries += [(j, pos[c], col, value) for j, col, value in level[c]]
+        ups = {b[:j] + (b[j] + 1,) + b[j + 1 :] for b in level for j in range(d)} - gens
+        level = {}
+        for c in ups:
+            shifts = []
+            for i in (i for i in range(d) if c[i]):
+                b = c[:i] + (c[i] - 1,) + c[i + 1 :]
+                if b not in pos:
+                    break
+                shifts.append((i, pos[b], math.sqrt((b[i] + 1) / (sum(b) + 1))))
+            else:
+                level[c] = shifts
+    return list(pos), entries
 
 
 def monomial_model(generators: Sequence, d: int) -> ModelTuple:
@@ -93,21 +107,15 @@ def monomial_model(generators: Sequence, d: int) -> ModelTuple:
     the shifted monomial falls in the ideal. With ||x^beta||^2 =
     beta!/|beta|! the squared ratio is (beta_j + 1) / (|beta| + 1), whose
     correctly rounded quotient of integers is the double of that rational;
-    entries are exact up to one floating square root.
+    entries are exact up to one floating square root. The complement and the
+    entries come from one walk (:func:`_monomial_complement`).
     """
-    comp = _monomial_complement(generators, d)
-    pos = {beta: i for i, beta in enumerate(comp)}
-    m = len(comp)
-    mats = []
-    for j in range(d):
-        Z = np.zeros((m, m), dtype=complex)
-        for beta, col in pos.items():
-            row = pos.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
-            if row is not None:
-                Z[row, col] = math.sqrt((beta[j] + 1) / (sum(beta) + 1))
-        mats.append(Z)
-    cyclic = np.zeros(m, dtype=complex)
-    cyclic[pos[(0,) * d]] = 1.0
+    comp, entries = _monomial_complement(generators, d)
+    mats = [np.zeros((len(comp), len(comp)), dtype=complex) for _ in range(d)]
+    for j, row, col, value in entries:
+        mats[j][row, col] = value
+    cyclic = np.zeros(len(comp), dtype=complex)
+    cyclic[0] = 1.0  # the walk starts at the zero index
     return ModelTuple(
         kind="monomial",
         tuple=tuples.validate(mats),

@@ -138,14 +138,23 @@ def check_hypotheses(
     """Measure (epsilon, gamma, L, card Xi) for a cyclic nilpotent tuple.
 
     The powers N^alpha come one degree at a time from ``tuples._levels``,
-    as one stack per degree; the orbit vectors N^alpha xi are kept for the
+    as one stack per degree over the degrees 0..n-1, walked right after the
+    commuting gate. If every power of some degree vanishes identically, so
+    does every N_j^n, and the nilpotency gate is read from the walk without
+    ``_require_nilpotent``. The orbit vectors N^alpha xi are kept for the
     correspondence. gamma is the largest gauge norm on a grid over
     [0, 2pi) (one stacked SVD), refined once locally around the maximizer;
     for orthogonal layers it is exactly 1. When the layers fail to span
     directly the gauge is reported as unavailable, not estimated.
     """
     N.require_commuting(tol)
-    _require_nilpotent(N)
+    levels = []
+    for _, level in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
+        levels.append(level)
+        if not level[1].any():
+            break  # all deeper powers are products with these and vanish too
+    else:
+        _require_nilpotent(N)
     if not N.is_row_contraction(tol):
         raise ValidationError(
             f"row contraction defect {N.row_defect:.3e} exceeds tolerance"
@@ -162,7 +171,7 @@ def check_hypotheses(
     orbit = {}
     eps = 0.0
     root_n = math.sqrt(N.n)
-    for _, (keys, stack) in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
+    for ell, (keys, stack) in enumerate(levels):
         vecs = stack @ xi
         orbit.update(zip(keys, vecs))
         # Frobenius norms, only compared with tol: they dominate the
@@ -172,12 +181,8 @@ def check_hypotheses(
             if fros[i] <= tol * root_n and numerics.operator_norm(stack[i]) <= tol:
                 continue
             support.append(keys[i])
-            val = mi.multinomial_weight(keys[i]) * float(np.linalg.norm(vecs[i])) ** 2
+            val = tuples._weight_table(N.d, ell)[keys[i]] * float(np.linalg.norm(vecs[i])) ** 2
             eps = max(eps, 1.0 - val)
-        if not stack.any():
-            # every power at this degree vanished identically, so all deeper
-            # ones are products with these and vanish too
-            break
     eps = max(eps, 0.0)
     L = max(mi.degree(a) for a in support)
 
@@ -249,8 +254,9 @@ def _annihilator_matches_ideal(
     D = max(box_degree + 1, max(mi.degree(g) for g in gens))
     basis, A = tuples.annihilator_coeffs(N, D)
     # for monomial generators the degree slice is the span of the divisible
-    # monomials, which is a coordinate subspace
-    in_ideal = models._in_monomial_ideal(basis, gens)
+    # monomials, the coordinate subspace of those outside the model basis
+    comp = set(model.basis_indices)
+    in_ideal = np.array([b not in comp for b in basis])
     k = int(in_ideal.sum())
     if A.shape[1] == 0:
         return k == 0
@@ -299,7 +305,7 @@ def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTu
     zero = np.zeros(N.n, dtype=complex)
     cols = []
     for beta in model.basis_indices:
-        w = math.sqrt(mi.multinomial_weight(beta))
+        w = math.sqrt(tuples._weight_table(N.d, mi.degree(beta))[beta])
         cols.append(w * orbit.get(beta, zero))
     U = np.column_stack(cols)
     try:

@@ -6,14 +6,16 @@ are relative to the input norm; rank decisions go through one cut
 ambiguous.
 
 Single-matrix SVDs (:func:`_svd`) call the ``zgesdd`` handle of
-``scipy.linalg.lapack`` with its queried workspace, as ``numpy.linalg.svd``
-does, without numpy's per-call dispatch, which costs as much as the SVD on
-the few-row matrices certificates make by the thousand; stacked SVDs stay
-on numpy. Both agree bit for bit, except where the OpenBLAS builds bundled
-with numpy and scipy split a threaded call apart (tall, 64 rows and up).
+``scipy.linalg.lapack`` with the workspace numpy would query, from a table of
+shapes (:func:`_gesdd_work`), without numpy's per-call dispatch, which costs
+as much as the SVD on the few-row matrices certificates make by the thousand;
+stacked SVDs stay on numpy. Both agree bit for bit, except where the OpenBLAS
+builds of numpy and scipy split a threaded call apart (tall, 64 rows and up).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -46,12 +48,18 @@ def _require_square(a: np.ndarray) -> None:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
 
 
+@functools.lru_cache(maxsize=None)
+def _gesdd_work(m: int, n: int, uv: bool, full: bool) -> int:
+    """The ``zgesdd`` workspace of an m x n SVD in one form, queried once."""
+    work, _ = _gesdd_lwork(m, n, compute_uv=uv, full_matrices=full)
+    return int(work.real)
+
+
 def _svd(a: np.ndarray, uv: bool = False, full: bool = False):
     """s, or (u, s, vh) with ``uv`` (square u, vh with ``full``), of a
     nonempty matrix: LAPACK rejects an empty one."""
     m, n = a.shape
-    work, _ = _gesdd_lwork(m, n, compute_uv=uv, full_matrices=full)
-    u, s, vh, info = _gesdd(a, compute_uv=uv, full_matrices=full, lwork=int(work.real))
+    u, s, vh, info = _gesdd(a, compute_uv=uv, full_matrices=full, lwork=_gesdd_work(m, n, uv, full))
     if info:
         raise NumericalError(f"SVD of a {m}x{n} matrix failed: LAPACK zgesdd info {info}")
     return (u, s, vh) if uv else s
@@ -131,18 +139,19 @@ def cond(a) -> float:
     s = _svd(a)
     if s[-1] == 0:
         return np.inf
-    return float(s[0] / s[-1])
+    return float(s[0]) / float(s[-1])  # past the double range: inf, no warning
 
 
 def norm_and_inverse_norm(a) -> tuple:
     """(||a||, ||a^-1||) from one SVD: the singular values of a^-1 are the
-    reciprocals of those of a, so ||a^-1|| = 1/s_min (inf if singular)."""
+    reciprocals of those of a, so ||a^-1|| = 1/s_min (inf if singular, and
+    inf without a warning past the double range, for a subnormal s_min)."""
     a = as_cmatrix(a)
     _require_square(a)
     if a.size == 0:
         raise InputError(f"no inverse norm for an empty matrix of shape {a.shape}")
     s = _svd(a)
-    return float(s[0]), (float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
+    return float(s[0]), (1.0 / float(s[-1]) if s[-1] > 0 else np.inf)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -120,6 +121,12 @@ def _parent_table(d: int, ell: int) -> tuple:
     parents = np.array([position[a[:j] + (a[j] - 1,) + a[j + 1 :]] for a, j in zip(keys, js)])
     js.flags.writeable = parents.flags.writeable = False  # shared through the cache
     return keys, js, parents
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_table(d: int, ell: int) -> types.MappingProxyType:
+    """{alpha: |alpha|!/alpha!} over |alpha| = ell, like :func:`_parent_table`."""
+    return types.MappingProxyType({a: mi.multinomial_weight(a) for a in mi._homogeneous(d, ell)})
 
 
 def _levels(T: CommutingTuple, start: np.ndarray):

@@ -76,6 +76,94 @@ def test_monomial_model_is_bit_equal_to_fraction_oracle():
     assert count == 2542
 
 
+def _enumerated_model(generators, d):
+    """The former monomial model: every index up to the box degree, each
+    tested against every generator, then one shift lookup per entry."""
+    gens = [mi.as_index(g) for g in generators]
+    for g in gens:
+        if len(g) != d:
+            raise InputError(f"generator {g} has length {len(g)}, expected {d}")
+    if any(mi.degree(g) == 0 for g in gens):
+        raise InputError("the ideal contains a unit; the model space is zero")
+    box = []
+    for j in range(d):
+        powers = [g[j] for g in gens if all(g[i] == 0 for i in range(d) if i != j)]
+        powers = [p for p in powers if p > 0]
+        if not powers:
+            raise InputError(
+                f"no pure power of variable {j + 1} among the generators; "
+                f"the quotient is infinite dimensional"
+            )
+        box.append(min(powers))
+    cand = mi.enumerate_indices(d, sum(p - 1 for p in box))
+    B, G = np.array(cand, dtype=np.int64), np.array(gens, dtype=np.int64)
+    in_ideal = (B[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
+    comp = [beta for beta, hit in zip(cand, in_ideal) if not hit]
+    pos = {beta: i for i, beta in enumerate(comp)}
+    mats = []
+    for j in range(d):
+        Z = np.zeros((len(comp), len(comp)), dtype=complex)
+        for beta, col in pos.items():
+            row = pos.get(beta[:j] + (beta[j] + 1,) + beta[j + 1 :])
+            if row is not None:
+                Z[row, col] = math.sqrt((beta[j] + 1) / (sum(beta) + 1))
+        mats.append(Z)
+    cyclic = np.zeros(len(comp), dtype=complex)
+    cyclic[pos[(0,) * d]] = 1.0
+    return tuple(comp), mats, cyclic
+
+
+def _assert_matches_enumerated_model(gens, d):
+    m = models.monomial_model(gens, d)
+    comp, mats, cyclic = _enumerated_model(gens, d)
+    assert m.basis_indices == comp, gens
+    assert all(np.array_equal(Z, W) for Z, W in zip(m.tuple.matrices, mats)), gens
+    assert len(m.tuple.matrices) == d and np.array_equal(m.cyclic, cyclic), gens
+
+
+def test_monomial_model_walk_matches_the_former_enumeration():
+    count = 0
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 20):
+            _assert_matches_enumerated_model(_staircase_generators(d, comp), d)
+            count += 1
+    assert count == 2542
+    # generator sets that are not minimal: duplicates, multiples of other
+    # generators, generators outside the box, unsorted input
+    for gens, d in (
+        ([(2, 0), (2, 0), (0, 3), (1, 1), (1, 1)], 2),
+        ([(3, 0), (0, 2), (4, 0), (3, 1), (1, 2), (2, 2)], 2),
+        ([(4, 0), (0, 3), (1, 2), (9, 9), (7, 0), (0, 8), (5, 1)], 2),
+        ([(1, 0, 0), (0, 0, 3), (0, 4, 0), (0, 1, 1), (2, 5, 0), (0, 0, 3)], 3),
+        ([(0, 2, 0), (2, 0, 0), (0, 0, 2), (1, 1, 1), (3, 3, 3)], 3),
+        ([(5,), (7,), (5,)], 1),
+        ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 1, 1)], 4),
+    ):
+        _assert_matches_enumerated_model(gens, d)
+
+
+@pytest.mark.parametrize(
+    "gens, d, message",
+    [
+        ([(2, 0), (0, 2, 1)], 2, "generator (0, 2, 1) has length 3, expected 2"),
+        ([(2, 0), (0, 0)], 2, "the ideal contains a unit; the model space is zero"),
+        ([(2, 0), (1, 1)], 2, "no pure power of variable 2 among the generators"),
+        ([(0, 3), (1, 1)], 2, "no pure power of variable 1 among the generators"),
+        ([(1, -1)], 2, "multi-index entries must be >= 0, got (1, -1)"),
+        ([], 0, "dimension must be >= 1, got 0"),
+        # a walk over this box would visit 27 million cells
+        ([(300, 0, 0), (0, 300, 0), (0, 0, 300)], 3, "max_degree 897 exceeds hard limit 512"),
+    ],
+)
+def test_monomial_model_refusals_keep_their_messages(gens, d, message):
+    with pytest.raises(InputError) as got:
+        models.monomial_model(gens, d)
+    with pytest.raises(InputError) as want:
+        _enumerated_model(gens, d)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
+
+
 def test_monomial_model_rejects_unit():
     with pytest.raises(InputError):
         models.monomial_model([(0, 0)], 2)

@@ -42,6 +42,58 @@ def test_check_hypotheses_requires_nilpotent():
         nilsim.check_hypotheses(T, np.array([1.0]))
 
 
+_SHIFT3 = np.diag([1.0, 1.0], 1)
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        ([np.array([[0.5]]), np.array([[0.1]])], "matrix 1 is not nilpotent within tolerance (||N^n|| = 5.000e-01)"),
+        ([0.5 * _SHIFT3, 0.5 * _SHIFT3 + 0.25 * np.eye(3)], "matrix 2 is not nilpotent within tolerance (||N^n|| = 2.296e-01)"),
+        ([0.6 * _SHIFT3, 0.5 * _SHIFT3 @ _SHIFT3 + 1e-3 * np.eye(3)], "matrix 2 is not nilpotent within tolerance (||N^n|| = 1.500e-06)"),
+    ],
+)
+def test_non_nilpotent_tuple_keeps_its_message(mats, message):
+    xi = np.zeros(len(mats[0]))
+    xi[-1] = 1.0
+    with pytest.raises(ValidationError) as got:
+        nilsim.check_hypotheses(tuples.validate(mats), xi)
+    assert str(got.value) == message
+
+
+def _count_matrix_powers(monkeypatch):
+    calls = []
+
+    def counted(*args, _orig=np.linalg.matrix_power):
+        calls.append(args[1])
+        return _orig(*args)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    return calls
+
+
+def test_nilpotency_is_read_from_a_walk_that_dies(monkeypatch):
+    # the walk covers the degrees below n, so it dies on a model whose top
+    # degree is below n - 1, scaled or not
+    calls = _count_matrix_powers(monkeypatch)
+    cube = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    for gens, d in ((SQUARE, 2), ([(3, 0), (0, 2)], 2), (cube, 3)):
+        m = models.monomial_model(gens, d)
+        for s in (1.0, 0.9):
+            nilsim.check_hypotheses(tuples.validate([s * Z for Z in m.tuple.matrices]), m.cyclic)
+    assert calls == []
+
+
+def test_nilpotency_gate_runs_when_the_walk_survives(monkeypatch):
+    # one Jordan block: N^(n-1) != 0, so no degree below n dies and the
+    # gate takes N_j^n for each j
+    calls = _count_matrix_powers(monkeypatch)
+    N = tuples.validate([0.6 * _SHIFT3, 0.8 * _SHIFT3])
+    h = nilsim.check_hypotheses(N, np.array([0.0, 0.0, 1.0]))
+    assert calls == [3, 3]
+    assert h.L == 2 and h.card == 6
+
+
 def test_check_hypotheses_requires_cyclic():
     m = square_model()
     xi = np.array([0.0, 1.0, 0.0])

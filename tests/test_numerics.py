@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from arveson import numerics
@@ -230,7 +231,8 @@ def _oracle_operator_norm(a):
 
 def _oracle_cond(a):
     s = np.linalg.svd(numerics.as_cmatrix(a), compute_uv=False)
-    return np.inf if s[-1] == 0 else float(s[0] / s[-1])
+    with np.errstate(over="ignore"):  # unguarded: s_min may be subnormal
+        return np.inf if s[-1] == 0 else float(s[0] / s[-1])
 
 
 def test_svd_forms_match_numpy():
@@ -243,7 +245,7 @@ def test_svd_forms_match_numpy():
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # 1 / 1e-310
+@pytest.mark.filterwarnings("error")
 def test_kernel_svds_match_the_former_numpy_calls():
     for a in _svd_cases():
         assert numerics.operator_norm(a) == _oracle_operator_norm(a)
@@ -253,8 +255,45 @@ def test_kernel_svds_match_the_former_numpy_calls():
         k = min(a.shape)
         square = a[:k, :k]
         s = np.linalg.svd(numerics.as_cmatrix(square), compute_uv=False)
-        want = (float(s[0]), float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
+        with np.errstate(over="ignore"):  # unguarded: s_min may be subnormal
+            want = (float(s[0]), float(1.0 / s[-1]) if s[-1] > 0 else np.inf)
         assert numerics.norm_and_inverse_norm(square) == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_smallest_singular_value_reports_inf():
+    for tiny in (1e-310, 5e-324):
+        a = np.diag([1.0, tiny])
+        assert numerics.norm_and_inverse_norm(a) == (1.0, np.inf)
+        assert numerics.cond(a) == np.inf
+    # the quotient overflows without a subnormal too
+    assert numerics.cond(np.diag([1e300, 1e-10])) == np.inf
+
+
+def test_svd_workspace_table_matches_the_query():
+    for a in _svd_cases():
+        m, n = a.shape
+        for uv, full in ((False, False), (True, False), (True, True)):
+            work, _ = scipy.linalg.lapack.zgesdd_lwork(m, n, compute_uv=uv, full_matrices=full)
+            assert numerics._gesdd_work(m, n, uv, full) == int(work.real)
+
+
+def test_repeated_svd_shapes_query_the_workspace_once(monkeypatch):
+    queries = []
+
+    def counted(m, n, **kwargs):
+        queries.append((m, n, kwargs["compute_uv"], kwargs["full_matrices"]))
+        return scipy.linalg.lapack.zgesdd_lwork(m, n, **kwargs)
+
+    monkeypatch.setattr(numerics, "_gesdd_lwork", counted)
+    numerics._gesdd_work.cache_clear()
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        numerics.operator_norm(a)
+        numerics.orth_columns(a)
+        numerics.nullspace(a)
+    assert queries == [(5, 3, False, False), (5, 3, True, False), (5, 3, True, True)]
 
 
 def test_empty_shapes_keep_their_results_and_stay_off_lapack(capfd):

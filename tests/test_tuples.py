@@ -232,6 +232,14 @@ def _assert_krylov_equal(got, want):
     assert all(np.array_equal(a, b) for a, b in zip(got.layer_bases, want.layer_bases))
 
 
+def test_weight_table_holds_the_multinomial_weights():
+    for d in (1, 2, 3, 4):
+        for ell in range(7):
+            table = tuples._weight_table(d, ell)
+            assert list(table) == list(mi._homogeneous(d, ell))
+            assert all(type(w) is int and w == mi.multinomial_weight(a) for a, w in table.items())
+
+
 def test_power_orbits_match_the_former_loops():
     for T, xi in _orbit_cases():
         for degree in (0, 1, T.n):
