@@ -217,12 +217,14 @@ def _certificate_result(cert: nilsim.SimilarityCertificate) -> dict:
         "card_support": h.card,
         "L": h.L,
         "gamma": h.gamma,
+        "gamma_upper": h.gamma_upper,
         "layers_direct": h.layers_direct,
         "layer_dims": list(h.layer_dims),
         "norm_X": cert.norm_X,
         "norm_X_inv": cert.norm_X_inv,
         "cond": cert.cond,
         "bound_X": cert.bound_X,
+        "bound_X_certified": cert.bound_X_certified,
         "bound_X_inv": cert.bound_X_inv,
         "bounds_hold": cert.bounds_hold,
         "residual": cert.residual,

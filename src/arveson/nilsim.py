@@ -9,6 +9,10 @@ and the resulting norm bounds
 
     ||X|| <= (L+1) gamma / sqrt(1 - epsilon card),   ||X^{-1}|| <= L + 1.
 
+gamma is measured on a grid; the certificate also carries the bound with
+gamma replaced by ``gamma_upper``, a proved upper bound on the gauge
+supremum (Bernstein's inequality on the grid, see ``NilsimHypotheses``).
+
 Necessity runs the other way: any intertwiner produces a distinguished
 cyclic vector, gauge operators with norm at most cond(X), and a floor of
 1/cond(X) on every weighted orbit norm.
@@ -29,7 +33,9 @@ from .errors import InputError, NumericalError, ValidationError
 NILPOTENT_RTOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 BOUND_SLACK = 1e-7
-GAMMA_GRID = 64  # grid points over [0, 2pi) for the gauge supremum gamma
+# grid points over [0, 2pi) for the gauge supremum gamma; the grid maximum
+# certifies gamma_upper while the top layer label is below 2 GAMMA_GRID / pi
+GAMMA_GRID = 64
 NECESSITY_TOL = 1e-8
 NECESSITY_GAUGE_SAMPLES = 8
 LEMMA_SAMPLES = 100
@@ -42,10 +48,30 @@ class NilsimHypotheses:
 
     epsilon is the worst defect 1 - (|a|!/a!) ||N^a xi||^2 over the support
     Xi = {a : N^a != 0} (the zero index included), L the top degree in Xi.
-    gamma is the norm of the layer gauge Y_t maximized over t, available
-    only when the homogeneous layers span directly. It is the largest of
-    ``GAMMA_GRID`` equispaced samples refined once locally, so it is an
-    estimate from below of the supremum, not a certified bound.
+    gamma is the norm of the layer gauge Y_t = B diag(e^{i l t}) B^-1
+    maximized over the ``GAMMA_GRID`` points t_k = 2 pi k / M (M =
+    ``GAMMA_GRID``), available only when the homogeneous layers span
+    directly; with orthonormal layers it is exactly 1. A grid maximum is an
+    estimate from below of the supremum gamma* = sup_t ||Y_t||.
+
+    ``gamma_upper`` is a proved upper bound on gamma*. Fix unit vectors u,
+    v and let Lmax be the top layer label. f(t) = u^* Y_t v is a
+    trigonometric polynomial with frequencies 0..Lmax, so
+    g(t) = e^{-i Lmax t/2} f(t) is an entire function of exponential type
+    Lmax/2 with sup |g| <= gamma* on the real line. Bernstein's inequality
+    (Boas, Entire Functions, 1954, ch. 11) gives |g'| <= (Lmax/2) gamma*.
+    Every t lies within pi/M of a grid point t_k, hence
+    |f(t)| <= ||Y_{t_k}|| + (pi Lmax / 2M) gamma*, and taking the supremum
+    over u, v and t,
+
+        gamma* <= gamma / (1 - pi Lmax / (2M))   whenever pi Lmax < 2M.
+
+    For larger Lmax the bound is vacuous and ``gamma_upper`` is None. With
+    orthonormal layers B^-1 is taken as B^H, and ||Y_t|| <= ||B||^2 =
+    ||B^H B|| <= 1 + ||B^H B - I||. Both values carry the relative factor
+    1 + ``BOUND_SLACK``, which covers the rounding of the computed gauges and
+    of their SVD (a few n u cond(B) relative, with u the unit roundoff).
+    Without a direct layer decomposition ``gamma_upper`` is None.
     ``gauge_defect`` is measured on first read.
     """
 
@@ -57,6 +83,7 @@ class NilsimHypotheses:
     layers_direct: bool
     layer_dims: tuple
     gamma: float | None
+    gamma_upper: float | None
     _layer_basis: np.ndarray | None = field(default=None, repr=False)
     _layer_labels: tuple = field(default=(), repr=False)
     _layer_basis_inv: np.ndarray | None = field(default=None, repr=False)
@@ -79,8 +106,7 @@ class NilsimHypotheses:
             raise ValidationError(
                 "layers are not a direct sum; no layer gauge is available"
             )
-        B = self._layer_basis
-        return _layer_gauge(B, self._layer_labels, numerics.inv(B), t)
+        return _layer_gauge(self._layer_basis, self._layer_labels, self._layer_basis_inv, t)
 
     @functools.cached_property
     def gauge_defect(self) -> float | None:
@@ -143,9 +169,10 @@ def check_hypotheses(
     does every N_j^n, and the nilpotency gate is read from the walk without
     ``_require_nilpotent``. The orbit vectors N^alpha xi are kept for the
     correspondence. gamma is the largest gauge norm on a grid over
-    [0, 2pi) (one stacked SVD), refined once locally around the maximizer;
-    for orthogonal layers it is exactly 1. When the layers fail to span
-    directly the gauge is reported as unavailable, not estimated.
+    [0, 2pi) (one stacked SVD), and gamma_upper the bound that grid
+    certifies (see ``NilsimHypotheses``); for orthonormal layers gamma is
+    exactly 1. When the layers fail to span directly the gauge is reported
+    as unavailable, not estimated.
     """
     N.require_commuting(tol)
     levels = []
@@ -190,6 +217,7 @@ def check_hypotheses(
     labels = ()
     B_inv = None
     gamma = None
+    gamma_upper = None
     if kry.layers_direct:
         layer_basis = np.hstack(kry.layer_bases)
         labels = tuple(
@@ -202,30 +230,19 @@ def check_hypotheses(
             # orthonormal layers make every W_t an isometry, so the supremum
             # is 1 without any grid search
             gamma = 1.0
+            gamma_upper = (1.0 + gram_defect) * (1.0 + BOUND_SLACK)
             B_inv = layer_basis.conj().T
         else:
             B_inv = numerics.inv(layer_basis)
-
-            def norm_at(t: float) -> float:
-                return numerics.operator_norm(_layer_gauge(layer_basis, labels, B_inv, t))
-
             ts = np.linspace(0.0, 2.0 * np.pi, GAMMA_GRID, endpoint=False)
             phases = np.array([[cmath.exp(1j * ell * t) for ell in labels] for t in ts])
             W = (layer_basis[None] * phases[:, None, :]) @ B_inv
-            vals = np.linalg.svd(W, compute_uv=False)[:, 0]
-            k = int(np.argmax(vals))
-            gamma = float(vals[k])
-            if len(set(labels)) > 1:
-                import scipy.optimize  # here, so that importing arveson does not load it
-
-                width = 2.0 * np.pi / GAMMA_GRID
-                res = scipy.optimize.minimize_scalar(
-                    lambda t: -norm_at(t),
-                    bounds=(ts[k] - width, ts[k] + width),
-                    method="bounded",
-                    options={"xatol": 1e-10},
-                )
-                gamma = max(gamma, -float(res.fun))
+            gamma = float(np.linalg.svd(W, compute_uv=False)[:, 0].max())
+            # between grid points the gauge norm moves by at most
+            # (pi / M)(Lmax / 2) gamma* (Bernstein); the labels end at Lmax
+            drift = np.pi * labels[-1] / (2.0 * GAMMA_GRID)
+            if drift < 1.0:
+                gamma_upper = gamma * (1.0 + BOUND_SLACK) / (1.0 - drift)
 
     return NilsimHypotheses(
         xi=xi,
@@ -236,6 +253,7 @@ def check_hypotheses(
         layers_direct=kry.layers_direct,
         layer_dims=kry.layer_dims,
         gamma=gamma,
+        gamma_upper=gamma_upper,
         _layer_basis=layer_basis,
         _layer_labels=labels,
         _layer_basis_inv=B_inv,
@@ -332,6 +350,8 @@ class SimilarityCertificate:
     norm_X_inv: float
     cond: float
     bound_X: float
+    # the bound with gamma_upper for gamma, None when that is vacuous
+    bound_X_certified: float | None
     bound_X_inv: float
     bounds_hold: bool
     residual: float
@@ -389,10 +409,10 @@ def build_similarity(
             f"conjugation residual {residual:.3e} is too large; the "
             f"correspondence matrix is unreliable"
         )
-    bound_X = (
-        (hyps.L + 1)
-        * hyps.gamma
-        / math.sqrt(1.0 - hyps.epsilon * hyps.card)
+    root = math.sqrt(1.0 - hyps.epsilon * hyps.card)
+    bound_X = (hyps.L + 1) * hyps.gamma / root
+    bound_X_certified = (
+        None if hyps.gamma_upper is None else (hyps.L + 1) * hyps.gamma_upper / root
     )
     bound_X_inv = float(hyps.L + 1)
     holds = (
@@ -408,6 +428,7 @@ def build_similarity(
         norm_X_inv=norm_X_inv,
         cond=cond,
         bound_X=bound_X,
+        bound_X_certified=bound_X_certified,
         bound_X_inv=bound_X_inv,
         bounds_hold=holds,
         residual=residual,

@@ -166,6 +166,8 @@ def test_nilsim_certificate(tuple_file, ideal_file, tmp_path, capsys):
     rep = json.loads(out)
     assert rep["result"]["bounds_hold"] is True
     assert rep["result"]["necessity"]["ok"] is True
+    assert rep["result"]["gamma"] <= rep["result"]["gamma_upper"]
+    assert rep["result"]["bound_X"] <= rep["result"]["bound_X_certified"]
 
 
 def test_nilsim_singular_orbit_exits_2(tuple_file, tmp_path, capsys):
@@ -266,11 +268,31 @@ def test_repro_6_4_seed_and_exact_min_cond(capsys):
     assert run(["repro-6-4", "--eps", "0.1,0.01", "--seed", "5"], capsys) == (code, out, err)
 
 
+# imports the CLI, then certifies a conjugated staircase, whose layers are
+# not orthonormal, so gamma and gamma_upper come from the gauge grid
+_SCIPY_OPTIMIZE_PROBE = """
+import sys
+import numpy as np
+import arveson.cli
+from arveson import models, nilsim, tuples
+
+gens = [(2, 0), (1, 1), (0, 2)]
+m = models.monomial_model(gens, 2)
+S = np.eye(3) + 0.05 * np.random.default_rng(0).standard_normal((3, 3))
+mats = [S @ Z @ np.linalg.inv(S) for Z in m.tuple.matrices]
+g = np.linalg.norm(sum(M @ M.T for M in mats), 2)
+xi = S @ m.cyclic
+cert = nilsim.build_similarity(tuples.validate([M / np.sqrt(g) for M in mats]), xi / np.linalg.norm(xi), gens)
+assert cert.hypotheses.gamma > 1.0 and cert.bound_X_certified is not None
+print('scipy.optimize' in sys.modules)
+"""
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     src = str(Path(arveson.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe = "import sys, arveson.cli; print('scipy.optimize' in sys.modules)"
+    probe = _SCIPY_OPTIMIZE_PROBE
     res = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )

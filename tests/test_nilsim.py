@@ -332,7 +332,7 @@ def test_build_similarity_lapack_calls(gens, d, want, lapack_counts):
 
 
 def _oracle_hypotheses(N, xi, tol=1e-9):
-    # the former level loop of check_hypotheses and its gamma search
+    # the former level loop of check_hypotheses and its gamma grid
     xi = xi / float(np.linalg.norm(xi))
     kry = tuples.krylov(N, xi, N.n)
     support = []
@@ -373,26 +373,15 @@ def _oracle_hypotheses(N, xi, tol=1e-9):
         phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
         return numerics.operator_norm((B * phases) @ B_inv)
 
-    grid = 64
-    ts = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    vals = [norm_at(t) for t in ts]
-    k = int(np.argmax(vals))
-    gamma = vals[k]
-    width = 2.0 * np.pi / grid
-    res = scipy.optimize.minimize_scalar(
-        lambda t: -norm_at(t),
-        bounds=(ts[k] - width, ts[k] + width),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    gamma = max(gamma, -float(res.fun))
+    ts = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    gamma = max(norm_at(t) for t in ts)
     return tuple(support), max(eps, 0.0), gamma, kry.layer_dims
 
 
 def test_check_hypotheses_matches_the_former_loops():
     # the scaled inputs have orthonormal layers (gamma 1); the conjugated
-    # ones take gamma from the grid search, now one stacked SVD, and its
-    # refine, which the oracle evaluates one gauge at a time
+    # ones take gamma from the grid, now one stacked SVD, which the oracle
+    # evaluates one gauge at a time
     for seed in range(20):
         N, xi, _ = _perturbed_input(seed)
         h = nilsim.check_hypotheses(N, xi)
@@ -401,6 +390,66 @@ def test_check_hypotheses_matches_the_former_loops():
         assert h.epsilon == eps, seed
         assert h.gamma == gamma, seed
         assert h.layer_dims == layer_dims, seed
+
+
+def _brent_gamma(h):
+    # the former gamma: the 64-point grid maximum refined once by Brent's
+    # method on the two grid cells around the maximizer
+    def norm_at(t):
+        return numerics.operator_norm(h.gauge(t))
+
+    grid = 64
+    ts = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    vals = [norm_at(t) for t in ts]
+    k = int(np.argmax(vals))
+    width = 2.0 * np.pi / grid
+    res = scipy.optimize.minimize_scalar(
+        lambda t: -norm_at(t),
+        bounds=(ts[k] - width, ts[k] + width),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(vals[k], -float(res.fun))
+
+
+def _fine_grid_gamma(h, points=20_000, chunk=2_000):
+    labels = np.array(h._layer_labels)
+    B, B_inv = h._layer_basis, h._layer_basis_inv
+    best = 0.0
+    for start in range(0, points, chunk):
+        ts = 2.0 * np.pi * np.arange(start, start + chunk) / points
+        W = (B[None] * np.exp(1j * np.outer(ts, labels))[:, None, :]) @ B_inv
+        best = max(best, float(np.linalg.svd(W, compute_uv=False)[:, 0].max()))
+    return best
+
+
+def test_gamma_upper_brackets_the_gauge_supremum():
+    # the conjugated inputs have layers that are not orthonormal, so gamma
+    # is a grid maximum and gamma_upper its Bernstein bound
+    for seed in range(8, 40):
+        N, xi, gens = _perturbed_input(seed)
+        h = nilsim.check_hypotheses(N, xi)
+        assert h.gamma > 1.0, seed
+        assert h.gamma <= _brent_gamma(h) <= h.gamma_upper, seed
+        assert _fine_grid_gamma(h) <= h.gamma_upper, seed
+        cert = nilsim.build_similarity(N, xi, gens)
+        assert cert.bound_X <= cert.bound_X_certified, seed
+
+
+def test_gamma_upper_is_none_when_the_grid_is_too_coarse():
+    # a conjugated 42 x 42 Jordan block has layer labels up to 41, and
+    # pi 41 >= 2 GAMMA_GRID, so the grid certifies nothing
+    n = 42
+    rng = np.random.default_rng(42)
+    S = np.eye(n) + 1e-3 * rng.standard_normal((n, n)) / math.sqrt(n)
+    J = np.diag(np.ones(n - 1), -1)
+    M = S @ J @ np.linalg.inv(S)
+    M /= np.linalg.norm(M, 2)
+    xi = S[:, 0] / np.linalg.norm(S[:, 0])
+    h = nilsim.check_hypotheses(tuples.validate([M]), xi)
+    assert h.layers_direct and h._layer_labels[-1] == n - 1
+    assert h.gamma > 1.0
+    assert h.gamma_upper is None
 
 
 def test_check_hypotheses_orbit_matches_per_index_products():
@@ -555,14 +604,15 @@ def test_build_similarity_uses_the_hypotheses_xi_as_is():
 
 # Exact numbers of dense LAPACK calls made by build_similarity on a
 # conjugated staircase, whose layers are not orthonormal, so gamma comes
-# from the grid and its refine. While the 64 grid gauges took one SVD each,
-# the hypotheses measured the gauge defect eagerly and the model rebuilt for
-# the correspondence measured its row defect, the same call made svd 83,
-# eigh 0, eigvalsh 1, inv 2.
+# from the grid, one stacked SVD. While a Brent refine followed the grid,
+# the same call made svd 17, 9 of them the refine's. While the 64 grid
+# gauges took one SVD each, the hypotheses measured the gauge defect eagerly
+# and the model rebuilt for the correspondence measured its row defect, it
+# made svd 83, eigh 0, eigvalsh 1, inv 2.
 def test_build_similarity_grid_branch_lapack_calls(lapack_counts):
     N, xi, gens = _perturbed_input(9)
     lapack_counts.clear()
     cert = nilsim.build_similarity(N, xi, gens)
     assert cert.hypotheses.gamma > 1.0
-    want = {"svd": 17, "eigh": 0, "eigvalsh": 0, "inv": 2}
+    want = {"svd": 8, "eigh": 0, "eigvalsh": 0, "inv": 2}
     assert {k: lapack_counts[k] for k in want} == want
