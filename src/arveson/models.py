@@ -118,7 +118,9 @@ def monomial_model(generators: Sequence, d: int) -> ModelTuple:
     cyclic[0] = 1.0  # the walk starts at the zero index
     return ModelTuple(
         kind="monomial",
-        tuple=tuples.validate(mats),
+        # square, of one size and finite by construction: validate would
+        # check nothing
+        tuple=tuples.CommutingTuple(matrices=tuple(mats)),
         cyclic=cyclic,
         basis_indices=tuple(comp),
     )

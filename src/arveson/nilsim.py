@@ -141,9 +141,13 @@ def _require_unit(xi, n: int) -> np.ndarray:
     return xi / nrm
 
 
-def _require_nilpotent(N: tuples.CommutingTuple, tol: float = NILPOTENT_RTOL) -> None:
-    for j, (Nj, norm) in enumerate(zip(N.matrices, N.norms)):
-        P = np.linalg.matrix_power(Nj, N.n)
+def _require_nilpotent(N: tuples.CommutingTuple, top: tuple, tol: float = NILPOTENT_RTOL) -> None:
+    """The nilpotency gate on N_j^n = N_j N_j^(n-1), with ``top`` the walk's
+    (keys, stack) of degree n - 1, which holds every N_j^(n-1)."""
+    keys, stack = top
+    pure = [keys.index(tuple(N.n - 1 if i == j else 0 for i in range(N.d))) for j in range(N.d)]
+    powers = np.stack(N.matrices) @ stack[pure]
+    for j, (P, norm) in enumerate(zip(powers, N.norms)):
         gate = tol * max(1.0, norm) ** N.n
         if float(np.linalg.norm(P)) <= gate:
             # Frobenius dominates the spectral norm
@@ -156,6 +160,16 @@ def _require_nilpotent(N: tuples.CommutingTuple, tol: float = NILPOTENT_RTOL) ->
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _phases(samples: int, top: int) -> np.ndarray:
+    """e^{i l t} at t = 2 pi k / samples (rows k) for l = 0..top (columns),
+    shared read-only through the cache."""
+    ts = [2.0 * np.pi * k / samples for k in range(samples)]
+    table = np.array([[cmath.exp(1j * ell * t) for ell in range(top + 1)] for t in ts])
+    table.flags.writeable = False
+    return table
+
+
 def check_hypotheses(
     N: tuples.CommutingTuple,
     xi,
@@ -166,8 +180,9 @@ def check_hypotheses(
     The powers N^alpha come one degree at a time from ``tuples._levels``,
     as one stack per degree over the degrees 0..n-1, walked right after the
     commuting gate. If every power of some degree vanishes identically, so
-    does every N_j^n, and the nilpotency gate is read from the walk without
-    ``_require_nilpotent``. The orbit vectors N^alpha xi are kept for the
+    does every N_j^n, and the nilpotency gate is read from the walk; otherwise
+    ``_require_nilpotent`` takes each N_j^n as N_j times the N_j^(n-1) of the
+    walk's last degree. The orbit vectors N^alpha xi are kept for the
     correspondence. gamma is the largest gauge norm on a grid over
     [0, 2pi) (one stacked SVD), and gamma_upper the bound that grid
     certifies (see ``NilsimHypotheses``); for orthonormal layers gamma is
@@ -181,7 +196,7 @@ def check_hypotheses(
         if not level[1].any():
             break  # all deeper powers are products with these and vanish too
     else:
-        _require_nilpotent(N)
+        _require_nilpotent(N, levels[-1])
     if not N.is_row_contraction(tol):
         raise ValidationError(
             f"row contraction defect {N.row_defect:.3e} exceeds tolerance"
@@ -201,15 +216,15 @@ def check_hypotheses(
     for ell, (keys, stack) in enumerate(levels):
         vecs = stack @ xi
         orbit.update(zip(keys, vecs))
+        weights = tuples._weight_table(N.d, ell)
         # Frobenius norms, only compared with tol: they dominate the
         # spectral norms
-        fros = np.linalg.norm(stack, axis=(1, 2))
-        for i in np.flatnonzero(fros > tol):
-            if fros[i] <= tol * root_n and numerics.operator_norm(stack[i]) <= tol:
+        fros = np.linalg.norm(stack, axis=(1, 2)).tolist()
+        for i, fro in enumerate(fros):
+            if fro <= tol or (fro <= tol * root_n and numerics.operator_norm(stack[i]) <= tol):
                 continue
             support.append(keys[i])
-            val = tuples._weight_table(N.d, ell)[keys[i]] * float(np.linalg.norm(vecs[i])) ** 2
-            eps = max(eps, 1.0 - val)
+            eps = max(eps, 1.0 - weights[keys[i]] * float(np.linalg.norm(vecs[i])) ** 2)
     eps = max(eps, 0.0)
     L = max(mi.degree(a) for a in support)
 
@@ -234,8 +249,7 @@ def check_hypotheses(
             B_inv = layer_basis.conj().T
         else:
             B_inv = numerics.inv(layer_basis)
-            ts = np.linspace(0.0, 2.0 * np.pi, GAMMA_GRID, endpoint=False)
-            phases = np.array([[cmath.exp(1j * ell * t) for ell in labels] for t in ts])
+            phases = _phases(GAMMA_GRID, labels[-1])[:, list(labels)]
             W = (layer_basis[None] * phases[:, None, :]) @ B_inv
             gamma = float(np.linalg.svd(W, compute_uv=False)[:, 0].max())
             # between grid points the gauge norm moves by at most
@@ -320,12 +334,10 @@ def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTu
     """(X, U, residual) with U the weighted orbit matrix and X = U^-1.
     ``orbit`` maps alpha to N^alpha xi; an index it lacks lies past a degree
     at which every power of N vanishes, so its column is zero."""
-    zero = np.zeros(N.n, dtype=complex)
-    cols = []
-    for beta in model.basis_indices:
-        w = math.sqrt(tuples._weight_table(N.d, mi.degree(beta))[beta])
-        cols.append(w * orbit.get(beta, zero))
-    U = np.column_stack(cols)
+    U = np.zeros((N.n, N.n), dtype=complex)
+    for k, beta in enumerate(model.basis_indices):
+        if beta in orbit:
+            U[:, k] = math.sqrt(tuples._weight_table(N.d, mi.degree(beta))[beta]) * orbit[beta]
     try:
         X = numerics.inv(U)
     except NumericalError as exc:
@@ -435,6 +447,15 @@ def build_similarity(
     )
 
 
+def _gauge_stack(degrees: list) -> np.ndarray:
+    """The gauges W_t of ``models.gauge_unitary`` at the sample points, as
+    one stack of diagonals, for a model basis of these degrees (graded)."""
+    n = len(degrees)
+    W = np.zeros((NECESSITY_GAUGE_SAMPLES, n, n), dtype=complex)
+    W[:, range(n), range(n)] = _phases(NECESSITY_GAUGE_SAMPLES, degrees[-1])[:, degrees]
+    return W
+
+
 @dataclass(frozen=True)
 class NecessityReport:
     ok: bool
@@ -493,11 +514,12 @@ def necessity_check(
     # every orbit norm s^(2|a|) with cond(X) = s^(-L).
     floor = 1.0 / cond**2
 
-    cache = tuples._power_cache(N, max(mi.degree(b) for b in model.basis_indices))
+    degrees = [mi.degree(b) for b in model.basis_indices]
+    cache = tuples._power_cache(N, degrees[-1])
     per_alpha = []
     worst = np.inf
-    for beta in model.basis_indices:
-        val = mi.multinomial_weight(beta) * float(np.linalg.norm(cache[beta] @ xi)) ** 2
+    for beta, ell in zip(model.basis_indices, degrees):
+        val = tuples._weight_table(N.d, ell)[beta] * float(np.linalg.norm(cache[beta] @ xi)) ** 2
         per_alpha.append((beta, val))
         worst = min(worst, val - floor)
     orbit_ok = worst >= -NECESSITY_TOL
@@ -505,7 +527,7 @@ def necessity_check(
     # every sample at once: one SVD call for the gauges Y_t, one for the
     # commutator defects Y_t N_j Y_t^-1 - e^{it} N_j
     ts = [2.0 * np.pi * k / NECESSITY_GAUGE_SAMPLES for k in range(NECESSITY_GAUGE_SAMPLES)]
-    W = np.stack([models.gauge_unitary(model, t) for t in ts])
+    W = _gauge_stack(degrees)
     Y = X_inv @ W @ X
     Y_inv = X_inv @ np.swapaxes(W.conj(), -1, -2) @ X
     gauge_norm = float(np.linalg.svd(Y, compute_uv=False)[:, 0].max())
@@ -574,12 +596,12 @@ def lemma_checks(
         raise ValidationError(
             f"row contraction defect {T.row_defect:.3e} exceeds tolerance"
         )
-    xi = _require_unit(xi, T.n)
+    unit = _require_unit(xi, T.n)
     if epsilon < 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
     rng = np.random.default_rng(seed)
     cache = tuples._power_cache(T, max(T.n - 1, 0))
-    orbit = {a: P @ xi for a, P in cache.items()}
+    orbit = {a: P @ unit for a, P in cache.items()}
     weighted = {
         a: mi.multinomial_weight(a) * float(np.linalg.norm(v)) ** 2
         for a, v in orbit.items()
@@ -645,7 +667,8 @@ def lemma_checks(
         )
     )
 
-    # full two-sided equivalence; needs the nilpotent gauge hypotheses
+    # full two-sided equivalence; needs the nilpotent gauge hypotheses, read
+    # from the caller's vector as build_similarity reads them
     try:
         hyps = check_hypotheses(T, xi)
     except (ValidationError, NumericalError) as exc:

@@ -160,18 +160,18 @@ def _rank(s: np.ndarray, rtol: float) -> int:
     be unambiguous: the smallest kept singular value must exceed the largest
     discarded one by ``GAP_RATIO``, otherwise a NumericalError is raised
     rather than a silent misclassification."""
-    if not s.size or s[0] == 0.0:
+    s = s.tolist()
+    if not s or s[0] == 0.0:
         return 0
     cut = rtol * s[0]
-    kept = s[s >= cut]
-    dropped = s[s < cut]
-    if kept.size and dropped.size and 0 < dropped[0] and kept[-1] < GAP_RATIO * dropped[0]:
+    rank = sum(v >= cut for v in s)
+    if 0 < rank < len(s) and 0 < s[rank] and s[rank - 1] < GAP_RATIO * s[rank]:
         raise NumericalError(
             "ambiguous rank decision: singular values "
-            f"{kept[-1]:.3e} vs {dropped[0]:.3e} straddle the cutoff with "
+            f"{s[rank - 1]:.3e} vs {s[rank]:.3e} straddle the cutoff with "
             f"gap ratio below {GAP_RATIO:.1e}"
         )
-    return int(kept.size)
+    return rank
 
 
 def nullspace(a, rtol: float = RANK_RTOL) -> np.ndarray:

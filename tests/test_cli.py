@@ -156,8 +156,8 @@ def test_interp_check_and_pick(tmp_path, capsys):
 
 def test_nilsim_certificate(tuple_file, ideal_file, tmp_path, capsys):
     obj = {
-        "tuple": json.loads(open(tuple_file).read()),
-        "ideal": json.loads(open(ideal_file).read()),
+        "tuple": json.loads(Path(tuple_file).read_text()),
+        "ideal": json.loads(Path(ideal_file).read_text()),
     }
     p = tmp_path / "nilsim.json"
     p.write_text(json.dumps(obj))
@@ -182,7 +182,7 @@ def test_nilsim_singular_orbit_exits_2(tuple_file, tmp_path, capsys):
         ],
     }
     p = tmp_path / "nilsim.json"
-    p.write_text(json.dumps({"tuple": json.loads(open(tuple_file).read()), "ideal": ideal}))
+    p.write_text(json.dumps({"tuple": json.loads(Path(tuple_file).read_text()), "ideal": ideal}))
     code, out, err = run(["nilsim", "--in", str(p)], capsys)
     assert code == 2
     assert "not a basis" in err
@@ -190,8 +190,8 @@ def test_nilsim_singular_orbit_exits_2(tuple_file, tmp_path, capsys):
 
 def test_grid_flag_is_gone(tuple_file, ideal_file, tmp_path, capsys):
     obj = {
-        "tuple": json.loads(open(tuple_file).read()),
-        "ideal": json.loads(open(ideal_file).read()),
+        "tuple": json.loads(Path(tuple_file).read_text()),
+        "ideal": json.loads(Path(ideal_file).read_text()),
     }
     p = tmp_path / "nilsim.json"
     p.write_text(json.dumps(obj))

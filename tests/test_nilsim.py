@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
 from arveson.errors import InputError, ValidationError
-from test_acceptance import _perturbed_input
+from test_acceptance import _downset_family, _perturbed_input, _staircase_generators
 from test_tuples import _oracle_power_cache
 
 SQUARE = [(2, 0), (1, 1), (0, 2)]
@@ -86,12 +87,41 @@ def test_nilpotency_is_read_from_a_walk_that_dies(monkeypatch):
 
 def test_nilpotency_gate_runs_when_the_walk_survives(monkeypatch):
     # one Jordan block: N^(n-1) != 0, so no degree below n dies and the
-    # gate takes N_j^n for each j
+    # gate takes N_j^n for each j, as N_j times the N_j^(n-1) of the walk's
+    # last degree, without matrix_power
     calls = _count_matrix_powers(monkeypatch)
     N = tuples.validate([0.6 * _SHIFT3, 0.8 * _SHIFT3])
     h = nilsim.check_hypotheses(N, np.array([0.0, 0.0, 1.0]))
-    assert calls == [3, 3]
+    assert calls == []
     assert h.L == 2 and h.card == 6
+
+
+@pytest.mark.parametrize(
+    "mats, j",
+    [
+        ([_SHIFT3 + 0.1 * np.eye(3)], 0),
+        ([0.5 * _SHIFT3, 0.5 * (_SHIFT3 + 0.1 * np.eye(3))], 1),
+    ],
+)
+def test_nilpotency_gate_fires_when_the_walk_survives(monkeypatch, mats, j):
+    # J + 0.1 I never dies, so the gate reads N_j^n from the walk and must
+    # refuse it with the former message and the former ||N_j^n||
+    norms = []
+
+    def recorded(a, _orig=numerics.operator_norm):
+        norms.append(_orig(a))
+        return norms[-1]
+
+    calls = _count_matrix_powers(monkeypatch)
+    monkeypatch.setattr(numerics, "operator_norm", recorded)
+    N = tuples.validate(mats)
+    with pytest.raises(ValidationError) as got:
+        nilsim.check_hypotheses(N, np.array([0.0, 0.0, 1.0]))
+    assert calls == []
+    monkeypatch.undo()
+    want = numerics.operator_norm(np.linalg.matrix_power(N.matrices[j], N.n))
+    assert_allclose(norms[-1], want, rtol=1e-12, atol=0)
+    assert str(got.value) == f"matrix {j + 1} is not nilpotent within tolerance (||N^n|| = {want:.3e})"
 
 
 def test_check_hypotheses_requires_cyclic():
@@ -436,20 +466,94 @@ def test_gamma_upper_brackets_the_gauge_supremum():
         assert cert.bound_X <= cert.bound_X_certified, seed
 
 
-def test_gamma_upper_is_none_when_the_grid_is_too_coarse():
-    # a conjugated 42 x 42 Jordan block has layer labels up to 41, and
-    # pi 41 >= 2 GAMMA_GRID, so the grid certifies nothing
-    n = 42
+def _conjugated_jordan_block(n):
     rng = np.random.default_rng(42)
     S = np.eye(n) + 1e-3 * rng.standard_normal((n, n)) / math.sqrt(n)
     J = np.diag(np.ones(n - 1), -1)
     M = S @ J @ np.linalg.inv(S)
     M /= np.linalg.norm(M, 2)
-    xi = S[:, 0] / np.linalg.norm(S[:, 0])
-    h = nilsim.check_hypotheses(tuples.validate([M]), xi)
+    return tuples.validate([M]), S[:, 0] / np.linalg.norm(S[:, 0])
+
+
+def test_gamma_upper_is_none_when_the_grid_is_too_coarse():
+    # a conjugated 42 x 42 Jordan block has layer labels up to 41, and
+    # pi 41 >= 2 GAMMA_GRID, so the grid certifies nothing
+    n = 42
+    h = nilsim.check_hypotheses(*_conjugated_jordan_block(n))
     assert h.layers_direct and h._layer_labels[-1] == n - 1
     assert h.gamma > 1.0
     assert h.gamma_upper is None
+
+
+def test_grid_phases_gathered_by_label_match_the_per_t_rows():
+    # the rows the gamma grid formed one cmath.exp at a time, per input
+    ts = np.linspace(0.0, 2.0 * np.pi, nilsim.GAMMA_GRID, endpoint=False)
+    cases = [_perturbed_input(seed)[:2] for seed in range(8, 40)]
+    for N, xi in cases + [_conjugated_jordan_block(42)]:
+        labels = nilsim.check_hypotheses(N, xi)._layer_labels
+        want = np.array([[cmath.exp(1j * ell * t) for ell in labels] for t in ts])
+        got = nilsim._phases(nilsim.GAMMA_GRID, labels[-1])[:, list(labels)]
+        assert np.array_equal(got, want)
+
+
+def test_phase_tables_are_read_only():
+    for table in (nilsim._phases(nilsim.GAMMA_GRID, 3), nilsim._phases(nilsim.NECESSITY_GAUGE_SAMPLES, 3)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _staircase_models():
+    # every model of the exact staircase family of criterion 5
+    return tuple(
+        models.monomial_model(_staircase_generators(d, comp), d)
+        for d in (1, 2, 3)
+        for comp in _downset_family(d, 3, 20)
+    )
+
+
+def test_necessity_gauge_stack_matches_gauge_unitary():
+    ts = [2.0 * np.pi * k / nilsim.NECESSITY_GAUGE_SAMPLES for k in range(nilsim.NECESSITY_GAUGE_SAMPLES)]
+    for m in _staircase_models():
+        got = nilsim._gauge_stack([mi.degree(b) for b in m.basis_indices])
+        want = np.stack([models.gauge_unitary(m, t) for t in ts])
+        assert np.array_equal(got, want), m.basis_indices
+
+
+def test_monomial_model_matrices_pass_validate_unchanged():
+    # monomial_model skips validate: its matrices are square, of one size and
+    # finite by construction, so validate must hand back the same arrays
+    fam = _staircase_models()
+    assert len(fam) == 2542
+    for m in fam:
+        got = tuples.validate(m.tuple.matrices).matrices
+        assert len(got) == m.d and all(a is b for a, b in zip(got, m.tuple.matrices))
+
+
+def test_lemma_checks_reads_the_hypotheses_of_the_callers_vector(monkeypatch):
+    # the two-sided section reads the hypotheses build_similarity reports
+    # for (N, xi), not those of xi normalized once more; on some of these
+    # inputs the second normalization moves epsilon or gamma
+    seen = []
+
+    def spy(*args, _orig=nilsim.check_hypotheses, **kwargs):
+        seen.append(_orig(*args, **kwargs))
+        return seen[-1]
+
+    moved = 0
+    for seed in range(40):
+        N, xi, _ = _perturbed_input(seed)
+        want = nilsim.check_hypotheses(N, xi)
+        renormalized = nilsim.check_hypotheses(N, nilsim._require_unit(xi, N.n))
+        moved += (renormalized.epsilon, renormalized.gamma) != (want.epsilon, want.gamma)
+        seen.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(nilsim, "check_hypotheses", spy)
+            nilsim.lemma_checks(N, xi, epsilon=0.1)
+        assert len(seen) == 1, seed
+        assert (seen[0].epsilon, seen[0].gamma) == (want.epsilon, want.gamma), seed
+    assert moved > 0
 
 
 def test_check_hypotheses_orbit_matches_per_index_products():
