@@ -9,6 +9,7 @@ the circle of unitaries the model carries.
 import numpy as np
 
 from arveson import models, tuples
+from arveson.polynomials import Polynomial
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -28,11 +29,12 @@ for j, Z in enumerate(model.tuple.matrices):
 G = sum(Z @ Z.conj().T for Z in model.tuple.matrices)
 print("sum Z Z^* =", np.diag(G).real)
 
-# The annihilator slice at degree 2 recovers the generators.
-ann = tuples.annihilator_slice(model.tuple, 2)
-print("annihilator dimension at degree 2:", len(ann))
-for p in ann:
-    print("  ", p)
+# The annihilator slice at degree 2 recovers the generators: its columns
+# are coefficient vectors on the monomials of degree <= 2.
+basis, ann = tuples.annihilator_coeffs(model.tuple, 2)
+print("annihilator dimension at degree 2:", ann.shape[1])
+for col in ann.T:
+    print("  ", Polynomial.from_coeff_vector(2, col, basis))
 
 # Every monomial model carries a circle action: a diagonal unitary W_t with
 # W_t Z_j W_t^* = e^{it} Z_j. The defect below is rounding, nothing else.

@@ -44,7 +44,7 @@ from .polyideal import (
 )
 from .polynomials import Polynomial
 from .spectral import JointSpectrum, JordanDecomposition, joint_eigenvalues, jordan_decompose, riesz_idempotent
-from .tuples import CommutingTuple, KrylovData, annihilator_slice, apply_poly, krylov, moebius
+from .tuples import CommutingTuple, KrylovData, annihilator_coeffs, krylov, moebius
 
 __version__ = "0.1.0"
 
@@ -69,8 +69,7 @@ __all__ = [
     "StrongSeparationReport",
     "ThetaJetCertificate",
     "ValidationError",
-    "annihilator_slice",
-    "apply_poly",
+    "annihilator_coeffs",
     "build_similarity",
     "check_hypotheses",
     "correspondence_similarity",

@@ -21,7 +21,6 @@ from . import (
     multiindex as mi,
     nilsim,
     numerics,
-    polyideal,
     repro,
     serialization as ser,
     spectral,
@@ -75,11 +74,11 @@ def _cmd_tuple_check(args):
 def _cmd_tuple_ann(args):
     T, _ = ser.load_tuple(_load(args))
     deg = args.deg if args.deg is not None else 2 * T.n
-    ann = tuples.annihilator_slice(T, deg, tol=args.tol)
+    basis, ann = tuples.annihilator_coeffs(T, deg, tol=args.tol)
     result = {
         "degree_bound": deg,
-        "dimension": len(ann),
-        "generators": [ser.dump_polynomial(p) for p in ann],
+        "dimension": ann.shape[1],
+        "generators": ser.dump_generators(ann, basis),
     }
     return ser.report_envelope(
         "tuple-ann", result, tolerances={"tol": args.tol}
@@ -108,13 +107,13 @@ def _cmd_jordan(args):
 
 def _monomial_generators(ideal_obj) -> list:
     gens = []
-    for k, g in enumerate(ideal_obj.generators):
-        if len(g.coeffs) != 1:
+    for k, col in enumerate(ideal_obj.coeffs.T):
+        (rows,) = np.nonzero(col)
+        if len(rows) != 1:
             raise InputError(
                 f"ideal.generators[{k}]: expected a monomial (single term)"
             )
-        ((alpha, _),) = g.coeffs.items()
-        gens.append(alpha)
+        gens.append(ideal_obj.basis[rows[0]])
     return gens
 
 

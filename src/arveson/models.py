@@ -270,11 +270,10 @@ def verify_localizations(
 
     The annihilator is sliced at a degree where products of local
     generators with enough separating factors already live, so localizing
-    its span at each point must reproduce the local jet image exactly. The
-    slice stays a dense coefficient matrix: its Taylor rows at a point are
-    one product with the Taylor table of the slice's monomials
-    (``polyideal.localize_coeffs``), and the expected side is the jet image
-    of the prescribed generators at the same order.
+    its span at each point must reproduce the local jet image exactly. Both
+    sides are coefficient matrices localized by ``polyideal.localize_coeffs``:
+    the slice from ``tuples.annihilator_coeffs`` and the generators of the
+    prescribed ideal, at the same order.
     """
     if model.kind != "jet":
         raise InputError("localization checks need a jet model")
@@ -295,7 +294,7 @@ def verify_localizations(
     for z, kappa, mu, ideal in zip(model.points, model.orders, mus, local_ideals):
         z = np.asarray(z, dtype=complex)
         got = polyideal.localize_coeffs(ann, basis, z, mu)
-        want = polyideal._local_jets(ideal.generators, z, mu)
+        want = polyideal.localize_coeffs(ideal.coeffs, ideal.basis, z, mu)
         ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis)
         out.append(
             LocalizationReport(

@@ -28,6 +28,9 @@ RANK_RTOL = 1e-9
 GAP_RATIO = 1e6
 HERMITIAN_RTOL = 1e-10
 PD_RTOL = 1e-12
+# widest matrix whose kernel :func:`nullspace` may be asked for: its full SVD
+# holds an n x n V^H, 256 MiB of complex doubles at this width
+MAX_NULLSPACE_COLS = 4096
 
 _gesdd = scipy.linalg.lapack.zgesdd
 _gesdd_lwork = scipy.linalg.lapack.zgesdd_lwork
@@ -172,6 +175,17 @@ def _rank(s: np.ndarray, rtol: float) -> int:
             f"gap ratio below {GAP_RATIO:.1e}"
         )
     return rank
+
+
+def check_nullspace_width(cols: int, what: str) -> None:
+    """Refuse a :func:`nullspace` of more than ``MAX_NULLSPACE_COLS``
+    columns with ``InputError``; called before the matrix is built."""
+    if cols > MAX_NULLSPACE_COLS:
+        raise InputError(
+            f"{what}: the kernel of {cols} columns needs a full SVD whose V^H "
+            f"alone takes {16 * cols * cols} bytes; the limit is "
+            f"{MAX_NULLSPACE_COLS} columns ({16 * MAX_NULLSPACE_COLS**2} bytes)"
+        )
 
 
 def nullspace(a, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -1,26 +1,30 @@
 """Degree slices of polynomial ideals and their local jet geometry.
 
 An ideal never appears here in closed form; it is handled through two
-finite-dimensional shadows. ``PolyIdeal`` stores the span of q*g for
-generators g and monomials q inside a fixed degree bound, which is enough
-for membership tests up to that degree. ``localize`` passes to the space
-of Taylor jets at a point, and ``polynomial_order`` finds the smallest k
-with m_z^(k+1) contained in the jet image, i.e. the vanishing order the
-ideal prescribes at an isolated common zero.
+finite-dimensional shadows. ``PolyIdeal`` holds its generators as the
+columns of one coefficient matrix on the monomials below a fixed degree
+bound, and stores the span of q*g for generators g and monomials q inside
+that bound, which is enough for membership tests up to that degree.
+``localize`` passes to the space of Taylor jets at a point, and
+``polynomial_order`` finds the smallest k with m_z^(k+1) contained in the
+jet image, i.e. the vanishing order the ideal prescribes at an isolated
+common zero.
 
-Both spans are built on dense coefficient arrays, never by multiplying
-``Polynomial`` objects: x^q * g has coefficient g[gamma - q] at x^gamma,
-and (x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at z, where
-t_g is the Taylor row of g. Every column is a gather through
-``_shift_index``, and every Taylor row comes from one table of the Taylor
-coefficients of monomials (``_taylor_table``).
+``Polynomial`` objects enter only through the ``PolyIdeal`` constructor,
+which turns each generator into a column once; ``vanishing_ideal_slice``
+hands its kernel matrix over as it is. Both spans are gathers on that
+matrix: x^q * g has coefficient g[gamma - q] at x^gamma, and
+(x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at z, where t_g
+is the Taylor row of g. Every column is a gather through ``_shift_index``,
+and the Taylor rows of all generators are one contraction of the matrix
+with the Taylor table of the monomials (``_taylor_rows``).
 
 The slice is built on first read of ``slice_basis`` (``slice_dim``,
 ``contains`` and ``repr`` read it), so an ambiguous rank decision there
 raises ``NumericalError`` at that read, not in the constructor. An ideal
-given by a dense coefficient matrix, such as a tuple's annihilator from
-``tuples.annihilator_coeffs``, is localized by ``localize_coeffs`` without
-becoming polynomials.
+given by any other coefficient matrix, such as a tuple's annihilator from
+``tuples.annihilator_coeffs``, is localized by ``localize_coeffs`` through
+the same Taylor rows.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ from .polynomials import Polynomial
 
 
 class PolyIdeal:
-    """Span of {q * g : g generator, deg(q*g) <= degree_bound}."""
+    """Span of {q * g : g generator, deg(q*g) <= degree_bound}.
+
+    The generators are the columns of ``coeffs``, coefficient vectors on the
+    monomials ``basis`` of degree <= degree_bound in graded order, one column
+    per nonzero generator.
+    """
 
     def __init__(self, generators: Sequence[Polynomial], degree_bound: int, d: int | None = None):
         generators = [g for g in generators if not g.is_zero()]
@@ -52,34 +61,56 @@ class PolyIdeal:
                 raise InputError("generators live in different dimensions")
         if degree_bound < 0:
             raise InputError(f"degree_bound must be >= 0, got {degree_bound}")
-        self.d = int(d)
-        self.degree_bound = int(degree_bound)
-        self.generators = list(generators)
-        self.max_generator_degree = max((g.degree() for g in generators), default=0)
-        if self.max_generator_degree > degree_bound:
+        top = max((g.degree() for g in generators), default=0)
+        if top > degree_bound:
             raise InputError(
-                f"generator degree {self.max_generator_degree} exceeds the "
-                f"degree bound {degree_bound}"
+                f"generator degree {top} exceeds the degree bound {degree_bound}"
             )
-        self.basis = mi.enumerate_indices(self.d, self.degree_bound)
+        basis = mi.enumerate_indices(int(d), int(degree_bound))
+        cols = np.array([g.coeff_vector(basis) for g in generators], dtype=complex)
+        self._set(int(d), int(degree_bound), cols.reshape(-1, len(basis)).T)
+
+    @classmethod
+    def _from_coeffs(cls, d: int, degree_bound: int, coeffs: np.ndarray) -> "PolyIdeal":
+        """The ideal generated by the nonzero columns of ``coeffs``, laid
+        out on the monomials of degree <= degree_bound; nothing is checked."""
+        ideal = cls.__new__(cls)
+        ideal._set(d, degree_bound, coeffs)
+        return ideal
+
+    def _set(self, d: int, degree_bound: int, coeffs: np.ndarray) -> None:
+        self.d = d
+        self.degree_bound = degree_bound
+        self.basis = mi.enumerate_indices(d, degree_bound)
+        self.coeffs = coeffs
+
+    @functools.cached_property
+    def _alphas(self) -> np.ndarray:
+        return np.array(self.basis, dtype=np.int64)
+
+    @functools.cached_property
+    def _degrees(self) -> np.ndarray:
+        """Degree of each generator: the highest degree of its nonzero
+        coefficients."""
+        return np.where(self.coeffs != 0, self._alphas.sum(axis=1)[:, None], 0).max(axis=0, initial=0)
+
+    @functools.cached_property
+    def max_generator_degree(self) -> int:
+        return int(self._degrees.max(initial=0))
 
     @functools.cached_property
     def slice_basis(self) -> np.ndarray:
         """Orthonormal basis of the degree slice, built on first read; an
         ambiguous rank decision raises ``NumericalError`` there."""
-        if not self.generators:
+        m = self.coeffs.shape[1]
+        if not m:
             return np.zeros((len(self.basis), 0), dtype=complex)
         # the multipliers x^q with |q| <= room are the first C(d+room, d)
         # basis indices, so one index map serves every generator
-        counts = [
-            math.comb(self.d + self.degree_bound - g.degree(), self.d) for g in self.generators
-        ]
-        basis = np.array(self.basis, dtype=np.int64)
-        index = _shift_index(basis, basis[: max(counts)])
-        cols = []
-        for g, count in zip(self.generators, counts):
-            padded = np.append(g.coeff_vector(self.basis), 0)  # index -1 reads a zero
-            cols.append(padded[index[:, :count]])
+        counts = [math.comb(self.d + self.degree_bound - int(k), self.d) for k in self._degrees]
+        index = _shift_index(self._alphas, self._alphas[: max(counts)])
+        padded = np.vstack([self.coeffs, np.zeros((1, m))])  # index -1 reads a zero
+        cols = [padded[index[:, :count], g] for g, count in enumerate(counts)]
         return numerics.orth_columns(np.concatenate(cols, axis=1))
 
     @property
@@ -102,7 +133,7 @@ class PolyIdeal:
 
     def __repr__(self) -> str:
         return (
-            f"PolyIdeal(d={self.d}, generators={len(self.generators)}, "
+            f"PolyIdeal(d={self.d}, generators={self.coeffs.shape[1]}, "
             f"degree_bound={self.degree_bound}, slice_dim={self.slice_dim})"
         )
 
@@ -137,9 +168,6 @@ class LocalJetIdeal:
         resid = jet - self.basis @ (self.basis.conj().T @ jet)
         return float(np.linalg.norm(resid)) <= tol * nrm
 
-    def contains(self, p: Polynomial, tol: float = numerics.DEFAULT_TOL) -> bool:
-        return self.contains_jet(p.jet(self.z, self.mu, self.jet_basis), tol)
-
 
 def localize(ideal: PolyIdeal, z: Sequence[complex], mu: int) -> LocalJetIdeal:
     """Order-mu jet image of the ideal at z.
@@ -160,16 +188,13 @@ def localize(ideal: PolyIdeal, z: Sequence[complex], mu: int) -> LocalJetIdeal:
             f"jet order {mu} exceeds what degree_bound={ideal.degree_bound} "
             f"supports (max {max_mu})"
         )
-    return _local_jets(ideal.generators, z, mu)
+    return _jet_span(ideal.coeffs, ideal._alphas, z, mu)
 
 
 def localize_coeffs(coeffs: np.ndarray, basis: Sequence[tuple], z, mu: int) -> LocalJetIdeal:
     """Order-mu jet image at z of the ideal generated by the columns of
-    ``coeffs``, coefficient vectors on the monomials ``basis``.
-
-    The dense form of ``localize``: the Taylor rows are one product with the
-    Taylor table of the basis monomials, and no degree bound is checked.
-    """
+    ``coeffs``, coefficient vectors on the monomials ``basis``: ``localize``
+    without the degree bound that a ``PolyIdeal`` carries and checks."""
     z = np.asarray(z, dtype=complex)
     alphas = np.array(basis, dtype=np.int64)
     if alphas.shape[1:] != z.shape or coeffs.shape[0] != len(alphas):
@@ -177,21 +202,17 @@ def localize_coeffs(coeffs: np.ndarray, basis: Sequence[tuple], z, mu: int) -> L
             f"point of shape {z.shape} with {coeffs.shape[0]} coefficients on "
             f"monomials of shape {alphas.shape}"
         )
-    return _jet_span(z, mu, lambda jets: coeffs.T @ _taylor_table(alphas, z, jets))
+    return _jet_span(coeffs, alphas, z, mu)
 
 
-def _local_jets(generators: Sequence[Polynomial], z: np.ndarray, mu: int) -> LocalJetIdeal:
-    """``localize`` without its input checks, at a point of shape (d,)."""
-    return _jet_span(z, mu, lambda jets: _taylor_rows(generators, z, jets))
-
-
-def _jet_span(z: np.ndarray, mu: int, taylor_rows) -> LocalJetIdeal:
-    """Span of the jets of (x - z)^beta * g, |beta| <= mu, from the Taylor
-    rows t_g = ``taylor_rows(jets)`` of the generators: column (g, beta)
-    holds t_g[gamma - beta] in row gamma."""
+def _jet_span(coeffs: np.ndarray, alphas: np.ndarray, z: np.ndarray, mu: int) -> LocalJetIdeal:
+    """Span of the jets of (x - z)^beta * g, |beta| <= mu, over the
+    generators g, the columns of ``coeffs`` on the monomials x^alpha (rows
+    of ``alphas``): column (g, beta) holds t_g[gamma - beta] in row gamma,
+    where t_g is the Taylor row of g at z."""
     jet_basis = mi.enumerate_indices(z.size, mu)
     jets = np.array(jet_basis, dtype=np.int64)
-    rows = taylor_rows(jets)
+    rows = _taylor_rows(coeffs, alphas, z, jets)
     m = len(jet_basis)
     padded = np.zeros((rows.shape[0], m + 1), dtype=complex)  # index -1 reads a zero
     padded[:, :m] = rows
@@ -200,9 +221,12 @@ def _jet_span(z: np.ndarray, mu: int, taylor_rows) -> LocalJetIdeal:
     return LocalJetIdeal(z=tuple(z.tolist()), mu=mu, d=z.size, jet_basis=jet_basis, basis=basis)
 
 
+@functools.lru_cache(maxsize=None)
 def _binomials(n: int, k: int) -> np.ndarray:
     """Table of C(i, j) for 0 <= i <= n, 0 <= j <= k (zero for j > i)."""
-    return np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)])
+    table = np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)])
+    table.flags.writeable = False  # shared through the cache
+    return table
 
 
 def _shift_index(gammas: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -246,22 +270,14 @@ def _taylor_table(alphas: np.ndarray, z: np.ndarray, jets: np.ndarray) -> np.nda
     return table
 
 
-def _taylor_rows(generators: Sequence[Polynomial], z: np.ndarray, jets: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of each generator at z on the indices ``jets``:
-    t_g[gamma] = sum_a c_a prod_j C(a_j, gamma_j) z_j^(a_j - gamma_j), from
-    one Taylor table over the union of the generators' exponents."""
-    row_of = {}
-    for g in generators:
-        for alpha in g.coeffs:
-            row_of.setdefault(alpha, len(row_of))
-    table = _taylor_table(np.array(list(row_of), dtype=np.int64).reshape(-1, z.size), z, jets)
-    rows = np.empty((len(generators), len(jets)), dtype=complex)
-    for i, g in enumerate(generators):
-        # summed term by term, as Polynomial.shift sums; a BLAS product may
-        # fuse multiply-adds and leave other roundoff in cancelling jets
-        weight = table[[row_of[alpha] for alpha in g.coeffs]]
-        rows[i] = np.einsum("k,km->m", np.array(list(g.coeffs.values())), weight)
-    return rows
+def _taylor_rows(coeffs: np.ndarray, alphas: np.ndarray, z: np.ndarray, jets: np.ndarray) -> np.ndarray:
+    """Taylor coefficients at z, on the indices ``jets``, of the generators
+    in the columns of ``coeffs`` on the monomials x^alpha (rows of
+    ``alphas``): t_g[gamma] = sum_alpha g_alpha prod_j C(a_j, gamma_j)
+    z_j^(a_j - gamma_j), one row per generator."""
+    # summed term by term; a BLAS product may fuse multiply-adds and leave
+    # other roundoff in cancelling jets
+    return np.einsum("kg,km->gm", coeffs, _taylor_table(alphas, z, jets))
 
 
 def _isolation_probes(d: int, z: np.ndarray, seed: int, radius: float) -> np.ndarray:
@@ -279,13 +295,10 @@ def _isolation_mesh_check(ideal: PolyIdeal, z: np.ndarray) -> None:
     # vanishes means z cannot be an isolated common zero.
     radius = 0.1
     probes = _isolation_probes(ideal.d, z, seed=0, radius=radius)
-    vanish = np.ones(len(probes), dtype=bool)
-    for g in ideal.generators:
-        alphas = np.array(list(g.coeffs), dtype=np.int64)
-        c = np.array(list(g.coeffs.values()))
-        values = np.prod(probes[:, None, :] ** alphas, axis=2) @ c
-        vanish &= np.abs(values) <= 1e-10 * (1.0 + np.abs(c).max())
-    if vanish.any():
+    used = (ideal.coeffs != 0).any(axis=1)  # the monomials some generator has
+    values = np.prod(probes[:, None, :] ** ideal._alphas[used], axis=2) @ ideal.coeffs[used]
+    vanish = np.abs(values) <= 1e-10 * (1.0 + np.abs(ideal.coeffs).max(axis=0))
+    if vanish.all(axis=1).any():
         raise ValidationError(
             f"common zero of all generators at distance {radius} from the "
             f"point; it is not isolated"
@@ -306,7 +319,7 @@ def polynomial_order(
     z = np.asarray(z, dtype=complex)
     if z.shape != (ideal.d,):
         raise InputError(f"point has shape {z.shape}, expected ({ideal.d},)")
-    if not ideal.generators:
+    if not ideal.coeffs.shape[1]:
         raise ValidationError("the zero ideal has no finite vanishing order")
     _isolation_mesh_check(ideal, z)
     max_mu = ideal.degree_bound - ideal.max_generator_degree + 1
@@ -337,15 +350,6 @@ def vanishing_ideal_slice(
     """Degree slice of the polynomials whose derivatives of order <= kappa
     vanish at every point; kappa may be one order for all points or one
     order per point."""
-    basis, kernel = _vanishing_kernel(points, kappa, degree_bound, tol)
-    d = len(basis[0])
-    gens = [Polynomial.from_coeff_vector(d, kernel[:, j], basis) for j in range(kernel.shape[1])]
-    return PolyIdeal(gens, degree_bound, d=d)
-
-
-def _vanishing_kernel(points, kappa, degree_bound: int, tol: float = numerics.RANK_RTOL) -> tuple:
-    """(basis, K): the monomials of degree <= degree_bound in graded order
-    and orthonormal coefficient columns spanning the vanishing slice."""
     pts = fockspace._distinct_points(points)
     d = pts[0].size
     try:
@@ -358,8 +362,9 @@ def _vanishing_kernel(points, kappa, degree_bound: int, tol: float = numerics.RA
             )
     if any(k < 0 for k in kappas):
         raise InputError(f"orders must be >= 0, got {kappas}")
-    basis = mi.enumerate_indices(d, degree_bound)
-    alphas = np.array(basis, dtype=np.int64)
+    # a negative bound passes here and is refused by enumerate_indices
+    numerics.check_nullspace_width(math.comb(d + max(degree_bound, 0), d), "vanishing ideal slice")
+    alphas = np.array(mi.enumerate_indices(d, degree_bound), dtype=np.int64)
     # p -> d^alpha p(z) is alpha! times the Taylor coefficient of p at z on
     # (x - z)^alpha, and every row is normalized
     rows = np.vstack([
@@ -368,4 +373,4 @@ def _vanishing_kernel(points, kappa, degree_bound: int, tol: float = numerics.RA
     ])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows /= np.where(norms > 0, norms, 1.0)
-    return basis, numerics.nullspace(rows, rtol=tol)
+    return PolyIdeal._from_coeffs(d, int(degree_bound), numerics.nullspace(rows, rtol=tol))

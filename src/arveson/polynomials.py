@@ -1,13 +1,14 @@
 """Polynomials in d complex variables as sparse coefficient dictionaries.
 
-Everything downstream (ideals, functional calculus, jets) works through this
-representation. Coefficients are complex floats; the combinatorics (binomial
-recentering, derivatives) is exact integer arithmetic.
+This is the boundary representation: the JSON wire format reads and writes
+it, and a ``PolyIdeal`` is built from it. Everything downstream (ideal
+slices, localizations, annihilators) works on dense coefficient vectors on
+a monomial basis, which ``coeff_vector`` and ``from_coeff_vector`` convert
+to and from. Coefficients are complex floats.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -134,76 +135,6 @@ class Polynomial:
     def _check(self, other: "Polynomial") -> None:
         if self.d != other.d:
             raise InputError(f"dimension mismatch: {self.d} vs {other.d}")
-
-    # -- evaluation and calculus -------------------------------------------
-
-    def __call__(self, z: Sequence[complex]) -> complex:
-        z = tuple(complex(w) for w in z)
-        if len(z) != self.d:
-            raise InputError(f"point has length {len(z)}, expected {self.d}")
-        out = 0j
-        for a, c in self.coeffs.items():
-            term = c
-            for zj, aj in zip(z, a):
-                if aj:
-                    term *= zj**aj
-            out += term
-        return out
-
-    def partial(self, j: int) -> "Polynomial":
-        """d/dx_j."""
-        if not 0 <= j < self.d:
-            raise InputError(f"coordinate {j} out of range")
-        table: dict[tuple, complex] = {}
-        for a, c in self.coeffs.items():
-            if a[j] == 0:
-                continue
-            b = list(a)
-            b[j] -= 1
-            table[tuple(b)] = c * a[j]
-        return Polynomial(self.d, table)
-
-    def derivative(self, alpha: Sequence[int]) -> "Polynomial":
-        """Mixed partial d^alpha."""
-        out = self
-        for j, aj in enumerate(mi.as_index(alpha)):
-            for _ in range(aj):
-                out = out.partial(j)
-        return out
-
-    def shift(self, z: Sequence[complex]) -> "Polynomial":
-        """Recentering p(x + z); coefficients are the Taylor data of p at z."""
-        z = tuple(complex(w) for w in z)
-        if len(z) != self.d:
-            raise InputError(f"point has length {len(z)}, expected {self.d}")
-        table: dict[tuple, complex] = {}
-        for a, c in self.coeffs.items():
-            # expand prod_j (x_j + z_j)^{a_j} with exact binomials
-            expansions = []
-            for aj, zj in zip(a, z):
-                terms = [(k, math.comb(aj, k) * zj ** (aj - k)) for k in range(aj + 1)]
-                expansions.append(terms)
-            stack = [((), 1.0 + 0j)]
-            for terms in expansions:
-                stack = [
-                    (key + (k,), coef * w) for key, coef in stack for k, w in terms
-                ]
-            for key, coef in stack:
-                table[key] = table.get(key, 0) + c * coef
-        return Polynomial(self.d, table)
-
-    def taylor_coeff(self, z: Sequence[complex], alpha: Sequence[int]) -> complex:
-        """Coefficient of (x-z)^alpha in the expansion of p around z."""
-        return self.shift(z).coeffs.get(mi.as_index(alpha), 0j)
-
-    def jet(self, z: Sequence[complex], mu: int, basis: Sequence[tuple]) -> np.ndarray:
-        """Taylor coefficients of order <= mu at z, laid out on ``basis``."""
-        shifted = self.shift(z)
-        out = np.zeros(len(basis), dtype=complex)
-        for i, alpha in enumerate(basis):
-            if mi.degree(alpha) <= mu:
-                out[i] = shifted.coeffs.get(alpha, 0j)
-        return out
 
     # -- coefficient vectors -------------------------------------------------
 

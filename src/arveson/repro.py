@@ -139,7 +139,7 @@ def example_one_variable(eps_list=(0.1, 0.01, 0.001), lams=(0.5,)) -> OneVariabl
                 tuples.krylov(TS, xi, 2).is_cyclic
                 and tuples.krylov(TT, xi, 2).is_cyclic
             )
-            vanish = polyideal._vanishing_kernel([[lam]], 1, 2)[1]
+            vanish = polyideal.vanishing_ideal_slice([[lam]], 1, 2).coeffs
             ann_ok = True
             for blk in (TS, TT):
                 got = numerics.orth_columns(tuples.annihilator_coeffs(blk, 2)[1])
@@ -311,7 +311,7 @@ def example_two_variable(
         z = np.asarray(z, dtype=complex).reshape(-1)
         GN = tuples.moebius(N, z)
         GR = tuples.moebius(R, z)
-        vanish = polyideal._vanishing_kernel([z], 1, 2)[1]
+        vanish = polyideal.vanishing_ideal_slice([z], 1, 2).coeffs
         got = numerics.orth_columns(tuples.annihilator_coeffs(GN, 2)[1])
         ann_ok = numerics.subspace_equal(got, vanish, 1e-8)
         transport = max(

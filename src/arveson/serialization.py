@@ -126,11 +126,18 @@ def load_ideal(obj, where: str = "ideal"):
     return polyideal.PolyIdeal(gens, degree_bound, d=d)
 
 
+def dump_generators(coeffs: np.ndarray, basis: Sequence[tuple]) -> list:
+    """The columns of ``coeffs``, coefficient vectors on the monomials
+    ``basis``, in the wire format of ``dump_polynomial``."""
+    d = len(basis[0])
+    return [dump_polynomial(Polynomial.from_coeff_vector(d, c, basis)) for c in coeffs.T.tolist()]
+
+
 def dump_ideal(ideal) -> dict:
     return {
         "d": ideal.d,
         "degree_bound": ideal.degree_bound,
-        "generators": [dump_polynomial(g) for g in ideal.generators],
+        "generators": dump_generators(ideal.coeffs, ideal.basis),
     }
 
 

@@ -1,10 +1,13 @@
-"""Commuting tuples of matrices: validation, calculus, Krylov data.
+"""Commuting tuples of matrices: validation, power walks, Krylov data and
+the annihilator.
 
 A tuple T = (T_1, ..., T_d) on C^n is the basic object everything else
 consumes. The tuple carries its worst commutator and row-contraction
 defects instead of silently trusting the caller; they are measured on
 first read, so a tuple that is never inspected costs no SVD. Downstream
 code calls ``require_commuting`` before relying on functional calculus.
+Polynomials in T appear only as coefficient vectors on a monomial basis:
+the annihilator is the dense matrix of ``annihilator_coeffs``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from . import multiindex as mi
 from . import numerics
 from .errors import InputError, NumericalError, ValidationError
-from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -153,20 +155,6 @@ def _power_cache(T: CommutingTuple, degree: int) -> dict:
     return cache
 
 
-def apply_poly(p: Polynomial, T: CommutingTuple) -> np.ndarray:
-    """p(T) by functional calculus; requires the tuple to commute."""
-    if p.d != T.d:
-        raise InputError(f"polynomial dimension {p.d}, expected {T.d}")
-    T.require_commuting()
-    out = np.zeros((T.n, T.n), dtype=complex)
-    if p.is_zero():
-        return out
-    cache = _power_cache(T, p.degree())
-    for alpha, c in p.coeffs.items():
-        out += c * cache[alpha]
-    return out
-
-
 @dataclass(frozen=True)
 class KrylovData:
     basis: np.ndarray
@@ -237,6 +225,8 @@ def annihilator_coeffs(
     tuple with large norm does not drown low-degree relations; the kernel
     coefficients are rescaled back before they are normalized.
     """
+    # a negative bound passes here and is refused by enumerate_indices
+    numerics.check_nullspace_width(math.comb(T.d + max(degree_bound, 0), T.d), "annihilator slice")
     T.require_commuting(tol)
     basis = mi.enumerate_indices(T.d, degree_bound)
     cache = _power_cache(T, degree_bound)
@@ -247,14 +237,6 @@ def annihilator_coeffs(
     for j in range(coeffs.shape[1]):
         coeffs[:, j] /= np.linalg.norm(coeffs[:, j])
     return basis, coeffs
-
-
-def annihilator_slice(
-    T: CommutingTuple, degree_bound: int, tol: float = numerics.DEFAULT_TOL
-) -> list:
-    """``annihilator_coeffs`` as a list of polynomials."""
-    basis, coeffs = annihilator_coeffs(T, degree_bound, tol)
-    return [Polynomial.from_coeff_vector(T.d, c, basis) for c in coeffs.T]
 
 
 def moebius(T: CommutingTuple, w: Sequence[complex]) -> CommutingTuple:

@@ -19,7 +19,6 @@ import scipy.linalg
 from arveson import (
     interp,
     models,
-    multiindex as mi,
     nilsim,
     numerics,
     polyideal,
@@ -88,15 +87,6 @@ def _staircase_generators(d: int, complement: list) -> list:
     return gens
 
 
-def _coeff_span(polys: list, d: int, degree: int) -> np.ndarray:
-    basis = mi.enumerate_indices(d, degree)
-    if not polys:
-        return np.zeros((len(basis), 0), dtype=complex)
-    return numerics.orth_columns(
-        np.column_stack([p.coeff_vector(basis) for p in polys])
-    )
-
-
 def test_criterion_1_square_ideal_model():
     t0 = time.perf_counter()
     gens = [(2, 0), (1, 1), (0, 2)]
@@ -110,9 +100,8 @@ def test_criterion_1_square_ideal_model():
     assert np.abs(m.tuple.matrices[1] - E31).max() <= 1e-12
     gram = sum(Z @ Z.conj().T for Z in m.tuple.matrices)
     assert np.abs(gram - np.diag([0.0, 1.0, 1.0])).max() <= 1e-12
-    ann = tuples.annihilator_slice(m.tuple, 2)
-    basis = mi.enumerate_indices(2, 2)
-    A = _coeff_span(ann, 2, 2)
+    basis, ann = tuples.annihilator_coeffs(m.tuple, 2)
+    A = numerics.orth_columns(ann)
     E = np.eye(len(basis), dtype=complex)[:, [basis.index(g) for g in gens]]
     assert A.shape[1] == 3
     assert numerics.subspace_equal(A, E, 1e-10)
@@ -179,15 +168,13 @@ def _jordan_input(seed: int):
 
 
 def _same_annihilator(A: tuples.CommutingTuple, B: tuples.CommutingTuple, deg: int) -> bool:
-    pa = tuples.annihilator_slice(A, deg, tol=1e-8)
-    pb = tuples.annihilator_slice(B, deg, tol=1e-8)
-    if len(pa) != len(pb):
+    _, pa = tuples.annihilator_coeffs(A, deg, tol=1e-8)
+    _, pb = tuples.annihilator_coeffs(B, deg, tol=1e-8)
+    if pa.shape != pb.shape:
         return False
-    if not pa:
+    if not pa.shape[1]:
         return True
-    return numerics.subspace_equal(
-        _coeff_span(pa, A.d, deg), _coeff_span(pb, B.d, deg), 1e-6
-    )
+    return numerics.subspace_equal(numerics.orth_columns(pa), numerics.orth_columns(pb), 1e-6)
 
 
 def test_criterion_4_jordan_recovery():

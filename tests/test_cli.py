@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import arveson
-from arveson import cli, numerics, repro
+from arveson import cli, numerics, repro, tuples
+from arveson import serialization as ser
+from arveson.polynomials import Polynomial
 
 
 def run(argv, capsys):
@@ -104,6 +107,43 @@ def test_tuple_ann_reports_generators(tuple_file, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["dimension"] >= 3
+
+
+def test_tuple_ann_stdout_matches_coefficient_oracle(tuple_file, tmp_path, capsys):
+    # a commuting pair of polynomials in one complex matrix gives complex
+    # annihilator coefficients with every digit in play
+    A = np.random.default_rng(4).standard_normal((3, 3)) + 0.5j * np.eye(3)
+    T = tuples.validate([A, A @ A - 0.3j * A])
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(ser.dump_tuple(T)))
+    for path, deg in ((tuple_file, None), (str(dense), None), (str(dense), 3)):
+        T, _ = ser.load_tuple(json.loads(Path(path).read_text()))
+        argv = ["tuple-ann", "--in", path] + ([] if deg is None else ["--deg", str(deg)])
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        bound = 2 * T.n if deg is None else deg
+        basis, coeffs = tuples.annihilator_coeffs(T, bound, numerics.DEFAULT_TOL)
+        result = {
+            "degree_bound": bound,
+            "dimension": coeffs.shape[1],
+            "generators": [ser.dump_polynomial(Polynomial.from_coeff_vector(T.d, c, basis)) for c in coeffs.T],
+        }
+        want = ser.report_envelope("tuple-ann", result, tolerances={"tol": numerics.DEFAULT_TOL})
+        assert out == ser.dumps_report(want)
+
+
+def test_tuple_ann_refuses_a_kernel_too_wide_to_fit(tmp_path, capsys):
+    # d=3 and n=20 ask for degree 40: C(43, 3) = 12,341 columns, whose V^H
+    # would take 2.4 GB; the refusal comes before any power is formed
+    mats = [np.diag(np.full(19, 0.1), -1) for _ in range(3)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(ser.dump_tuple(tuples.validate(mats))))
+    t0 = time.perf_counter()
+    code, out, err = run(["tuple-ann", "--in", str(path)], capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert out == ""
+    assert "12341 columns" in err and f"{16 * 12341**2} bytes" in err
 
 
 def test_jordan(tuple_file, capsys):

@@ -12,6 +12,7 @@ from arveson import fockspace as fk
 from arveson import multiindex as mi
 from arveson.errors import InputError
 from arveson.polynomials import Polynomial
+from test_polynomials import derivative_at, evaluate
 
 
 # -- Fock-slice oracle -----------------------------------------------------
@@ -320,7 +321,7 @@ def test_jet_pairing_is_derivative():
     p = Polynomial(2, {(3, 1): 2.0, (1, 2): -1j, (0, 0): 0.5})
     for alpha in [(0, 0), (1, 0), (2, 1), (0, 3)]:
         j = jet_vector(z, alpha, t)
-        want = p.derivative(alpha)(z)
+        want = derivative_at(p, alpha, z)
         assert_allclose(j.pair(p, t), want, atol=1e-12)
 
 
@@ -357,7 +358,7 @@ def test_jet_zero_order_is_kernel_vector():
     j = jet_vector(z, (0,), t)
     # pairing with p recovers p(z)
     p = Polynomial(1, {(3,): 1.0, (1,): -2.0, (0,): 1.0})
-    assert_allclose(j.pair(p, t), p(z), rtol=1e-12)
+    assert_allclose(j.pair(p, t), evaluate(p, z), rtol=1e-12)
     # squared norm approaches k(z, z)
     assert_allclose(
         np.linalg.norm(j.coeffs) ** 2, _kernel(z, z).real, atol=1e-13

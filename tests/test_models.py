@@ -9,6 +9,8 @@ from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
 from test_acceptance import _downset_family, _staircase_generators
 from test_fockspace import FockTruncation, jet_vector, mult_matrix, truncation_degree
+from test_polyideal import generators
+from test_tuples import annihilator_polys, apply_poly
 
 
 def test_monomial_model_square_maximal():
@@ -194,12 +196,9 @@ def test_gauge_unitary_rotates_model():
 def test_annihilator_of_monomial_model_is_the_ideal_slice():
     gens = [(2, 0), (1, 1), (0, 2)]
     m = models.monomial_model(gens, 2)
-    ann = tuples.annihilator_slice(m.tuple, 2)
+    basis, A = tuples.annihilator_coeffs(m.tuple, 2)
     ideal = polyideal.PolyIdeal([Polynomial.monomial(g) for g in gens], 2)
-    basis = ideal.basis
-    from arveson import numerics
-
-    A = np.column_stack([p.coeff_vector(basis) for p in ann])
+    assert basis == ideal.basis
     assert numerics.subspace_equal(
         numerics.orth_columns(A), ideal.slice_basis
     )
@@ -260,9 +259,9 @@ def test_jet_model_annihilates_products_of_local_ideals():
     b2 = polyideal.PolyIdeal([x + 0.4], 8)
     m = models.jet_model(pts, [b1, b2])
     p = (x - 0.25) ** 2 * (x + 0.4)
-    assert np.linalg.norm(tuples.apply_poly(p, m.tuple)) < 1e-8
+    assert np.linalg.norm(apply_poly(p, m.tuple)) < 1e-8
     q = (x - 0.25) * (x + 0.4)
-    assert np.linalg.norm(tuples.apply_poly(q, m.tuple)) > 1e-3
+    assert np.linalg.norm(apply_poly(q, m.tuple)) > 1e-3
 
 
 def test_jet_model_cyclic_vector():
@@ -461,13 +460,13 @@ def oracle_localization_reports(model, ideals):
     gen_deg = max(i.max_generator_degree for i in ideals)
     D_found = gen_deg + sum(k + 1 for k in model.orders)
     mus = [k + 2 for k in model.orders]
-    ann = tuples.annihilator_slice(model.tuple, D_found)
+    ann = annihilator_polys(model.tuple, D_found)
     ann_ideal = polyideal.PolyIdeal(ann, D_found + max(mus) - 1, d=model.d)
     out = []
     for z, mu, ideal in zip(model.points, mus, ideals):
         got = polyideal.localize(ann_ideal, np.asarray(z), mu)
         want = polyideal.localize(
-            polyideal.PolyIdeal(ideal.generators, ideal.max_generator_degree + mu - 1, d=model.d),
+            polyideal.PolyIdeal(generators(ideal), ideal.max_generator_degree + mu - 1, d=model.d),
             np.asarray(z),
             mu,
         )
@@ -526,7 +525,7 @@ def test_dense_annihilator_localizations_match_polynomial_route(name):
     m = models.jet_model(points, ideals)
     D = max(i.max_generator_degree for i in ideals) + sum(k + 1 for k in m.orders)
     basis, coeffs = tuples.annihilator_coeffs(m.tuple, D)
-    ann = tuples.annihilator_slice(m.tuple, D)
+    ann = annihilator_polys(m.tuple, D)
     assert coeffs.shape == (len(basis), len(ann))
     mus = [k + 2 for k in m.orders]
     ann_ideal = polyideal.PolyIdeal(ann, D + max(mus) - 1, d=m.d)

@@ -325,3 +325,10 @@ def test_svd_non_convergence_raises_numerical_error(monkeypatch):
     for f in (numerics.operator_norm, numerics.cond, numerics.orth_columns, numerics.nullspace):
         with pytest.raises(NumericalError, match="info 1"):
             f(np.eye(3))
+
+
+def test_nullspace_width_limit_is_256_mib_of_v_h():
+    numerics.check_nullspace_width(numerics.MAX_NULLSPACE_COLS, "slice")
+    assert 16 * numerics.MAX_NULLSPACE_COLS**2 == 256 * 2**20
+    with pytest.raises(InputError, match="^slice: the kernel of 4097 columns"):
+        numerics.check_nullspace_width(numerics.MAX_NULLSPACE_COLS + 1, "slice")

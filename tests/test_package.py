@@ -1,4 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import arveson
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_exists():
@@ -6,3 +16,50 @@ def test_every_export_exists():
     missing = [name for name in arveson.__all__ if not hasattr(arveson, name)]
     assert missing == []
     assert len(set(arveson.__all__)) == len(arveson.__all__)
+
+
+def _imports_polynomials(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module == "polynomials":
+                return True
+            if node.module == "arveson.polynomials":
+                return True
+            if (node.level == 1 and node.module is None) or node.module == "arveson":
+                if any(alias.name == "polynomials" for alias in node.names):
+                    return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "arveson.polynomials" for alias in node.names):
+                return True
+    return False
+
+
+def test_polynomials_stay_at_the_boundary():
+    # Polynomial objects are read and written at the JSON edge
+    # (serialization), turned into coefficient columns once (polyideal) and
+    # built for the paper's examples (repro); the package re-exports the
+    # class. Everything else works on coefficient arrays.
+    allowed = {"__init__", "polynomials", "polyideal", "serialization", "repro"}
+    importers = {
+        path.stem
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+        if _imports_polynomials(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers <= allowed, sorted(importers - allowed)
+    assert {"polyideal", "serialization"} <= importers  # the scan sees imports
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -54,6 +54,34 @@ def test_polynomial_terms_sorted():
     assert alphas == [(0, 0), (0, 1), (2, 0)] or alphas == sorted(alphas, key=lambda a: (sum(a), [-x for x in a]))
 
 
+def test_ideal_round_trip_is_byte_identical():
+    # generators keep their order; the zero generator and the one whose
+    # terms cancel are dropped; a repeated term sums (0.1 + 0.2 with its
+    # roundoff), a cancelling term vanishes, and terms come out graded
+    obj = {
+        "d": 2,
+        "degree_bound": 3,
+        "generators": [
+            {"d": 2, "terms": [{"coeff": [0.5, -1.25], "alpha": [0, 2]}, {"coeff": 2, "alpha": [1, 0]}]},
+            {"d": 2, "terms": []},
+            {"d": 2, "terms": [{"coeff": 1.5, "alpha": [1, 1]}, {"coeff": 3, "alpha": [0, 0]}, {"coeff": [0.25, 0.5], "alpha": [1, 1]}]},
+            {"d": 2, "terms": [{"coeff": 0.1, "alpha": [3, 0]}, {"coeff": 0.2, "alpha": [3, 0]}]},
+            {"d": 2, "terms": [{"coeff": 1, "alpha": [2, 1]}, {"coeff": [0, 1], "alpha": [0, 1]}, {"coeff": -1, "alpha": [2, 1]}]},
+            {"d": 2, "terms": [{"coeff": [1, 1], "alpha": [1, 2]}, {"coeff": [-1, -1], "alpha": [1, 2]}]},
+        ],
+    }
+    want = (
+        '{"d": 2, "degree_bound": 3, "generators": ['
+        '{"d": 2, "terms": [{"alpha": [1, 0], "coeff": [2.0, 0.0]}, {"alpha": [0, 2], "coeff": [0.5, -1.25]}]}, '
+        '{"d": 2, "terms": [{"alpha": [0, 0], "coeff": [3.0, 0.0]}, {"alpha": [1, 1], "coeff": [1.75, 0.5]}]}, '
+        '{"d": 2, "terms": [{"alpha": [3, 0], "coeff": [0.30000000000000004, 0.0]}]}, '
+        '{"d": 2, "terms": [{"alpha": [0, 1], "coeff": [0.0, 1.0]}]}]}'
+    )
+    ideal = ser.load_ideal(obj)
+    assert json.dumps(ser.dump_ideal(ideal)) == want
+    assert json.dumps(ser.dump_ideal(ser.load_ideal(json.loads(want)))) == want
+
+
 def test_tuple_round_trip_with_cyclic():
     E21 = np.zeros((3, 3), dtype=complex)
     E21[1, 0] = 1
