@@ -105,22 +105,22 @@ def _cmd_jordan(args):
     )
 
 
-def _monomial_generators(ideal_obj) -> list:
+def _monomial_generators(obj, where: str = "ideal") -> tuple:
+    """(d, generator exponents) of the ideal in ``obj``; an offender is named
+    by its place in the input list, zero generators (``PolyIdeal`` drops them) included."""
+    d = ser.load_ideal(obj, where).d
     gens = []
-    for k, col in enumerate(ideal_obj.coeffs.T):
-        (rows,) = np.nonzero(col)
-        if len(rows) != 1:
-            raise InputError(
-                f"ideal.generators[{k}]: expected a monomial (single term)"
-            )
-        gens.append(ideal_obj.basis[rows[0]])
-    return gens
+    for k, g in enumerate(obj["generators"]):
+        alphas = list(ser.load_polynomial(g).coeffs)
+        if len(alphas) > 1:
+            raise InputError(f"{where}.generators[{k}]: expected a monomial (single term)")
+        gens += alphas
+    return d, gens
 
 
 def _cmd_model_monomial(args):
-    ideal_obj = ser.load_ideal(_load(args))
-    gens = _monomial_generators(ideal_obj)
-    model = models.monomial_model(gens, ideal_obj.d)
+    d, gens = _monomial_generators(_load(args))
+    model = models.monomial_model(gens, d)
     t0 = np.pi / 5.0
     W = models.gauge_unitary(model, t0)
     gauge_defect = max(
@@ -240,8 +240,7 @@ def _cmd_nilsim(args):
     T, xi = ser.load_tuple(obj["tuple"], "tuple")
     if xi is None:
         raise InputError("nilsim input: tuple.cyclic_vector is required")
-    ideal_obj = ser.load_ideal(obj["ideal"], "ideal")
-    gens = _monomial_generators(ideal_obj)
+    _, gens = _monomial_generators(obj["ideal"])
     cert = nilsim.build_similarity(T, xi, gens, tol=args.tol)
     nec = nilsim.necessity_check(T, cert.X, gens, xi=cert.hypotheses.xi)
     result = _certificate_result(cert)

@@ -11,6 +11,8 @@ shapes (:func:`_gesdd_work`), without numpy's per-call dispatch, which costs
 as much as the SVD on the few-row matrices certificates make by the thousand;
 stacked SVDs stay on numpy. Both agree bit for bit, except where the OpenBLAS
 builds of numpy and scipy split a threaded call apart (tall, 64 rows and up).
+The ``ztrsen`` (Schur reordering) and ``ztrsyl`` (triangular Sylvester)
+handles of ``spectral`` are bound here too, the one home of ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ MAX_NULLSPACE_COLS = 4096
 
 _gesdd = scipy.linalg.lapack.zgesdd
 _gesdd_lwork = scipy.linalg.lapack.zgesdd_lwork
+_trsen = scipy.linalg.lapack.ztrsen
+_trsyl = scipy.linalg.lapack.ztrsyl
 
 
 def as_cmatrix(a) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Joint spectra and simultaneous block diagonalization.
 
 The joint spectrum of a commuting tuple is read off a simultaneous Schur
-triangularization driven by one random real linear combination. Riesz
-idempotents come from reordering that Schur form cluster by cluster and
-solving a Sylvester equation for the coupling block, and the block
-diagonalization symmetrizes them into orthogonal projections before
-assembling the similarity, so the conditioning of the output is exactly
-the conditioning forced by the angles between the spectral subspaces.
+triangularization driven by one random real linear combination, and that
+one Schur form serves every Riesz idempotent: LAPACK ``ztrsen`` reorders it
+so the cluster leads, and ``ztrsyl`` solves the Sylvester equation for the
+coupling block on the two triangular diagonal blocks. The block
+diagonalization symmetrizes the idempotents into orthogonal projections
+before assembling the similarity, so the conditioning of the output is
+exactly the conditioning forced by the angles between the spectral
+subspaces.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class JointSpectrum:
     ``points[i]`` is a d-tuple of complex coordinates, ``combined[i]`` its
     image under the real combination ``combo`` that was triangularized.
     Distinct points are separated by more than twice ``cluster_tol``.
+    ``schur`` is the Schur form (Z, U), A = Z U Z*, of that combination.
     """
 
     points: tuple
@@ -48,6 +51,7 @@ class JointSpectrum:
     combo: tuple
     combined: tuple
     cluster_tol: float
+    schur: tuple = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -112,8 +116,11 @@ def joint_eigenvalues(
     A random real combination A = sum c_j T_j is Schur-triangularized and
     the same unitary must triangularize every coordinate; an attempt is
     rejected (and c redrawn) if some strict lower part survives or the
-    combination fails to separate the clusters it produced.
+    combination fails to separate the clusters it produced. The clustering
+    radius must be a positive finite number.
     """
+    if not 0 < cluster_tol < np.inf:  # refuses nan as well
+        raise InputError(f"cluster_tol must be a positive finite number, got {cluster_tol!r}")
     T.require_commuting()
     rng = np.random.default_rng(seed)
     scale = max(1.0, T.scale())
@@ -122,7 +129,7 @@ def joint_eigenvalues(
         c = rng.standard_normal(T.d)
         c /= np.linalg.norm(c)
         A = sum(cj * Tj for cj, Tj in zip(c, T.matrices))
-        Q, _ = numerics.schur(A)
+        Q, U = numerics.schur(A)
         diags = []
         defect = 0.0
         for Tj in T.matrices:
@@ -162,6 +169,7 @@ def joint_eigenvalues(
             combo=tuple(float(x) for x in c),
             combined=tuple(combined),
             cluster_tol=cluster_tol,
+            schur=(Q, U),
         )
     raise NumericalError(
         f"no random combination triangularized the tuple in {TRIANGULARIZE_ATTEMPTS} "
@@ -173,28 +181,24 @@ def joint_eigenvalues(
 def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarray:
     """Spectral idempotent of the cluster at z.
 
-    The Schur form of the triangularized combination is reordered so the
-    cluster's eigenvalues lead, and the coupling block is eliminated by a
-    Sylvester solve; the conditioning of the result is the separation
-    between the cluster and the rest of the spectrum, with none of the
-    intermediate growth a polynomial in the combination would suffer.
+    The Schur form Z U Z* of the spectrum's combination is reordered by
+    LAPACK ``ztrsen`` so the cluster's eigenvalues lead, giving Z' R Z'*, and
+    the coupling block is eliminated by one ``ztrsyl`` solve of
+    R11 Y - Y R22 = R12 on the triangular blocks; then Q = Z' [I Y; 0 0] Z'*.
+    The conditioning of the result is the separation between the cluster
+    and the rest of the spectrum, with none of the intermediate growth a
+    polynomial in the combination would suffer.
     """
     i = spectrum.locate(z)
-    c = np.array(spectrum.combo)
-    A = sum(cj * Tj for cj, Tj in zip(c, T.matrices))
     n = T.n
-    reps = np.array(spectrum.combined)
-
-    def in_cluster(w):
-        return int(np.argmin(np.abs(reps - w))) == i
-
-    try:
-        R, Zs, sdim = scipy.linalg.schur(A, output="complex", sort=in_cluster)
-    except scipy.linalg.LinAlgError as exc:
+    Z, U = spectrum.schur
+    select = np.argmin(np.abs(np.array(spectrum.combined) - np.diag(U)[:, None]), axis=1) == i
+    R, Zs, _, sdim, _, _, info = numerics._trsen(select, U, Z, job="N")
+    if info:
         raise NumericalError(
             f"Schur reordering failed for the cluster at {spectrum.points[i]}: "
-            f"{exc}"
-        ) from exc
+            f"LAPACK ztrsen info {info}"
+        )
     m = spectrum.multiplicities[i]
     if sdim != m:
         raise NumericalError(
@@ -203,19 +207,16 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
         )
     if m == n:
         return np.eye(n, dtype=complex)
-    R11 = R[:m, :m]
-    R12 = R[:m, m:]
-    R22 = R[m:, m:]
-    try:
-        Y = scipy.linalg.solve_sylvester(R11, -R22, R12)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    # info 1 (eigenvalues perturbed to separate them) proceeds to the gates
+    Y, y_scale, info = numerics._trsyl(R[:m, :m], R[m:, m:], R[:m, m:], isgn=-1)
+    if info < 0:
         raise NumericalError(
             "Sylvester solve for the spectral coupling block failed; the "
             "cluster is not separated from the rest of the spectrum"
-        ) from exc
+        )
     P = np.zeros((n, n), dtype=complex)
     P[:m, :m] = np.eye(m)
-    P[:m, m:] = Y
+    P[:m, m:] = Y / y_scale
     Q = Zs @ P @ Zs.conj().T
     scale = max(1.0, numerics.operator_norm(Q))
     if numerics.operator_norm(Q @ Q - Q) > IDEMPOTENT_TOL * scale**2:
@@ -228,7 +229,7 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
             raise NumericalError(
                 "spectral idempotent does not commute with the tuple"
             )
-    s = np.linalg.svd(Q, compute_uv=False)
+    s = numerics._svd(Q)
     rank = int((s > 0.5).sum())
     if rank != spectrum.multiplicities[i]:
         raise NumericalError(
@@ -274,12 +275,8 @@ def jordan_decompose(
     # detectable from the diagonal values alone (they look exactly like
     # close simple eigenvalues) but they fail the idempotent certificates,
     # so escalate the radius until the certificates pass.
-    ladder = [cluster_tol]
-    while ladder[-1] < CLUSTER_TOL_CAP:
-        ladder.append(min(ladder[-1] * 10.0, CLUSTER_TOL_CAP))
-    spectrum = None
-    last_err = None
-    for ct in ladder:
+    ct, spectrum = cluster_tol, None
+    while spectrum is None:
         try:
             cand = joint_eigenvalues(T, cluster_tol=ct, seed=seed)
             Qs = [riesz_idempotent(T, p, cand) for p in cand.points]
@@ -298,16 +295,14 @@ def jordan_decompose(
                     f"spectral idempotents do not resolve the identity "
                     f"(defect {defect:.3e})"
                 )
+            spectrum = cand
         except NumericalError as exc:
-            last_err = exc
-            continue
-        spectrum = cand
-        break
-    if spectrum is None:
-        raise NumericalError(
-            f"no clustering radius up to {CLUSTER_TOL_CAP:g} produced "
-            f"certified spectral idempotents; last failure: {last_err}"
-        )
+            if ct >= CLUSTER_TOL_CAP:
+                raise NumericalError(
+                    f"no clustering radius up to {CLUSTER_TOL_CAP:g} produced "
+                    f"certified spectral idempotents; last failure: {exc}"
+                ) from exc
+            ct = min(ct * 10.0, CLUSTER_TOL_CAP)
     S = sum(Q.conj().T @ Q for Q in Qs)
     Y, Y_inv = numerics.sqrt_and_inv_sqrt(S)
     Us = []

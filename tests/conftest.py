@@ -11,7 +11,7 @@ from arveson import numerics
 # dense LAPACK entry points whose calls ``lapack_counts`` records
 _COUNTED = {
     "numpy.linalg": ("svd", "eigh", "eigvalsh"),
-    "scipy.linalg": ("inv",),
+    "scipy.linalg": ("inv", "schur"),
 }
 
 
@@ -21,9 +21,11 @@ def lapack_counts(monkeypatch):
 
     Each function is replaced in every loaded submodule of its package that
     binds it, so a call numpy makes internally (``np.linalg.norm(a, 2)``
-    reaches ``svd`` that way) is counted as well. The ``zgesdd`` handle of
-    ``arveson.numerics`` counts as ``svd``. Clear the counter before the
-    call under test.
+    reaches ``svd`` that way, and ``scipy.linalg.solve_sylvester`` makes
+    two ``schur`` calls) is counted as well. The LAPACK handles of
+    ``arveson.numerics`` count too: ``zgesdd`` as ``svd``, ``ztrsen`` as
+    ``trsen`` and ``ztrsyl`` as ``trsyl``. Clear the counter before the call
+    under test.
     """
     counts = collections.Counter()
     for package, names in _COUNTED.items():
@@ -45,9 +47,11 @@ def lapack_counts(monkeypatch):
                 if vars(mod).get(name) is orig:
                     monkeypatch.setattr(mod, name, counted)
 
-    def gesdd(*args, _orig=numerics._gesdd, **kwargs):
-        counts["svd"] += 1
-        return _orig(*args, **kwargs)
+    for handle, key in (("_gesdd", "svd"), ("_trsen", "trsen"), ("_trsyl", "trsyl")):
 
-    monkeypatch.setattr(numerics, "_gesdd", gesdd)
+        def counted_handle(*args, _orig=getattr(numerics, handle), _key=key, **kwargs):
+            counts[_key] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, handle, counted_handle)
     return counts

@@ -153,6 +153,47 @@ def test_jordan(tuple_file, capsys):
     assert rep["result"]["multiplicities"] == [3]
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
+def test_jordan_refuses_a_clustering_radius_that_is_not_positive_and_finite(tuple_file, tol, capsys):
+    # a radius of 0 used to escalate forever
+    t0 = time.perf_counter()
+    code, out, err = run(["jordan", "--in", tuple_file, f"--cluster-tol={tol}"], capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert out == ""
+    assert "cluster_tol" in err
+
+
+# generators [0, x1^2, x1 x2 + x2^2]: the zero one is dropped by PolyIdeal,
+# yet the entry at fault is still generators[2] of the input
+_ZERO_FIRST_IDEAL = {
+    "d": 2,
+    "degree_bound": 4,
+    "generators": [
+        {"d": 2, "terms": []},
+        {"d": 2, "terms": [{"coeff": 1, "alpha": [2, 0]}]},
+        {"d": 2, "terms": [{"coeff": 1, "alpha": [1, 1]}, {"coeff": 1, "alpha": [0, 2]}]},
+    ],
+}
+
+
+def test_model_monomial_names_the_input_entry_at_fault(tmp_path, capsys):
+    p = tmp_path / "gen.json"
+    p.write_text(json.dumps(_ZERO_FIRST_IDEAL))
+    code, out, err = run(["model-monomial", "--in", str(p)], capsys)
+    assert code == 1
+    assert "ideal.generators[2]: expected a monomial" in err
+
+
+def test_nilsim_names_the_input_entry_at_fault(tuple_file, tmp_path, capsys):
+    obj = {"tuple": json.loads(Path(tuple_file).read_text()), "ideal": _ZERO_FIRST_IDEAL}
+    p = tmp_path / "nilsim.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(["nilsim", "--in", str(p)], capsys)
+    assert code == 1
+    assert "ideal.generators[2]: expected a monomial" in err
+
+
 def test_model_monomial(ideal_file, capsys):
     code, out, err = run(["model-monomial", "--in", ideal_file], capsys)
     assert code == 0

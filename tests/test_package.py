@@ -49,6 +49,50 @@ def test_polynomials_stay_at_the_boundary():
     assert {"polyideal", "serialization"} <= importers  # the scan sees imports
 
 
+def _dotted(node) -> str:
+    """``a.b.c`` for a Name/Attribute chain, '' for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _lapack_uses(tree: ast.Module) -> dict:
+    """Which of: a reference to ``scipy.linalg.lapack``, a
+    ``solve_sylvester`` call, a ``schur(..., sort=...)`` call, the module
+    makes."""
+    found = {"lapack": False, "solve_sylvester": False, "sorted_schur": False}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found["lapack"] |= any(a.name.startswith("scipy.linalg.lapack") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found["lapack"] |= module.startswith("scipy.linalg.lapack") or (
+                module == "scipy.linalg" and any(a.name == "lapack" for a in node.names)
+            )
+        elif isinstance(node, ast.Attribute):
+            found["lapack"] |= _dotted(node).startswith("scipy.linalg.lapack")
+        elif isinstance(node, ast.Call):
+            name = _dotted(node.func).rsplit(".", 1)[-1]
+            found["solve_sylvester"] |= name == "solve_sylvester"
+            found["sorted_schur"] |= name == "schur" and any(k.arg == "sort" for k in node.keywords)
+    return found
+
+
+def test_lapack_handles_live_in_numerics():
+    # numerics binds every LAPACK handle; spectral reorders one Schur form
+    # with ztrsen and solves its coupling with ztrsyl, instead of factoring
+    # the combination again per cluster (a sorted schur) and twice more
+    # inside each solve_sylvester
+    uses = {
+        path.stem: _lapack_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+    }
+    assert sorted(m for m, u in uses.items() if u["lapack"]) == ["numerics"]
+    assert sorted(m for m, u in uses.items() if u["solve_sylvester"] or u["sorted_schur"]) == []
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ)

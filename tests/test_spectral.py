@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from arveson import spectral, tuples
-from arveson.errors import NumericalError
+from arveson import numerics, spectral, tuples
+from arveson.errors import InputError, NumericalError
+from test_acceptance import _jordan_input
 
 
 def jordan_block_tuple(points, sizes, nil_scale=0.5, seed=None, cond_cap=10.0):
@@ -64,6 +65,65 @@ def test_riesz_idempotent_properties():
     for Tj in T.matrices:
         assert_allclose(Q @ Tj, Tj @ Q, atol=1e-8)
     assert np.linalg.matrix_rank(Q, tol=0.5) == 2
+
+
+def _former_riesz_idempotent(T, z, spectrum):
+    """Oracle: the idempotent as computed while each call factored the
+    combination again, sorted by a callback, and solved the coupling block
+    with scipy's solve_sylvester. Returns the sorted Schur form (R, Z, sdim)
+    and the idempotent."""
+    i = spectrum.locate(z)
+    A = sum(cj * Tj for cj, Tj in zip(np.array(spectrum.combo), T.matrices))
+    reps = np.array(spectrum.combined)
+    R, Z, sdim = scipy.linalg.schur(
+        A, output="complex", sort=lambda w: int(np.argmin(np.abs(reps - w))) == i
+    )
+    m, n = spectrum.multiplicities[i], T.n
+    P = np.zeros((n, n), dtype=complex)
+    P[:m, :m] = np.eye(m)
+    if m < n:
+        P[:m, m:] = scipy.linalg.solve_sylvester(R[:m, :m], -R[m:, m:], R[:m, m:])
+    return R, Z, sdim, Z @ P @ Z.conj().T
+
+
+def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch):
+    # on the 50 tuples of acceptance criterion 4, the ztrsen reorder of the
+    # kept Schur form is the sorted Schur form bit for bit, and the ztrsyl
+    # idempotent agrees with the solve_sylvester one to roundoff
+    reorders = []
+    trsen = numerics._trsen
+
+    def recording(*args, **kwargs):
+        reorders.append(trsen(*args, **kwargs))
+        return reorders[-1]
+
+    monkeypatch.setattr(numerics, "_trsen", recording)
+    idempotents = 0
+    for seed in range(50):
+        T = _jordan_input(seed)[0]
+        spec = spectral.jordan_decompose(T).spectrum
+        for p in spec.points:
+            reorders.clear()
+            Q = spectral.riesz_idempotent(T, p, spec)
+            R, Z, sdim, Q_old = _former_riesz_idempotent(T, p, spec)
+            ((R_new, Z_new, _, sdim_new, _, _, _),) = reorders
+            assert np.array_equal(R_new, R) and np.array_equal(Z_new, Z), (seed, p)
+            assert sdim_new == sdim
+            err = numerics.operator_norm(Q - Q_old)
+            assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
+            idempotents += 1
+    assert idempotents == 130
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_clustering_radius_must_be_positive_and_finite(tol):
+    # 0 and negative radii used to escalate forever, inf merged distinct
+    # eigenvalues into one "nilpotent" block, nan failed far downstream
+    T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
+    with pytest.raises(InputError, match="cluster_tol"):
+        spectral.joint_eigenvalues(T, cluster_tol=tol)
+    with pytest.raises(InputError, match="cluster_tol"):
+        spectral.jordan_decompose(T, cluster_tol=tol)
 
 
 def test_jordan_decompose_recovers_structure():
@@ -136,10 +196,13 @@ def test_eigenvalue_accuracy_on_conjugated_tuples():
 # two-SVD asymmetry check of hermitian_eig, the same call made svd 31,
 # eigh 2, eigvalsh 4, inv 0. While validate measured both defects of every
 # block and nilpotent part it wrapped, none of which is read, svd 29 and
-# eigvalsh 4.
+# eigvalsh 4. While each idempotent factored the combination again with a
+# sorted schur and solved its coupling with solve_sylvester (two more schur
+# calls each), the same call made schur 7, trsen 0, trsyl 0; svd was 26 then
+# too, its rank check going through np.linalg.svd.
 def test_jordan_decompose_lapack_calls(lapack_counts):
     T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
     lapack_counts.clear()
     spectral.jordan_decompose(T)
-    want = {"svd": 26, "eigh": 1, "eigvalsh": 0, "inv": 0}
+    want = {"svd": 26, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
     assert {k: lapack_counts[k] for k in want} == want
