@@ -331,7 +331,7 @@ def _build_parser() -> _Parser:
     cmd("tuple-check", _cmd_tuple_check, "validate a commuting tuple", tol=True)
     cmd("tuple-ann", _cmd_tuple_ann, "annihilator slice of a tuple", deg=True, tol=True)
     p = cmd("jordan", _cmd_jordan, "block diagonalize a commuting tuple", seed=True)
-    p.add_argument("--cluster-tol", type=float, default=1e-6)
+    p.add_argument("--cluster-tol", type=float, default=spectral.CLUSTER_TOL)
     cmd("model-monomial", _cmd_model_monomial, "compressed shift model of a monomial ideal")
     cmd("model-jet", _cmd_model_jet, "jet model for points with local ideals", tol=True)
     cmd("interp-check", _cmd_interp_check, "separation and Carleson constants")

@@ -25,6 +25,9 @@ from . import fockspace, multiindex as mi, numerics, polyideal, tuples
 from .errors import InputError, NumericalError, ValidationError
 
 GRAM_FLOOR_RTOL = 1e-12
+# localized subspaces at most this far apart match; a distance up to
+# numerics.GAP_RATIO times farther decides nothing
+LOCALIZATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,11 @@ def verify_localizations(
     its span at each point must reproduce the local jet image exactly. Both
     sides are coefficient matrices localized by ``polyideal.localize_coeffs``:
     the slice from ``tuples.annihilator_coeffs`` and the generators of the
-    prescribed ideal, at the same order.
+    prescribed ideal, at the same order. The localized subspaces match when
+    their distance is at most ``LOCALIZATION_TOL`` and mismatch when it is
+    ``numerics.GAP_RATIO`` times that or more (or their dimensions differ);
+    a distance in between raises NumericalError, the gap policy of the rank
+    decisions.
     """
     if model.kind != "jet":
         raise InputError("localization checks need a jet model")
@@ -295,7 +302,13 @@ def verify_localizations(
         z = np.asarray(z, dtype=complex)
         got = polyideal.localize_coeffs(ann, basis, z, mu)
         want = polyideal.localize_coeffs(ideal.coeffs, ideal.basis, z, mu)
-        ok = got.dim == want.dim and numerics.subspace_equal(got.basis, want.basis)
+        dist = numerics.subspace_distance(got.basis, want.basis)
+        if LOCALIZATION_TOL < dist < numerics.GAP_RATIO * LOCALIZATION_TOL:
+            raise NumericalError(
+                f"localization at {tuple(z.tolist())} is undecidable: subspace "
+                f"distance {dist:.3e} lies between {LOCALIZATION_TOL:g} and "
+                f"{numerics.GAP_RATIO * LOCALIZATION_TOL:g}"
+            )
         out.append(
             LocalizationReport(
                 point=tuple(z.tolist()),
@@ -303,7 +316,7 @@ def verify_localizations(
                 jet_order=mu,
                 annihilator_dim=got.dim,
                 expected_dim=want.dim,
-                matches=bool(ok),
+                matches=bool(dist <= LOCALIZATION_TOL),
             )
         )
     return out

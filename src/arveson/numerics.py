@@ -214,14 +214,19 @@ def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
     return u[:, : _rank(s, rtol)]
 
 
-def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:
-    """Whether two orthonormal column families span the same subspace."""
+def subspace_distance(b1, b2) -> float:
+    """Norm of the difference of the orthogonal projections onto the spans
+    of two orthonormal column families: 0 for one subspace, 1 (inf when the
+    dimensions differ) for subspaces that are far apart."""
     b1 = as_cmatrix(b1)
     b2 = as_cmatrix(b2)
     if b1.shape[1] != b2.shape[1]:
-        return False
+        return np.inf
     if b1.shape[1] == 0:
-        return True
-    p1 = b1 @ b1.conj().T
-    p2 = b2 @ b2.conj().T
-    return operator_norm(p1 - p2) <= tol
+        return 0.0
+    return operator_norm(b1 @ b1.conj().T - b2 @ b2.conj().T)
+
+
+def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:
+    """Whether two orthonormal column families span the same subspace."""
+    return subspace_distance(b1, b2) <= tol

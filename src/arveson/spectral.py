@@ -4,11 +4,12 @@ The joint spectrum of a commuting tuple is read off a simultaneous Schur
 triangularization driven by one random real linear combination, and that
 one Schur form serves every Riesz idempotent: LAPACK ``ztrsen`` reorders it
 so the cluster leads, and ``ztrsyl`` solves the Sylvester equation for the
-coupling block on the two triangular diagonal blocks. The block
-diagonalization symmetrizes the idempotents into orthogonal projections
-before assembling the similarity, so the conditioning of the output is
-exactly the conditioning forced by the angles between the spectral
-subspaces.
+coupling block on the two triangular diagonal blocks. A block
+diagonalization factors the combination once: a wider clustering radius
+re-clusters the kept triangular diagonal. The block diagonalization
+symmetrizes the idempotents into orthogonal projections before assembling
+the similarity, so the conditioning of the output is exactly the
+conditioning forced by the angles between the spectral subspaces.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import numerics
 from .errors import InputError, NumericalError
 from .tuples import CommutingTuple, validate
 
+CLUSTER_TOL = 1e-6  # default clustering radius
 TRIANGULARIZE_RTOL = 1e-7
 TRIANGULARIZE_ATTEMPTS = 5  # random combinations tried before giving up
 IDEMPOTENT_TOL = 1e-8
@@ -43,7 +45,9 @@ class JointSpectrum:
     ``points[i]`` is a d-tuple of complex coordinates, ``combined[i]`` its
     image under the real combination ``combo`` that was triangularized.
     Distinct points are separated by more than twice ``cluster_tol``.
-    ``schur`` is the Schur form (Z, U), A = Z U Z*, of that combination.
+    ``schur`` is the Schur form (Z, U), A = Z U Z*, of that combination, and
+    row k of ``diagonal`` is the d-tuple on the k-th diagonal place of the
+    coordinates in that basis: the values the clusters group.
     """
 
     points: tuple
@@ -52,6 +56,7 @@ class JointSpectrum:
     combined: tuple
     cluster_tol: float
     schur: tuple = field(repr=False, compare=False)
+    diagonal: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -106,9 +111,45 @@ def _cluster(values: np.ndarray, tol: float):
             return groups, reps
 
 
+def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: float):
+    """The triangular diagonal clustered at ``cluster_tol``, or None when the
+    combination fails to keep the clusters apart."""
+    groups, reps = _cluster(diagonal, cluster_tol)
+    order = sorted(
+        groups,
+        key=lambda r: tuple(x for z in reps[r] for x in (z.real, z.imag)),
+    )
+    points = [tuple(reps[r].tolist()) for r in order]
+    combined = [complex(np.dot(combo, np.array(p))) for p in points]
+    if len(points) > 1:
+        sep_spec = min(
+            np.linalg.norm(np.array(points[i]) - np.array(points[j]))
+            for i in range(len(points))
+            for j in range(i + 1, len(points))
+        )
+        sep_comb = min(
+            abs(combined[i] - combined[j])
+            for i in range(len(points))
+            for j in range(i + 1, len(points))
+        )
+        # the combination must keep distinct clusters distinct, or the
+        # scalar interpolation behind the idempotents degenerates
+        if sep_comb < 0.02 * sep_spec:
+            return None
+    return JointSpectrum(
+        points=tuple(points),
+        multiplicities=tuple(len(groups[r]) for r in order),
+        combo=combo,
+        combined=tuple(combined),
+        cluster_tol=cluster_tol,
+        schur=schur,
+        diagonal=diagonal,
+    )
+
+
 def joint_eigenvalues(
     T: CommutingTuple,
-    cluster_tol: float = 1e-6,
+    cluster_tol: float = CLUSTER_TOL,
     seed: int = 0,
 ) -> JointSpectrum:
     """Diagonal d-tuples of a simultaneous triangularization, clustered.
@@ -139,43 +180,23 @@ def joint_eigenvalues(
         last_defect = defect
         if defect > TRIANGULARIZE_RTOL * scale:
             continue
-        values = np.column_stack(diags)
-        groups, reps = _cluster(values, cluster_tol)
-        order = sorted(
-            groups,
-            key=lambda r: tuple(x for z in reps[r] for x in (z.real, z.imag)),
+        spectrum = _clustered(
+            np.column_stack(diags), tuple(float(x) for x in c), (Q, U), cluster_tol
         )
-        points = [tuple(reps[r].tolist()) for r in order]
-        mults = [len(groups[r]) for r in order]
-        combined = [complex(np.dot(c, np.array(p))) for p in points]
-        if len(points) > 1:
-            sep_spec = min(
-                np.linalg.norm(np.array(points[i]) - np.array(points[j]))
-                for i in range(len(points))
-                for j in range(i + 1, len(points))
-            )
-            sep_comb = min(
-                abs(combined[i] - combined[j])
-                for i in range(len(points))
-                for j in range(i + 1, len(points))
-            )
-            # the combination must keep distinct clusters distinct, or the
-            # scalar interpolation behind the idempotents degenerates
-            if sep_comb < 0.02 * sep_spec:
-                continue
-        return JointSpectrum(
-            points=tuple(points),
-            multiplicities=tuple(mults),
-            combo=tuple(float(x) for x in c),
-            combined=tuple(combined),
-            cluster_tol=cluster_tol,
-            schur=(Q, U),
-        )
+        if spectrum is not None:
+            return spectrum
     raise NumericalError(
         f"no random combination triangularized the tuple in {TRIANGULARIZE_ATTEMPTS} "
         f"attempts (last defect {last_defect:.3e}); the tuple may be too far "
         f"from commuting"
     )
+
+
+def _selection(spectrum: JointSpectrum, i: int) -> np.ndarray:
+    """Diagonal places of the Schur form that belong to cluster i: those
+    whose eigenvalue of the combination is nearest to the cluster's."""
+    U = spectrum.schur[1]
+    return np.argmin(np.abs(np.array(spectrum.combined) - np.diag(U)[:, None]), axis=1) == i
 
 
 def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarray:
@@ -192,7 +213,7 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     i = spectrum.locate(z)
     n = T.n
     Z, U = spectrum.schur
-    select = np.argmin(np.abs(np.array(spectrum.combined) - np.diag(U)[:, None]), axis=1) == i
+    select = _selection(spectrum, i)
     R, Zs, _, sdim, _, _, info = numerics._trsen(select, U, Z, job="N")
     if info:
         raise NumericalError(
@@ -257,7 +278,7 @@ class JordanDecomposition:
 
 def jordan_decompose(
     T: CommutingTuple,
-    cluster_tol: float = 1e-6,
+    cluster_tol: float = CLUSTER_TOL,
     seed: int = 0,
 ) -> JordanDecomposition:
     """Similarity X with X T_j X^{-1} block diagonal, one block per joint
@@ -266,36 +287,24 @@ def jordan_decompose(
     The raw Riesz idempotents Q_i are symmetrized by Y = (sum Q_i* Q_i)^{1/2}
     into orthogonal projections, so X = U* Y with unitary U and the reported
     condition number is intrinsic to the tuple, not to basis choices.
+
+    The joint spectrum is computed once, at ``cluster_tol``. A radius below
+    the diagonal scatter of a defective eigenvalue splits it into spurious
+    singletons that look like close simple eigenvalues and fail some
+    certificate below (projector norm, sum Q_i = I, positive definiteness
+    of sum Q_i* Q_i, Hermitian projections, unitary assembly, off-block
+    residual). Any failed certificate, or a kept combination that no longer
+    separates the clusters, re-clusters the kept triangular diagonal at a
+    tenfold radius, up to ``CLUSTER_TOL_CAP``, reusing every idempotent
+    whose cluster the wider radius left unchanged.
     """
-    T.require_commuting()
-    n = T.n
-    I = np.eye(n, dtype=complex)
-    # A clustering radius below the diagonal scatter of a defective
-    # eigenvalue splits it into spurious singletons. Splits are not
-    # detectable from the diagonal values alone (they look exactly like
-    # close simple eigenvalues) but they fail the idempotent certificates,
-    # so escalate the radius until the certificates pass.
-    ct, spectrum = cluster_tol, None
-    while spectrum is None:
+    base = joint_eigenvalues(T, cluster_tol=cluster_tol, seed=seed)
+    ct, spectrum, idempotents = cluster_tol, base, {}
+    while True:
         try:
-            cand = joint_eigenvalues(T, cluster_tol=ct, seed=seed)
-            Qs = [riesz_idempotent(T, p, cand) for p in cand.points]
-            scale_q = max(1.0, max(numerics.operator_norm(Q) for Q in Qs))
-            if scale_q > PROJECTOR_NORM_GATE:
-                raise NumericalError(
-                    f"spectral projector norm {scale_q:.3e} exceeds "
-                    f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
-                    f"defective eigenvalue or the split is untrustworthy"
-                )
-            # sum Q_i = I is a polynomial identity, so the defect is pure
-            # rounding and must be small in absolute terms
-            defect = numerics.operator_norm(sum(Qs) - I)
-            if defect > IDEMPOTENT_TOL * n:
-                raise NumericalError(
-                    f"spectral idempotents do not resolve the identity "
-                    f"(defect {defect:.3e})"
-                )
-            spectrum = cand
+            if spectrum is None:
+                raise NumericalError(f"the combination does not separate the clusters at radius {ct:g}")
+            return _decompose(T, spectrum, idempotents)
         except NumericalError as exc:
             if ct >= CLUSTER_TOL_CAP:
                 raise NumericalError(
@@ -303,6 +312,36 @@ def jordan_decompose(
                     f"certified spectral idempotents; last failure: {exc}"
                 ) from exc
             ct = min(ct * 10.0, CLUSTER_TOL_CAP)
+            spectrum = _clustered(base.diagonal, base.combo, base.schur, ct)
+
+
+def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) -> JordanDecomposition:
+    """The decomposition on one clustering, every certificate raising
+    NumericalError. ``idempotents`` maps (multiplicity, selection) to the
+    idempotent already computed for it on the same Schur form."""
+    n = T.n
+    I = np.eye(n, dtype=complex)
+    Qs = []
+    for i, (p, m) in enumerate(zip(spectrum.points, spectrum.multiplicities)):
+        key = (m, _selection(spectrum, i).tobytes())
+        if key not in idempotents:
+            idempotents[key] = riesz_idempotent(T, p, spectrum)
+        Qs.append(idempotents[key])
+    scale_q = max(1.0, max(numerics.operator_norm(Q) for Q in Qs))
+    if scale_q > PROJECTOR_NORM_GATE:
+        raise NumericalError(
+            f"spectral projector norm {scale_q:.3e} exceeds "
+            f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
+            f"defective eigenvalue or the split is untrustworthy"
+        )
+    # sum Q_i = I is a polynomial identity, so the defect is pure
+    # rounding and must be small in absolute terms
+    defect = numerics.operator_norm(sum(Qs) - I)
+    if defect > IDEMPOTENT_TOL * n:
+        raise NumericalError(
+            f"spectral idempotents do not resolve the identity "
+            f"(defect {defect:.3e})"
+        )
     S = sum(Q.conj().T @ Q for Q in Qs)
     Y, Y_inv = numerics.sqrt_and_inv_sqrt(S)
     Us = []

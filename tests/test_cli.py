@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import arveson
-from arveson import cli, numerics, repro, tuples
+from arveson import cli, numerics, polyideal, repro, tuples
 from arveson import serialization as ser
 from arveson.polynomials import Polynomial
 
@@ -426,3 +426,21 @@ def test_model_jet_report_has_no_truncation_keys(tmp_path, capsys):
     assert rep["result"]["all_localizations_match"] is True
     assert "truncation_degree" not in rep["result"]
     assert "tail_bound" not in rep["result"]
+
+
+def test_model_jet_exits_3_on_an_undecidable_localization(tmp_path, capsys):
+    # six double points: the model is built, but its localizations lie
+    # neither within the match tolerance nor clearly apart
+    zs = [0.15, -0.15, 0.45, -0.45, 0.75, -0.75]
+    x = Polynomial.variable(1, 0)
+    obj = {
+        "d": 1,
+        "points": [[z] for z in zs],
+        "local_ideals": [ser.dump_ideal(polyideal.PolyIdeal([(x - z) ** 2], 8)) for z in zs],
+    }
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(["model-jet", "--in", str(p)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "undecidable" in err

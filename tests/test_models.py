@@ -309,6 +309,32 @@ def test_verify_localizations_two_point():
     assert reports[1].order == 0
 
 
+def test_verify_localizations_decides_or_refuses():
+    # a match lies within LOCALIZATION_TOL of the prescribed jet image and a
+    # mismatch GAP_RATIO times farther: checked against the other tangent
+    # direction at its first point, the model of <x2> + m^2 mismatches there
+    x1 = Polynomial.variable(2, 0)
+    x2 = Polynomial.variable(2, 1)
+    u = x1 - 0.25
+    along_x1 = polyideal.PolyIdeal([u * u, u * x2, x2 * x2, x2], 8)
+    along_x2 = polyideal.PolyIdeal([u * u, u * x2, x2 * x2, u], 8)
+    maximal = polyideal.PolyIdeal([x1 + 0.3, x2 - 0.2], 8)
+    m = models.jet_model([[0.25, 0.0], [-0.3, 0.2]], [along_x1, maximal])
+    reports = models.verify_localizations(m, [along_x2, maximal])
+    assert [(r.annihilator_dim, r.expected_dim, r.matches) for r in reports] == [
+        (8, 8, False),
+        (5, 5, True),
+    ]
+    # six double points localize at distances between the two bands, with
+    # equal dimensions everywhere: neither a match nor a mismatch
+    x = Polynomial.variable(1, 0)
+    zs = [0.15, -0.15, 0.45, -0.45, 0.75, -0.75]
+    ideals = [polyideal.PolyIdeal([(x - z) ** 2], 8) for z in zs]
+    m = models.jet_model([[z] for z in zs], ideals)
+    with pytest.raises(NumericalError, match=r"localization at .* undecidable: subspace distance"):
+        models.verify_localizations(m, ideals)
+
+
 def _one_variable_jet_report(points, ideals):
     m = models.jet_model(points, ideals)
     return m, models.verify_localizations(m, ideals)

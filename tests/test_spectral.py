@@ -1,10 +1,13 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from arveson import numerics, spectral, tuples
+from arveson import models, numerics, polyideal, spectral, tuples
 from arveson.errors import InputError, NumericalError
+from arveson.polynomials import Polynomial
 from test_acceptance import _jordan_input
 
 
@@ -86,7 +89,11 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch):
+# The 50 decompositions below make schur 51, trsen 534, trsyl 524 calls.
+# While every rung of the clustering ladder drew and factored the
+# combination again and computed every idempotent anew, they made schur
+# 171, trsen 1344, trsyl 1334.
+def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapack_counts):
     # on the 50 tuples of acceptance criterion 4, the ztrsen reorder of the
     # kept Schur form is the sorted Schur form bit for bit, and the ztrsyl
     # idempotent agrees with the solve_sylvester one to roundoff
@@ -99,9 +106,12 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch):
 
     monkeypatch.setattr(numerics, "_trsen", recording)
     idempotents = 0
+    decompositions = collections.Counter()
     for seed in range(50):
         T = _jordan_input(seed)[0]
+        lapack_counts.clear()
         spec = spectral.jordan_decompose(T).spectrum
+        decompositions.update({k: lapack_counts[k] for k in ("schur", "trsen", "trsyl")})
         for p in spec.points:
             reorders.clear()
             Q = spectral.riesz_idempotent(T, p, spec)
@@ -113,6 +123,64 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch):
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
             idempotents += 1
     assert idempotents == 130
+    assert decompositions == {"schur": 51, "trsen": 534, "trsyl": 524}
+
+
+def _double_point_model(zs):
+    """Jet model of the real points zs in d = 1, each with ideal <(x - z)^2>."""
+    x = Polynomial.variable(1, 0)
+    ideals = [polyideal.PolyIdeal([(x - z) ** 2], 8) for z in zs]
+    return models.jet_model([[z] for z in zs], ideals)
+
+
+_SIX_POINTS = [0.15, -0.15, 0.45, -0.45, 0.75, -0.75]
+
+
+# cond and radius of the decomposition at the smallest of the radii 1e-6,
+# 1e-5, 1e-4, 1e-3 that certified it while a failed positive-definiteness
+# check of sum Q^* Q refused the input instead of widening the radius
+@pytest.mark.parametrize(
+    "zs, radius, cond",
+    [
+        ([1 - 2.0**-n for n in range(1, 4)], 1e-5, 254.77527460297173),
+        ([1 - 2.0**-n for n in range(1, 5)], 1e-4, 964.5207319820688),
+        ([1 - 2.0**-n for n in range(1, 6)], 1e-4, 2498.395940609871),
+        ([1 - 2.0**-n for n in range(1, 7)], 1e-4, 5028.259054035361),
+        ([1 - 2.0**-n for n in range(1, 8)], 1e-3, 8431.14025921637),
+        ([1 - 2.0**-n for n in range(1, 9)], 1e-3, 12358.488023431135),
+        (_SIX_POINTS, 1e-3, 12112.216906084725),
+    ],
+)
+def test_jordan_certifies_double_points_at_the_default_radius(zs, radius, cond):
+    # the Schur diagonal spreads each double eigenvalue wider than 1e-6; the
+    # spurious singletons pass the projector-norm gate and fail only the
+    # positive-definiteness of sum Q^* Q, which must widen the radius too
+    dec = spectral.jordan_decompose(_double_point_model(zs).tuple)
+    assert dec.block_sizes == (2,) * len(zs)
+    assert dec.spectrum.cluster_tol == pytest.approx(radius)
+    assert dec.cond == pytest.approx(cond, rel=1e-8)
+
+
+def test_riesz_idempotents_are_the_hermite_interpolants():
+    # on the jet model Z of <(x - z_n)^2>, the spectral idempotent of z_n is
+    # p_n(Z) for the Hermite interpolant with p_n(z_m) = delta_nm and
+    # p_n'(z_m) = 0: p_n = L_n^2 (1 - 2 L_n'(z_n) (x - z_n)), L_n the
+    # Lagrange basis polynomial; the idempotent norms are 84.8, 62.7, 112.2
+    zs = [1 - 2.0**-n for n in range(1, 4)]
+    T = _double_point_model(zs).tuple
+    (Z,) = T.matrices
+    I = np.eye(T.n)
+    spec = spectral.jordan_decompose(T).spectrum
+    for n, zn in enumerate(zs):
+        others = [zm for m, zm in enumerate(zs) if m != n]
+        L = I.astype(complex)
+        for zm in others:
+            L = L @ (Z - zm * I) / (zn - zm)
+        slope = sum(1.0 / (zn - zm) for zm in others)
+        oracle = L @ L @ (I - 2.0 * slope * (Z - zn * I))
+        Q = spectral.riesz_idempotent(T, [zn], spec)
+        err = numerics.operator_norm(Q - oracle)
+        assert err <= 1e-7 * numerics.operator_norm(oracle), (zn, err)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
