@@ -6,7 +6,8 @@ one Schur form serves every Riesz idempotent: LAPACK ``ztrsen`` reorders it
 so the cluster leads, and ``ztrsyl`` solves the Sylvester equation for the
 coupling block on the two triangular diagonal blocks. A block
 diagonalization factors the combination once: a wider clustering radius
-re-clusters the kept triangular diagonal. The block diagonalization
+re-clusters the kept triangular diagonal, unless the combination no
+longer separates the clusters. The block diagonalization
 symmetrizes the idempotents into orthogonal projections before assembling
 the similarity, so the conditioning of the output is exactly the
 conditioning forced by the angles between the spectral subspaces.
@@ -36,6 +37,12 @@ CLUSTER_TOL_CAP = 2e-2
 # block and hence the "idempotent" blow up; genuine spectral projectors
 # at desk scale stay far below this
 PROJECTOR_NORM_GATE = 1e8
+# a cluster's Schur diagonal must stay within this fraction of the way to
+# the nearest other cluster. A radius wide enough to join distinct
+# eigenvalues leaves a cluster spread 1/5 to 2/5 of that way on the
+# double-point jet models of 1 - 2^-n, n = 9, 10; certified clusters stay
+# below 1/100 on planted Jordan tuples and 1/50 on those jet models, n <= 8
+CLUSTER_SPREAD_RATIO = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,9 +118,9 @@ def _cluster(values: np.ndarray, tol: float):
             return groups, reps
 
 
-def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: float):
-    """The triangular diagonal clustered at ``cluster_tol``, or None when the
-    combination fails to keep the clusters apart."""
+def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: float) -> JointSpectrum:
+    """The triangular diagonal clustered at ``cluster_tol``; NumericalError
+    when the combination fails to keep the clusters apart."""
     groups, reps = _cluster(diagonal, cluster_tol)
     order = sorted(
         groups,
@@ -135,7 +142,9 @@ def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: fl
         # the combination must keep distinct clusters distinct, or the
         # scalar interpolation behind the idempotents degenerates
         if sep_comb < 0.02 * sep_spec:
-            return None
+            raise NumericalError(
+                f"the combination does not separate the clusters at radius {cluster_tol:g}"
+            )
     return JointSpectrum(
         points=tuple(points),
         multiplicities=tuple(len(groups[r]) for r in order),
@@ -180,11 +189,12 @@ def joint_eigenvalues(
         last_defect = defect
         if defect > TRIANGULARIZE_RTOL * scale:
             continue
-        spectrum = _clustered(
-            np.column_stack(diags), tuple(float(x) for x in c), (Q, U), cluster_tol
-        )
-        if spectrum is not None:
-            return spectrum
+        try:
+            return _clustered(
+                np.column_stack(diags), tuple(float(x) for x in c), (Q, U), cluster_tol
+            )
+        except NumericalError:
+            continue
     raise NumericalError(
         f"no random combination triangularized the tuple in {TRIANGULARIZE_ATTEMPTS} "
         f"attempts (last defect {last_defect:.3e}); the tuple may be too far "
@@ -293,17 +303,24 @@ def jordan_decompose(
     singletons that look like close simple eigenvalues and fail some
     certificate below (projector norm, sum Q_i = I, positive definiteness
     of sum Q_i* Q_i, Hermitian projections, unitary assembly, off-block
-    residual). Any failed certificate, or a kept combination that no longer
-    separates the clusters, re-clusters the kept triangular diagonal at a
-    tenfold radius, up to ``CLUSTER_TOL_CAP``, reusing every idempotent
-    whose cluster the wider radius left unchanged.
+    residual). A radius wide enough to join distinct eigenvalues leaves a
+    cluster whose diagonal spreads a fair part of the way to the next one,
+    beyond ``CLUSTER_SPREAD_RATIO``. Any failed certificate re-clusters the
+    kept triangular diagonal at a tenfold radius, up to ``CLUSTER_TOL_CAP``,
+    reusing every idempotent whose cluster the wider radius left unchanged.
+    A rung with no spectrum yet, or whose kept combination no longer
+    separates its clusters, calls ``joint_eigenvalues`` at that radius.
     """
-    base = joint_eigenvalues(T, cluster_tol=cluster_tol, seed=seed)
-    ct, spectrum, idempotents = cluster_tol, base, {}
+    ct, spectrum, idempotents = cluster_tol, None, {}
     while True:
         try:
+            if spectrum is not None:
+                try:
+                    spectrum = _clustered(spectrum.diagonal, spectrum.combo, spectrum.schur, ct)
+                except NumericalError:
+                    spectrum = None
             if spectrum is None:
-                raise NumericalError(f"the combination does not separate the clusters at radius {ct:g}")
+                spectrum, idempotents = joint_eigenvalues(T, cluster_tol=ct, seed=seed), {}
             return _decompose(T, spectrum, idempotents)
         except NumericalError as exc:
             if ct >= CLUSTER_TOL_CAP:
@@ -312,7 +329,6 @@ def jordan_decompose(
                     f"certified spectral idempotents; last failure: {exc}"
                 ) from exc
             ct = min(ct * 10.0, CLUSTER_TOL_CAP)
-            spectrum = _clustered(base.diagonal, base.combo, base.schur, ct)
 
 
 def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) -> JordanDecomposition:
@@ -321,9 +337,19 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
     idempotent already computed for it on the same Schur form."""
     n = T.n
     I = np.eye(n, dtype=complex)
+    points = np.array(spectrum.points)
     Qs = []
     for i, (p, m) in enumerate(zip(spectrum.points, spectrum.multiplicities)):
-        key = (m, _selection(spectrum, i).tobytes())
+        select = _selection(spectrum, i)
+        spread = np.linalg.norm(spectrum.diagonal[select] - points[i], axis=1).max(initial=0.0)
+        gap = min((np.linalg.norm(q - points[i]) for j, q in enumerate(points) if j != i), default=np.inf)
+        if spread > CLUSTER_SPREAD_RATIO * gap:
+            raise NumericalError(
+                f"the cluster at {p} spreads {spread:.3e}, more than "
+                f"{CLUSTER_SPREAD_RATIO:g} of the distance {gap:.3e} to the next "
+                f"cluster; it may join distinct eigenvalues"
+            )
+        key = (m, select.tobytes())
         if key not in idempotents:
             idempotents[key] = riesz_idempotent(T, p, spectrum)
         Qs.append(idempotents[key])

@@ -89,7 +89,7 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-# The 50 decompositions below make schur 51, trsen 534, trsyl 524 calls.
+# The 50 decompositions below make schur 53, trsen 533, trsyl 524 calls.
 # While every rung of the clustering ladder drew and factored the
 # combination again and computed every idempotent anew, they made schur
 # 171, trsen 1344, trsyl 1334.
@@ -123,7 +123,7 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
             idempotents += 1
     assert idempotents == 130
-    assert decompositions == {"schur": 51, "trsen": 534, "trsyl": 524}
+    assert decompositions == {"schur": 53, "trsen": 533, "trsyl": 524}
 
 
 def _double_point_model(zs):
@@ -159,6 +159,17 @@ def test_jordan_certifies_double_points_at_the_default_radius(zs, radius, cond):
     assert dec.block_sizes == (2,) * len(zs)
     assert dec.spectrum.cluster_tol == pytest.approx(radius)
     assert dec.cond == pytest.approx(cond, rel=1e-8)
+
+
+@pytest.mark.parametrize("count", [9, 10])
+def test_jordan_refuses_double_points_closer_than_their_scatter(count):
+    # z_9 - z_8 = 2^-9 lies within twice the radius 1e-3 the double points
+    # need, so that radius and the next join distinct double points into one
+    # cluster; its Schur diagonal spreads a fifth or more of the way to the
+    # next cluster, and no radius is certified
+    zs = [1 - 2.0**-n for n in range(1, count + 1)]
+    with pytest.raises(NumericalError, match="no clustering radius.*spreads"):
+        spectral.jordan_decompose(_double_point_model(zs).tuple)
 
 
 def test_riesz_idempotents_are_the_hermite_interpolants():
