@@ -83,9 +83,10 @@ def operator_norm(a) -> float:
 def _hermitian_part(a) -> np.ndarray:
     """(a + a^*)/2, the matrix every Hermitian eigensolve is handed (LAPACK
     reads one triangle only). A matrix Hermitian by construction (a Gram
-    matrix, a sum of M M^*, a Pick matrix) comes here directly, since the
-    asymmetry check of :func:`hermitian_eig` cannot fire on it."""
+    matrix, a sum of M M^* or of Q^* Q, a Pick matrix) comes here directly,
+    since the asymmetry check of :func:`hermitian_eig` cannot fire on it."""
     a = as_cmatrix(a)
+    _require_square(a)
     return (a + a.conj().T) / 2.0
 
 
@@ -93,7 +94,8 @@ def hermitian_eig(a):
     """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
 
     The input is symmetrized internally; a deviation from Hermitian symmetry
-    beyond ``HERMITIAN_RTOL`` relative to the norm is an error.
+    beyond ``HERMITIAN_RTOL`` relative to the norm is an error. The library
+    calls it nowhere: it is the reference, bit for bit, of its eigensolves.
     """
     a = as_cmatrix(a)
     _require_square(a)
@@ -125,10 +127,11 @@ def inv(a) -> np.ndarray:
 
 
 def sqrt_and_inv_sqrt(a) -> tuple:
-    """(S^(1/2), S^(-1/2)) of a positive definite Hermitian matrix S, from
-    one eigensolve. S counts as positive definite when its smallest
-    eigenvalue exceeds ``PD_RTOL`` times its largest."""
-    vals, vecs = hermitian_eig(a)
+    """(S^(1/2), S^(-1/2)) of a positive definite S, Hermitian by
+    construction (unchecked), from one eigensolve of its Hermitian part. S
+    counts as positive definite when its smallest eigenvalue exceeds
+    ``PD_RTOL`` times its largest."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(a))
     top = float(vals[-1])
     if top <= 0 or float(vals[0]) <= PD_RTOL * top:
         raise NumericalError(

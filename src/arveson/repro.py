@@ -357,10 +357,13 @@ def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyRepor
     geometry alone). kappa = 1: 2x2 blocks with degrading eps are summed;
     spectral disjointness forces every global intertwiner block diagonal,
     so the minimal global condition number is the worst per-block one.
+    eps values with kappa = 0, or kappa = 1 points with d != 1, are refused.
     """
     if kappa not in (0, 1):
         raise InputError(f"kappa must be 0 or 1, got {kappa}")
     if kappa == 0:
+        if eps_list is not None:
+            raise InputError("eps values apply to kappa = 1 only, not to kappa = 0")
         if points is None:
             points = [[0.0], [0.5]]
         pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
@@ -391,7 +394,10 @@ def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyRepor
         eps_list = [2.0 ** (-n) for n in range(1, 7)]
     if points is None:
         points = [1.0 - 2.0 ** (-(n + 1)) for n in range(1, len(eps_list) + 1)]
-    lams = [complex(p) for p in np.asarray(points, dtype=complex).reshape(-1)]
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim > 1 and pts.shape[1:] != (1,):
+        raise InputError(f"kappa = 1 takes points with d = 1, got d = {int(np.prod(pts.shape[1:]))}")
+    lams = [complex(p) for p in pts.reshape(-1)]
     if len(lams) != len(eps_list):
         raise InputError(
             f"{len(lams)} points but {len(eps_list)} eps values"

@@ -55,6 +55,7 @@ class JointSpectrum:
     ``schur`` is the Schur form (Z, U), A = Z U Z*, of that combination, and
     row k of ``diagonal`` is the d-tuple on the k-th diagonal place of the
     coordinates in that basis: the values the clusters group.
+    ``places[i]`` lists the diagonal places of cluster i in ascending order.
     """
 
     points: tuple
@@ -64,6 +65,7 @@ class JointSpectrum:
     cluster_tol: float
     schur: tuple = field(repr=False, compare=False)
     diagonal: np.ndarray = field(repr=False, compare=False)
+    places: tuple = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -140,7 +142,7 @@ def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: fl
             for j in range(i + 1, len(points))
         )
         # the combination must keep distinct clusters distinct, or the
-        # scalar interpolation behind the idempotents degenerates
+        # ztrsyl solve of an idempotent's coupling block degenerates
         if sep_comb < 0.02 * sep_spec:
             raise NumericalError(
                 f"the combination does not separate the clusters at radius {cluster_tol:g}"
@@ -153,6 +155,7 @@ def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: fl
         cluster_tol=cluster_tol,
         schur=schur,
         diagonal=diagonal,
+        places=tuple(tuple(groups[r]) for r in order),
     )
 
 
@@ -202,40 +205,30 @@ def joint_eigenvalues(
     )
 
 
-def _selection(spectrum: JointSpectrum, i: int) -> np.ndarray:
-    """Diagonal places of the Schur form that belong to cluster i: those
-    whose eigenvalue of the combination is nearest to the cluster's."""
-    U = spectrum.schur[1]
-    return np.argmin(np.abs(np.array(spectrum.combined) - np.diag(U)[:, None]), axis=1) == i
-
-
 def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarray:
     """Spectral idempotent of the cluster at z.
 
     The Schur form Z U Z* of the spectrum's combination is reordered by
-    LAPACK ``ztrsen`` so the cluster's eigenvalues lead, giving Z' R Z'*, and
-    the coupling block is eliminated by one ``ztrsyl`` solve of
+    LAPACK ``ztrsen`` so the cluster's diagonal places lead, giving Z' R Z'*,
+    and the coupling block is eliminated by one ``ztrsyl`` solve of
     R11 Y - Y R22 = R12 on the triangular blocks; then Q = Z' [I Y; 0 0] Z'*.
     The conditioning of the result is the separation between the cluster
     and the rest of the spectrum, with none of the intermediate growth a
-    polynomial in the combination would suffer.
+    polynomial in the combination would suffer. One SVD of Q gates
+    ||Q|| <= ``PROJECTOR_NORM_GATE`` and scales the Q^2 = Q and commutator
+    gates and the rank check; each failure raises NumericalError.
     """
     i = spectrum.locate(z)
     n = T.n
     Z, U = spectrum.schur
-    select = _selection(spectrum, i)
-    R, Zs, _, sdim, _, _, info = numerics._trsen(select, U, Z, job="N")
+    select = np.isin(np.arange(n), spectrum.places[i])
+    R, Zs, _, _, _, _, info = numerics._trsen(select, U, Z, job="N")
     if info:
         raise NumericalError(
             f"Schur reordering failed for the cluster at {spectrum.points[i]}: "
             f"LAPACK ztrsen info {info}"
         )
     m = spectrum.multiplicities[i]
-    if sdim != m:
-        raise NumericalError(
-            f"reordering selected {sdim} eigenvalues for a cluster of "
-            f"multiplicity {m}; the clustering radius mislabels the spectrum"
-        )
     if m == n:
         return np.eye(n, dtype=complex)
     # info 1 (eigenvalues perturbed to separate them) proceeds to the gates
@@ -249,7 +242,14 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     P[:m, :m] = np.eye(m)
     P[:m, m:] = Y / y_scale
     Q = Zs @ P @ Zs.conj().T
-    scale = max(1.0, numerics.operator_norm(Q))
+    s = numerics._svd(Q)
+    if s[0] > PROJECTOR_NORM_GATE:
+        raise NumericalError(
+            f"spectral projector norm {s[0]:.3e} exceeds "
+            f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
+            f"defective eigenvalue or the split is untrustworthy"
+        )
+    scale = max(1.0, float(s[0]))
     if numerics.operator_norm(Q @ Q - Q) > IDEMPOTENT_TOL * scale**2:
         raise NumericalError(
             "computed spectral idempotent fails Q^2 = Q beyond tolerance"
@@ -260,13 +260,9 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
             raise NumericalError(
                 "spectral idempotent does not commute with the tuple"
             )
-    s = numerics._svd(Q)
     rank = int((s > 0.5).sum())
-    if rank != spectrum.multiplicities[i]:
-        raise NumericalError(
-            f"idempotent rank {rank} disagrees with cluster multiplicity "
-            f"{spectrum.multiplicities[i]}"
-        )
+    if rank != m:
+        raise NumericalError(f"idempotent rank {rank} disagrees with cluster multiplicity {m}")
     return Q
 
 
@@ -301,13 +297,14 @@ def jordan_decompose(
     The joint spectrum is computed once, at ``cluster_tol``. A radius below
     the diagonal scatter of a defective eigenvalue splits it into spurious
     singletons that look like close simple eigenvalues and fail some
-    certificate below (projector norm, sum Q_i = I, positive definiteness
-    of sum Q_i* Q_i, Hermitian projections, unitary assembly, off-block
+    certificate below (projector norm, gated as each Q_i is made, so a rung
+    stops at its first oversize one; sum Q_i = I, positive definiteness of
+    sum Q_i* Q_i, Hermitian projections, unitary assembly, off-block
     residual). A radius wide enough to join distinct eigenvalues leaves a
     cluster whose diagonal spreads a fair part of the way to the next one,
     beyond ``CLUSTER_SPREAD_RATIO``. Any failed certificate re-clusters the
     kept triangular diagonal at a tenfold radius, up to ``CLUSTER_TOL_CAP``,
-    reusing every idempotent whose cluster the wider radius left unchanged.
+    reusing every idempotent whose Schur diagonal places it left unchanged.
     A rung with no spectrum yet, or whose kept combination no longer
     separates its clusters, calls ``joint_eigenvalues`` at that radius.
     """
@@ -333,15 +330,14 @@ def jordan_decompose(
 
 def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) -> JordanDecomposition:
     """The decomposition on one clustering, every certificate raising
-    NumericalError. ``idempotents`` maps (multiplicity, selection) to the
-    idempotent already computed for it on the same Schur form."""
+    NumericalError. ``idempotents`` maps the diagonal places of a cluster to
+    the idempotent already computed for it on the same Schur form."""
     n = T.n
     I = np.eye(n, dtype=complex)
     points = np.array(spectrum.points)
     Qs = []
-    for i, (p, m) in enumerate(zip(spectrum.points, spectrum.multiplicities)):
-        select = _selection(spectrum, i)
-        spread = np.linalg.norm(spectrum.diagonal[select] - points[i], axis=1).max(initial=0.0)
+    for i, (p, places) in enumerate(zip(spectrum.points, spectrum.places)):
+        spread = np.linalg.norm(spectrum.diagonal[list(places)] - points[i], axis=1).max(initial=0.0)
         gap = min((np.linalg.norm(q - points[i]) for j, q in enumerate(points) if j != i), default=np.inf)
         if spread > CLUSTER_SPREAD_RATIO * gap:
             raise NumericalError(
@@ -349,17 +345,9 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
                 f"{CLUSTER_SPREAD_RATIO:g} of the distance {gap:.3e} to the next "
                 f"cluster; it may join distinct eigenvalues"
             )
-        key = (m, select.tobytes())
-        if key not in idempotents:
-            idempotents[key] = riesz_idempotent(T, p, spectrum)
-        Qs.append(idempotents[key])
-    scale_q = max(1.0, max(numerics.operator_norm(Q) for Q in Qs))
-    if scale_q > PROJECTOR_NORM_GATE:
-        raise NumericalError(
-            f"spectral projector norm {scale_q:.3e} exceeds "
-            f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
-            f"defective eigenvalue or the split is untrustworthy"
-        )
+        if places not in idempotents:
+            idempotents[places] = riesz_idempotent(T, p, spectrum)
+        Qs.append(idempotents[places])
     # sum Q_i = I is a polynomial identity, so the defect is pure
     # rounding and must be small in absolute terms
     defect = numerics.operator_norm(sum(Qs) - I)

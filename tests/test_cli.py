@@ -326,6 +326,22 @@ def test_dichotomy_smoke(capsys):
     assert rep["result"]["jet_model_cond"] < 10
 
 
+def test_dichotomy_refuses_eps_with_kappa_0(capsys):
+    code, out, err = run(["dichotomy", "--kappa", "0", "--eps", "0.5,0.25"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "kappa = 1 only" in err
+
+
+def test_dichotomy_refuses_kappa_1_points_in_two_variables(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"d": 2, "points": [[0.1, 0.2], [0.3, 0.4], [0.5, -0.1]]}))
+    code, out, err = run(["dichotomy", "--kappa", "1", "--in", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "d = 2" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["repro-6-2", "--tol", "1e-3"], ["repro-6-4", "--tol", "1e-3"], ["dichotomy", "--seed", "3"]],

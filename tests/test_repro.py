@@ -136,6 +136,26 @@ def test_dichotomy_rejects_bad_kappa():
         repro.dichotomy_demo(kappa=3)
 
 
+def test_dichotomy_refuses_eps_values_with_kappa_0():
+    # kappa = 0 builds no eps blocks, so eps values would go unread
+    with pytest.raises(InputError, match="kappa = 1 only"):
+        repro.dichotomy_demo(kappa=0, eps_list=[0.5, 0.25])
+
+
+@pytest.mark.parametrize("points", [[[0.1, 0.2], [0.3, 0.4], [0.5, -0.1]], np.zeros((2, 3))])
+def test_dichotomy_refuses_kappa_1_points_in_several_variables(points):
+    # flattening 3 points of d = 2 used to make 6 one-variable points
+    with pytest.raises(InputError, match=f"d = {np.shape(points)[1]}"):
+        repro.dichotomy_demo(points=points, kappa=1)
+
+
+def test_dichotomy_kappa_1_takes_scalars_or_one_coordinate_points():
+    pts = [0.75, 0.875]
+    want = repro.dichotomy_demo(points=pts, kappa=1, eps_list=[0.5, 0.25])
+    got = repro.dichotomy_demo(points=[[z] for z in pts], kappa=1, eps_list=[0.5, 0.25])
+    assert got == want
+
+
 @pytest.mark.parametrize("eps", EPS_CASES)
 def test_one_variable_search_oracle_agrees(eps):
     certified = repro._min_cond_1var(eps)

@@ -89,10 +89,14 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-# The 50 decompositions below make schur 53, trsen 533, trsyl 524 calls.
-# While every rung of the clustering ladder drew and factored the
-# combination again and computed every idempotent anew, they made schur
-# 171, trsen 1344, trsyl 1334.
+# The 50 decompositions below make schur 53, trsen 248, trsyl 239, svd 1255,
+# eigh 50 calls. While every rung of the clustering ladder drew and factored
+# the combination again and computed every idempotent anew, they made schur
+# 171, trsen 1344, trsyl 1334. While every idempotent of a rung was made
+# before the projector-norm gate read each norm again, each idempotent's
+# norm and rank took two more SVDs, and the eigensolve of sum Q^* Q ran
+# behind the two-SVD asymmetry check of hermitian_eig, they made schur 53,
+# trsen 533, trsyl 524, svd 4647, eigh 50.
 def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapack_counts):
     # on the 50 tuples of acceptance criterion 4, the ztrsen reorder of the
     # kept Schur form is the sorted Schur form bit for bit, and the ztrsyl
@@ -111,7 +115,7 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
         T = _jordan_input(seed)[0]
         lapack_counts.clear()
         spec = spectral.jordan_decompose(T).spectrum
-        decompositions.update({k: lapack_counts[k] for k in ("schur", "trsen", "trsyl")})
+        decompositions.update({k: lapack_counts[k] for k in ("schur", "trsen", "trsyl", "svd", "eigh")})
         for p in spec.points:
             reorders.clear()
             Q = spectral.riesz_idempotent(T, p, spec)
@@ -123,7 +127,7 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
             idempotents += 1
     assert idempotents == 130
-    assert decompositions == {"schur": 53, "trsen": 533, "trsyl": 524}
+    assert decompositions == {"schur": 53, "trsen": 248, "trsyl": 239, "svd": 1255, "eigh": 50}
 
 
 def _double_point_model(zs):
@@ -243,6 +247,19 @@ def test_jordan_escalates_past_defective_scatter():
     assert sorted(dec.block_sizes) == [3, 4]
 
 
+def test_riesz_idempotent_refuses_a_split_defective_eigenvalue():
+    # at radius 1e-10 the tuple above splits into 7 singletons whose
+    # "idempotents" couple nearly coincident spectra, with norms 9.9e9 to
+    # 2.6e11; each must be refused where it is made, not later
+    pts = [(0.5, 0.1), (-0.3, -0.4)]
+    T = jordan_block_tuple(pts, [4, 3], seed=4)
+    spec = spectral.joint_eigenvalues(T, cluster_tol=1e-10, seed=0)
+    assert spec.multiplicities == (1,) * 7
+    for p in spec.points:
+        with pytest.raises(NumericalError, match="spectral projector norm"):
+            spectral.riesz_idempotent(T, p, spec)
+
+
 def test_jordan_rejects_noncommuting():
     A = np.array([[0, 1], [0, 0]], dtype=complex)
     bad = tuples.validate([A, A.conj().T])
@@ -278,10 +295,12 @@ def test_eigenvalue_accuracy_on_conjugated_tuples():
 # eigvalsh 4. While each idempotent factored the combination again with a
 # sorted schur and solved its coupling with solve_sylvester (two more schur
 # calls each), the same call made schur 7, trsen 0, trsyl 0; svd was 26 then
-# too, its rank check going through np.linalg.svd.
+# too, its rank check going through np.linalg.svd. While each idempotent's
+# norm and rank took SVDs of their own, and the eigensolve of sum Q^* Q ran
+# behind the asymmetry check of hermitian_eig, svd was 26.
 def test_jordan_decompose_lapack_calls(lapack_counts):
     T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
     lapack_counts.clear()
     spectral.jordan_decompose(T)
-    want = {"svd": 26, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
+    want = {"svd": 20, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
     assert {k: lapack_counts[k] for k in want} == want
