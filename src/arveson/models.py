@@ -15,7 +15,9 @@ so the compressions are exact for every point of the open ball.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,7 +64,16 @@ def _monomial_complement(generators: Sequence, d: int) -> tuple:
     and the entries (j, row, col, value) of the model. Walked one degree at
     a time: x^c is outside exactly when c is not a generator and every
     x^(c - e_i) with c_i > 0 is outside, since a generator that divides c
-    properly divides some c - e_i. Z_i maps each such c - e_i to c."""
+    properly divides some c - e_i. Z_i maps each such c - e_i to c.
+
+    Every exponent outside lies in the box c_j < p_j of the pure powers
+    x_j^(p_j), so the walk runs on the mixed-radix integers
+    sum_j c_j prod_{i>j} p_i, whose order is the lexicographic one of the
+    exponents. A candidate c + e_j of a survivor c is the integer plus the
+    weight of j; it survives when it is no generator and every one of its
+    predecessors c - e_i with c_i > 0 survived, that is, when it was reached
+    from as many survivors as it has nonzero coordinates. An exponent tuple
+    is built once per survivor."""
     gens = [mi.as_index(g) for g in generators]
     for g in gens:
         if len(g) != d:
@@ -82,24 +93,30 @@ def _monomial_complement(generators: Sequence, d: int) -> tuple:
         raise InputError(f"dimension must be >= 1, got {d}")
     if max_deg > mi.MAX_DEGREE:
         raise InputError(f"max_degree {max_deg} exceeds hard limit {mi.MAX_DEGREE}")
-    gens, pos, entries = set(gens), {}, []
-    level = {(0,) * d: []}  # the survivors of one degree -> their entries (j, col, value)
-    while level:
-        for c in sorted(level, reverse=True):  # the order of mi._homogeneous
-            pos[c] = len(pos)
-            entries += [(j, pos[c], col, value) for j, col, value in level[c]]
-        ups = {b[:j] + (b[j] + 1,) + b[j + 1 :] for b in level for j in range(d)} - gens
+    weights = [math.prod(box[j + 1 :]) for j in range(d)]
+    # generators outside the box divide nothing inside it
+    gen_codes = {sum(map(operator.mul, g, weights)) for g in gens if all(map(operator.lt, g, box))}
+    comp, pos, entries = [], {}, []
+    level = {0: (0,) * d}  # the survivors of one degree, in order: code -> exponent
+    for ell in itertools.count(1):
+        for code, c in level.items():
+            pos[code] = len(comp)
+            comp.append(c)
+        reached = {}  # code of a candidate of degree ell -> [(i, c - e_i)]
+        for code, b in level.items():
+            for j in range(d):
+                if b[j] + 1 < box[j]:
+                    reached.setdefault(code + weights[j], []).append((j, b))
         level = {}
-        for c in ups:
-            shifts = []
-            for i in (i for i in range(d) if c[i]):
-                b = c[:i] + (c[i] - 1,) + c[i + 1 :]
-                if b not in pos:
-                    break
-                shifts.append((i, pos[b], math.sqrt((b[i] + 1) / (sum(b) + 1))))
-            else:
-                level[c] = shifts
-    return list(pos), entries
+        for code in sorted(reached.keys() - gen_codes, reverse=True):  # graded lex
+            preds = sorted(reached[code])
+            i, b = preds[0]
+            if len(preds) == d - b.count(0) + (b[i] == 0):  # the nonzero c_i
+                row = len(comp) + len(level)
+                level[code] = c = b[:i] + (b[i] + 1,) + b[i + 1 :]
+                entries += [(k, row, pos[code - weights[k]], math.sqrt(c[k] / ell)) for k, _ in preds]
+        if not level:
+            return comp, entries
 
 
 def monomial_model(generators: Sequence, d: int) -> ModelTuple:

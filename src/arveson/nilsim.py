@@ -251,7 +251,7 @@ def check_hypotheses(
             B_inv = numerics.inv(layer_basis)
             phases = _phases(GAMMA_GRID, labels[-1])[:, list(labels)]
             W = (layer_basis[None] * phases[:, None, :]) @ B_inv
-            gamma = float(np.linalg.svd(W, compute_uv=False)[:, 0].max())
+            gamma = float(numerics.operator_norms(W).max())
             # between grid points the gauge norm moves by at most
             # (pi / M)(Lmax / 2) gamma* (Bernstein); the labels end at Lmax
             drift = np.pi * labels[-1] / (2.0 * GAMMA_GRID)
@@ -345,10 +345,9 @@ def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTu
             "the weighted orbit over the model basis is not a basis: "
             "its matrix is singular"
         ) from exc
-    residual = max(
-        numerics.operator_norm(X @ Nj @ U - Zj)
-        for Nj, Zj in zip(N.matrices, model.tuple.matrices)
-    )
+    # the d residuals X N_j U - Z_j as one stack: one SVD call
+    Ns, Zs = np.stack(N.matrices), np.stack(model.tuple.matrices)
+    residual = float(numerics.operator_norms(X @ Ns @ U - Zs).max())
     return X, U, residual
 
 
@@ -484,19 +483,15 @@ def necessity_check(
     e^{it} N while fixing xi, and every surviving weighted orbit norm is
     at least 1 / cond(X)^2.
     """
-    model = models.monomial_model(generators, N.d)
+    model = _model_on(N, generators)
     X = numerics.as_cmatrix(X)
-    if X.shape != (model.dim, N.n) or model.dim != N.n:
-        raise InputError(
-            f"intertwiner has shape {X.shape}, expected ({model.dim}, {N.n})"
-        )
+    if X.shape != (N.n, N.n):
+        raise InputError(f"intertwiner has shape {X.shape}, expected ({N.n}, {N.n})")
     scale = max(1.0, N.scale())
     X_inv = numerics.inv(X)
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
-    resid = max(
-        numerics.operator_norm(X @ Nj - Zj @ X)
-        for Nj, Zj in zip(N.matrices, model.tuple.matrices)
-    )
+    Ns, Zs = np.stack(N.matrices), np.stack(model.tuple.matrices)
+    resid = float(numerics.operator_norms(X @ Ns - Zs @ X).max())
     if resid > NECESSITY_TOL * scale * norm_X:
         raise ValidationError(
             f"matrix does not intertwine the tuple with the model "
@@ -530,11 +525,10 @@ def necessity_check(
     W = _gauge_stack(degrees)
     Y = X_inv @ W @ X
     Y_inv = X_inv @ np.swapaxes(W.conj(), -1, -2) @ X
-    gauge_norm = float(np.linalg.svd(Y, compute_uv=False)[:, 0].max())
-    Ns = np.stack(N.matrices)
+    gauge_norm = float(numerics.operator_norms(Y).max())
     phases = np.array([cmath.exp(1j * t) for t in ts])
     D = Y[:, None] @ Ns[None] @ Y_inv[:, None] - phases[:, None, None, None] * Ns[None]
-    commute = float(np.linalg.svd(D.reshape(-1, N.n, N.n), compute_uv=False)[:, 0].max())
+    commute = float(numerics.operator_norms(D.reshape(-1, N.n, N.n)).max())
     fix = max(float(np.linalg.norm(Yi @ xi - xi)) for Yi in Y_inv)
     gauge_ok = (
         gauge_norm <= cond * (1.0 + NECESSITY_TOL)

@@ -9,10 +9,13 @@ Single-matrix SVDs (:func:`_svd`) call the ``zgesdd`` handle of
 ``scipy.linalg.lapack`` with the workspace numpy would query, from a table of
 shapes (:func:`_gesdd_work`), without numpy's per-call dispatch, which costs
 as much as the SVD on the few-row matrices certificates make by the thousand;
-stacked SVDs stay on numpy. Both agree bit for bit, except where the OpenBLAS
-builds of numpy and scipy split a threaded call apart (tall, 64 rows and up).
-The ``ztrsen`` (Schur reordering) and ``ztrsyl`` (triangular Sylvester)
-handles of ``spectral`` are bound here too, the one home of ``scipy.linalg.lapack``.
+stacked SVDs stay on numpy (:func:`operator_norms`: the largest singular
+value of every matrix of a stack from one call). Both agree bit for bit,
+except where the OpenBLAS builds of numpy and scipy split a threaded call
+apart (tall, 64 rows and up). The ``ztrsen`` (Schur reordering) and ``ztrsyl``
+(triangular Sylvester) handles of ``spectral`` are bound here too, the one
+home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
+come from :func:`largest_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ def operator_norm(a) -> float:
     return float(_svd(a)[0])
 
 
+def operator_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a nonempty k x m x n stack,
+    from one stacked SVD; entry i equals ``operator_norm(stack[i])`` bit for
+    bit (see the module docstring for the threaded exception)."""
+    return np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)[:, 0]
+
+
 def _hermitian_part(a) -> np.ndarray:
     """(a + a^*)/2, the matrix every Hermitian eigensolve is handed (LAPACK
     reads one triangle only). A matrix Hermitian by construction (a Gram
@@ -107,6 +117,12 @@ def hermitian_eig(a):
         )
     vals, vecs = np.linalg.eigh(_hermitian_part(a))
     return vals, vecs
+
+
+def largest_eigenvalue(a) -> float:
+    """Largest eigenvalue of the Hermitian part of ``a`` (one ``eigvalsh``);
+    for a matrix Hermitian by construction, as :func:`_hermitian_part`."""
+    return float(np.linalg.eigvalsh(_hermitian_part(a))[-1])
 
 
 def schur(a):

@@ -4,7 +4,8 @@ the annihilator.
 A tuple T = (T_1, ..., T_d) on C^n is the basic object everything else
 consumes. The tuple carries its worst commutator and row-contraction
 defects instead of silently trusting the caller; they are measured on
-first read, so a tuple that is never inspected costs no SVD. Downstream
+first read, so a tuple that is never inspected costs no SVD, and a gate
+whose proved screen decides (``CommutingTuple``) measures nothing. Downstream
 code calls ``require_commuting`` before relying on functional calculus.
 Polynomials in T appear only as coefficient vectors on a monomial basis:
 the annihilator is the dense matrix of ``annihilator_coeffs``.
@@ -25,13 +26,38 @@ from . import multiindex as mi
 from . import numerics
 from .errors import InputError, NumericalError, ValidationError
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 @dataclass(frozen=True)
 class CommutingTuple:
     """Validated coordinates with their measured defects. The defects and
     the coordinate operator norms (``norms``, whose maximum is ``scale``)
     are computed on first read and cached, so every gate reading them
-    shares one measurement."""
+    shares one measurement.
+
+    The gates ``require_commuting`` and ``is_row_contraction`` first try a
+    screen: a proved bound, free of factorizations, that the measured value
+    the gate compares lies within its threshold. When a screen decides, the
+    gate passes without measuring; when it cannot, the gate measures, with
+    the same threshold and message. Each screen reads the very matrices its
+    measurement would factor, so only the rounding of that measurement must
+    fit in the screen's margin tol/2. With u the unit roundoff, the screens
+    decide only when
+
+        (1 + tol/2) 16 n^3 u <= tol/2,
+
+    which holds up to n = 65 at the default tol = 1e-9. The room 16 n^3 u
+    covers the relative rounding of the screen's own sums ((n^2 + 2) u for a
+    Frobenius norm, (n + 3) u for an absolute row sum), one more u for the
+    gate's subtraction, and the backward error p(n) u ||A||_2 of the SVD or
+    Hermitian eigensolve behind the measurement: its computed values are
+    exact for A + E with ||E||_2 <= p(n) u ||A||_2, p(n) a modest polynomial
+    (LAPACK Users' Guide, sections 4.7 and 4.9; O(n^2) for the Householder
+    reductions, Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 19), so by Weyl's inequality each computed value is within
+    p(n) u ||A||_2 of the exact one.
+    """
 
     matrices: tuple
 
@@ -43,39 +69,70 @@ class CommutingTuple:
     def n(self) -> int:
         return self.matrices[0].shape[0]
 
+    def _commutators(self):
+        """T_i T_j - T_j T_i over i < j, each computed as its defect is."""
+        return (A @ B - B @ A for A, B in itertools.combinations(self.matrices, 2))
+
+    def _gram(self) -> np.ndarray:
+        """sum T_j T_j^*, computed as the row defect reads it."""
+        return sum(M @ M.conj().T for M in self.matrices)
+
+    def _screens(self, tol: float) -> bool:
+        """Whether tol leaves the screens their rounding room (class docstring)."""
+        return (1.0 + tol / 2) * 16 * self.n**3 * _UNIT_ROUNDOFF <= tol / 2
+
     @functools.cached_property
     def commutator_defect(self) -> float:
         """Largest operator norm of a commutator T_i T_j - T_j T_i."""
-        mats = self.matrices
-        defect = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                defect = max(
-                    defect,
-                    numerics.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i]),
-                )
-        return defect
+        return max(map(numerics.operator_norm, self._commutators()), default=0.0)
 
     @functools.cached_property
     def row_defect(self) -> float:
         """How far ||sum T_j T_j^*|| exceeds 1 (0 for a row contraction)."""
-        gram = numerics._hermitian_part(sum(M @ M.conj().T for M in self.matrices))
-        excess = np.linalg.eigvalsh(gram)[-1] - 1.0
-        return max(0.0, float(excess))
+        return max(0.0, numerics.largest_eigenvalue(self._gram()) - 1.0)
 
     @functools.cached_property
     def norms(self) -> tuple:
-        """Operator norm of each coordinate."""
-        return tuple(numerics.operator_norm(T) for T in self.matrices)
+        """Operator norm of each coordinate, from one stacked SVD."""
+        return tuple(numerics.operator_norms(np.stack(self.matrices)).tolist())
 
     def scale(self) -> float:
         """Largest operator norm among the coordinates."""
         return max(self.norms)
 
     def is_row_contraction(self, tol: float = numerics.DEFAULT_TOL) -> bool:
+        """Whether ``row_defect <= tol``.
+
+        Screen: max(||G||_1, ||G||_inf) <= 1 + tol/2 for the computed
+        G = sum T_j T_j^*. The eigensolve reads H = fl((G + G^*)/2), whose
+        entries are at most (|g_ij| + |g_ji|)/2 (1 + u), so ||H||_1 =
+        ||H||_inf <= (1 + u) max(||G||_1, ||G||_inf), and H being Hermitian,
+        ||H||_2 <= sqrt(||H||_1 ||H||_inf) = ||H||_1 (Higham, ch. 6). The
+        computed top eigenvalue is then at most (1 + tol/2)(1 + delta), and
+        the defect fl(lambda - 1) at most tol/2 + (1 + tol/2) delta <= tol,
+        with delta <= 16 n^3 u the total rounding of the class docstring.
+        """
+        if self._screens(tol):
+            a = np.abs(self._gram())
+            if max(a.sum(axis=0).max(), a.sum(axis=1).max()) <= 1.0 + tol / 2:
+                return True
         return self.row_defect <= tol
 
     def require_commuting(self, tol: float = numerics.DEFAULT_TOL) -> None:
+        """Raise ValidationError unless ``commutator_defect`` is at most
+        tol max(1, scale)^2.
+
+        Screen: every computed commutator C has computed Frobenius norm at
+        most tol/2. Then ||C||_2 <= ||C||_F <= (tol/2)(1 + (n^2 + 2) u), and
+        the measured defect, the top computed singular value of C, is at most
+        (tol/2)(1 + 16 n^3 u) < tol <= tol max(1, scale)^2 (class docstring),
+        so neither the defect nor the norms are measured. Squares that
+        underflow move the computed sum of squares by at most n^2 2^-1074 in
+        all, far below (tol/2)^2 >= (16 n^3 u)^2, so they do not disturb it.
+        """
+        if self._screens(tol):
+            if all(np.linalg.norm(C) <= tol / 2 for C in self._commutators()):
+                return
         bound = tol * max(1.0, self.scale()) ** 2
         if self.commutator_defect > bound:
             raise ValidationError(

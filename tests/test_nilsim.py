@@ -278,6 +278,26 @@ def test_necessity_check_rejects_non_intertwiner():
         nilsim.necessity_check(T, np.array([[1.0, 1, 0], [0, 1, 0], [1, 0, 1]]), SQUARE)
 
 
+def test_necessity_check_refuses_a_wrong_dimension_ideal_as_build_similarity_does():
+    # the ideal <x^4> has a complement of dimension 4, the tuple acts on C^3;
+    # this used to read "intertwiner has shape (4, 3), expected (4, 3)"
+    m = models.monomial_model([(3,)], 1)
+    message = "tuple acts on dimension 3 but the ideal complement has dimension 4"
+    with pytest.raises(ValidationError) as got:
+        nilsim.necessity_check(m.tuple, np.eye(4, 3), [(4,)])
+    with pytest.raises(ValidationError) as want:
+        nilsim.build_similarity(m.tuple, m.cyclic, [(4,)])
+    assert str(got.value) == str(want.value) == message
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (2, 2)])
+def test_necessity_check_names_the_square_shape_of_a_wrong_intertwiner(shape):
+    m = models.monomial_model([(3,)], 1)
+    with pytest.raises(InputError) as got:
+        nilsim.necessity_check(m.tuple, np.ones(shape), [(3,)])
+    assert str(got.value) == f"intertwiner has shape {shape}, expected (3, 3)"
+
+
 def test_lemma_checks_on_exact_model():
     m = models.monomial_model([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
     rep = nilsim.lemma_checks(m.tuple, m.cyclic, epsilon=0.05, seed=0)
@@ -342,15 +362,20 @@ def test_certificate_norms_match_separate_svds():
 # While the hypotheses measured the gauge defect eagerly (d SVDs), they made
 # svd 14 and 17. The commutator SVDs and the eigvalsh now count here because
 # the defects of m.tuple are measured on first read, inside the call; the
-# model rebuilt for the correspondence no longer measures its own.
+# model rebuilt for the correspondence no longer measures its own. While the
+# commuting and row-contraction gates always measured (d(d-1)/2 SVDs and
+# one eigvalsh) and the coordinate norms and the conjugation residuals took
+# one SVD per coordinate, they made svd 12, eigvalsh 1 and svd 14, eigvalsh
+# 1. The screens of those gates decide both models without a factorization,
+# and the norms and the residuals are one stacked SVD each.
 @pytest.mark.parametrize(
     "gens, d, want",
     [
-        ([(3, 0), (0, 2)], 2, {"svd": 12, "eigh": 0, "eigvalsh": 1, "inv": 1}),
+        ([(3, 0), (0, 2)], 2, {"svd": 9, "eigh": 0, "eigvalsh": 0, "inv": 1}),
         (
             [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
             3,
-            {"svd": 14, "eigh": 0, "eigvalsh": 1, "inv": 1},
+            {"svd": 7, "eigh": 0, "eigvalsh": 0, "inv": 1},
         ),
     ],
 )
@@ -712,11 +737,12 @@ def test_build_similarity_uses_the_hypotheses_xi_as_is():
 # the same call made svd 17, 9 of them the refine's. While the 64 grid
 # gauges took one SVD each, the hypotheses measured the gauge defect eagerly
 # and the model rebuilt for the correspondence measured its row defect, it
-# made svd 83, eigh 0, eigvalsh 1, inv 2.
+# made svd 83, eigh 0, eigvalsh 1, inv 2. While the d = 2 conjugation
+# residuals took one SVD each, svd was 8.
 def test_build_similarity_grid_branch_lapack_calls(lapack_counts):
     N, xi, gens = _perturbed_input(9)
     lapack_counts.clear()
     cert = nilsim.build_similarity(N, xi, gens)
     assert cert.hypotheses.gamma > 1.0
-    want = {"svd": 8, "eigh": 0, "eigvalsh": 0, "inv": 2}
+    want = {"svd": 7, "eigh": 0, "eigvalsh": 0, "inv": 2}
     assert {k: lapack_counts[k] for k in want} == want

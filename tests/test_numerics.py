@@ -332,3 +332,30 @@ def test_nullspace_width_limit_is_256_mib_of_v_h():
     assert 16 * numerics.MAX_NULLSPACE_COLS**2 == 256 * 2**20
     with pytest.raises(InputError, match="^slice: the kernel of 4097 columns"):
         numerics.check_nullspace_width(numerics.MAX_NULLSPACE_COLS + 1, "slice")
+
+
+def test_operator_norms_match_operator_norm_bit_for_bit():
+    # the stacked helper and the single-matrix handle return the same bits
+    # on every shape the certificates stack (n <= 20)
+    rng = np.random.default_rng(18)
+    for n in range(1, 21):
+        for k in (1, 2, 3, 8):
+            stacks = [
+                rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)),
+                1e-12 * rng.standard_normal((k, n, n)),
+                np.zeros((k, n, n)),
+            ]
+            # rank one and a rectangular stack
+            u = rng.standard_normal((k, n, 1)) + 1j * rng.standard_normal((k, n, 1))
+            stacks.append(u @ u.conj().transpose(0, 2, 1))
+            stacks.append(rng.standard_normal((k, n, max(1, n // 2))))
+            for stack in stacks:
+                got = numerics.operator_norms(stack)
+                assert got.shape == (k,)
+                assert [float(v) for v in got] == [numerics.operator_norm(a) for a in stack], (n, k)
+
+
+def test_largest_eigenvalue_reads_the_hermitian_part():
+    a = np.array([[2.0, 1.0], [3.0, 2.0]])
+    h = numerics._hermitian_part(a)
+    assert numerics.largest_eigenvalue(a) == float(np.linalg.eigvalsh(h)[-1]) == 4.0

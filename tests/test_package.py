@@ -93,6 +93,41 @@ def test_lapack_handles_live_in_numerics():
     assert sorted(m for m, u in uses.items() if u["solve_sylvester"] or u["sorted_schur"]) == []
 
 
+# dense factorizations (and the solves and inverses built on them) of
+# numpy.linalg and scipy.linalg
+_FACTORIZATIONS = {
+    "cho_factor", "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "hessenberg",
+    "inv", "lstsq", "lu", "lu_factor", "matrix_rank", "pinv", "qr", "qz", "rq", "schur",
+    "slogdet", "solve", "solve_sylvester", "svd", "svdvals",
+}
+_LINALG = ("np.linalg", "numpy.linalg", "scipy.linalg", "linalg")
+
+
+def _factorization_calls(tree: ast.Module) -> set:
+    """The numpy.linalg and scipy.linalg factorizations a module calls by
+    attribute or imports by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "") in ("numpy.linalg", "scipy.linalg"):
+            found |= {a.name for a in node.names} & _FACTORIZATIONS
+        elif isinstance(node, ast.Call):
+            owner, _, name = _dotted(node.func).rpartition(".")
+            if owner in _LINALG and name in _FACTORIZATIONS:
+                found.add(name)
+    return found
+
+
+def test_certificate_modules_factor_through_numerics():
+    # nilsim and tuples reach every SVD and eigensolve through numerics
+    calls = {
+        path.stem: _factorization_calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+    }
+    assert calls["nilsim"] == calls["tuples"] == set()
+    # the scan sees direct calls where they remain
+    assert {"eigh"} <= calls["interp"] and {"qr"} <= calls["spectral"]
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, numerics, spectral, tuples
@@ -308,3 +309,82 @@ def test_validate_measures_no_defect(lapack_counts):
     assert sum(lapack_counts.values()) == 0
     assert T.commutator_defect == 0.0 and T.row_defect == 0.0
     assert lapack_counts["svd"] == 1 and lapack_counts["eigvalsh"] == 1
+
+
+def _gate_decisions(mats, tol):
+    """(commutes, row contraction) from the screened gates of a fresh tuple
+    and from the measured defects of another, as the gates compared them
+    before the screens."""
+    T = tuples.validate(mats)
+    try:
+        T.require_commuting(tol)
+        commutes = True
+    except ValidationError:
+        commutes = False
+    screened = (commutes, T.is_row_contraction(tol))
+    M = tuples.validate(mats)
+    measured = (M.commutator_defect <= tol * max(1.0, M.scale()) ** 2, M.row_defect <= tol)
+    return screened, measured
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_noise=st.floats(-17.0, -7.0),
+    log_excess=st.floats(-13.0, -7.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-12, 1e-15, 0.0]),
+)
+def test_screened_gates_decide_as_the_measured_gates(n, seed, log_noise, log_excess, sign, tol):
+    # polynomials in one matrix commute up to rounding, plus noise of a
+    # chosen size; the tuple is rescaled so that ||sum T_j T_j^*|| lands
+    # near 1 on either side
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mats = [A, A @ A - 0.5 * A + 10**log_noise * E / np.linalg.norm(E)]
+    gram_norm = np.linalg.norm(sum(M @ M.conj().T for M in mats), 2)
+    r = np.sqrt((1.0 + sign * 10**log_excess) / gram_norm)
+    screened, measured = _gate_decisions([r * M for M in mats], tol)
+    assert screened == measured
+
+
+def _near(value, rel):
+    return [value * (1.0 - rel), value * (1.0 + rel)]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_screened_gates_agree_within_1e_3_of_each_threshold(tol):
+    # commutator of A = E12 and c A^*: diag(c, -c), exact in floating
+    # point, so the defect is c, its Frobenius norm c sqrt(2), the scale 1;
+    # a multiple s I has ||sum T T^*|| = s^2 and max abs row sum s^2
+    A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    U = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    cases = []
+    # the measured thresholds: defect = tol, row defect = tol
+    cases += [[A, c * A.conj().T] for c in _near(tol, 1e-3)]
+    cases += [[np.sqrt(1.0 + e) * np.eye(3)] for e in _near(tol, 1e-3)]
+    cases += [[np.sqrt((1.0 + e) / 2) * U, np.sqrt((1.0 + e) / 2) * U] for e in _near(tol, 1e-3)]
+    # the screens' thresholds: Frobenius norm tol/2, abs row sums 1 + tol/2
+    cases += [[A, c * A.conj().T] for c in _near(tol / (2 * np.sqrt(2.0)), 1e-3)]
+    cases += [[np.sqrt(1.0 + e) * np.eye(3)] for e in _near(tol / 2, 1e-3)]
+    decisions = [_gate_decisions(mats, tol) for mats in cases]
+    assert all(screened == measured for screened, measured in decisions)
+    # both sides of each measured threshold are seen
+    assert [m for _, m in decisions[:6]] == [(True, True), (False, True)] + [(True, True), (True, False)] * 2
+
+
+def test_screened_pass_makes_no_factorization_and_keeps_the_defect_bits(lapack_counts):
+    # every exact staircase model passes both screens without an SVD or an
+    # eigensolve; the defects and norms read afterwards carry the bits of
+    # the former eager measurement and of one SVD per coordinate
+    for d in (1, 2, 3):
+        for comp in _downset_family(d, 3, 20):
+            T = models.monomial_model(_staircase_generators(d, comp), d).tuple
+            lapack_counts.clear()
+            T.require_commuting()
+            assert T.is_row_contraction()
+            assert sum(lapack_counts.values()) == 0, comp
+            assert (T.commutator_defect, T.row_defect) == _eager_defects(T.matrices)
+            assert T.norms == tuple(numerics.operator_norm(M) for M in T.matrices)
