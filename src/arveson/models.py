@@ -109,12 +109,13 @@ def _monomial_complement(generators: Sequence, d: int) -> tuple:
                     reached.setdefault(code + weights[j], []).append((j, b))
         level = {}
         for code in sorted(reached.keys() - gen_codes, reverse=True):  # graded lex
-            preds = sorted(reached[code])
+            # survivors come in descending order, so i descends along preds
+            preds = reached[code]
             i, b = preds[0]
             if len(preds) == d - b.count(0) + (b[i] == 0):  # the nonzero c_i
                 row = len(comp) + len(level)
                 level[code] = c = b[:i] + (b[i] + 1,) + b[i + 1 :]
-                entries += [(k, row, pos[code - weights[k]], math.sqrt(c[k] / ell)) for k, _ in preds]
+                entries += [(k, row, pos[code - weights[k]], math.sqrt(c[k] / ell)) for k, _ in reversed(preds)]
         if not level:
             return comp, entries
 

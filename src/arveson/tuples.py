@@ -40,10 +40,11 @@ class CommutingTuple:
     screen: a proved bound, free of factorizations, that the measured value
     the gate compares lies within its threshold. When a screen decides, the
     gate passes without measuring; when it cannot, the gate measures, with
-    the same threshold and message. Each screen reads the very matrices its
-    measurement would factor, so only the rounding of that measurement must
-    fit in the screen's margin tol/2. With u the unit roundoff, the screens
-    decide only when
+    the same threshold and message; a defect already measured decides
+    without a screen. Each screen reads the very matrices its measurement
+    would factor, so only the rounding of that measurement must fit in the
+    screen's margin tol/2. With u the unit roundoff, the screens decide only
+    when
 
         (1 + tol/2) 16 n^3 u <= tol/2,
 
@@ -112,7 +113,7 @@ class CommutingTuple:
         the defect fl(lambda - 1) at most tol/2 + (1 + tol/2) delta <= tol,
         with delta <= 16 n^3 u the total rounding of the class docstring.
         """
-        if self._screens(tol):
+        if "row_defect" not in self.__dict__ and self._screens(tol):
             a = np.abs(self._gram())
             if max(a.sum(axis=0).max(), a.sum(axis=1).max()) <= 1.0 + tol / 2:
                 return True
@@ -130,7 +131,7 @@ class CommutingTuple:
         underflow move the computed sum of squares by at most n^2 2^-1074 in
         all, far below (tol/2)^2 >= (16 n^3 u)^2, so they do not disturb it.
         """
-        if self._screens(tol):
+        if "commutator_defect" not in self.__dict__ and self._screens(tol):
             if all(np.linalg.norm(C) <= tol / 2 for C in self._commutators()):
                 return
         bound = tol * max(1.0, self.scale()) ** 2

@@ -355,24 +355,33 @@ def _near(value, rel):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-def test_screened_gates_agree_within_1e_3_of_each_threshold(tol):
+def test_screened_gates_agree_within_1e_3_of_each_threshold(tol, lapack_counts):
     # commutator of A = E12 and c A^*: diag(c, -c), exact in floating
     # point, so the defect is c, its Frobenius norm c sqrt(2), the scale 1;
     # a multiple s I has ||sum T T^*|| = s^2 and max abs row sum s^2
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     U = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    cases = []
     # the measured thresholds: defect = tol, row defect = tol
-    cases += [[A, c * A.conj().T] for c in _near(tol, 1e-3)]
-    cases += [[np.sqrt(1.0 + e) * np.eye(3)] for e in _near(tol, 1e-3)]
-    cases += [[np.sqrt((1.0 + e) / 2) * U, np.sqrt((1.0 + e) / 2) * U] for e in _near(tol, 1e-3)]
-    # the screens' thresholds: Frobenius norm tol/2, abs row sums 1 + tol/2
-    cases += [[A, c * A.conj().T] for c in _near(tol / (2 * np.sqrt(2.0)), 1e-3)]
-    cases += [[np.sqrt(1.0 + e) * np.eye(3)] for e in _near(tol / 2, 1e-3)]
-    decisions = [_gate_decisions(mats, tol) for mats in cases]
+    measured = [[A, c * A.conj().T] for c in _near(tol, 1e-3)]
+    measured += [[np.sqrt(1.0 + e) * np.eye(3)] for e in _near(tol, 1e-3)]
+    measured += [[np.sqrt((1.0 + e) / 2) * U, np.sqrt((1.0 + e) / 2) * U] for e in _near(tol, 1e-3)]
+    decisions = [_gate_decisions(mats, tol) for mats in measured]
     assert all(screened == measured for screened, measured in decisions)
-    # both sides of each measured threshold are seen
-    assert [m for _, m in decisions[:6]] == [(True, True), (False, True)] + [(True, True), (True, False)] * 2
+    assert [m for _, m in decisions] == [(True, True), (False, True)] + [(True, True), (True, False)] * 2
+    # the screens' thresholds, Frobenius norm tol/2 and abs row sums
+    # 1 + tol/2: below, the screen passes without a factorization; above,
+    # the gate measures (the norms, one stacked SVD, and the defect) and
+    # passes
+    for c, svds in zip(_near(tol / (2 * np.sqrt(2.0)), 1e-3), (0, 2)):
+        T = tuples.validate([A, c * A.conj().T])
+        lapack_counts.clear()
+        T.require_commuting(tol)
+        assert lapack_counts["svd"] == svds
+    for e, eigs in zip(_near(tol / 2, 1e-3), (0, 1)):
+        T = tuples.validate([np.sqrt(1.0 + e) * np.eye(3)])
+        lapack_counts.clear()
+        assert T.is_row_contraction(tol)
+        assert lapack_counts["eigvalsh"] == eigs
 
 
 def test_screened_pass_makes_no_factorization_and_keeps_the_defect_bits(lapack_counts):
