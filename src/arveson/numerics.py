@@ -86,8 +86,12 @@ def operator_norm(a) -> float:
 def operator_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a nonempty k x m x n stack,
     from one stacked SVD; entry i equals ``operator_norm(stack[i])`` bit for
-    bit (see the module docstring for the threaded exception)."""
-    return np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)[:, 0]
+    bit (see the module docstring for the threaded exception). A stack of
+    one goes to :func:`_svd`, whose call costs less than numpy's dispatch."""
+    stack = np.asarray(stack, dtype=complex)
+    if len(stack) == 1:
+        return _svd(stack[0])[:1]
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def _hermitian_part(a) -> np.ndarray:
