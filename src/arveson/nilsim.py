@@ -146,7 +146,7 @@ def _require_nilpotent(N: tuples.CommutingTuple, top: tuple, tol: float = NILPOT
     (keys, stack) of degree n - 1, which holds every N_j^(n-1)."""
     keys, stack = top
     pure = [keys.index(tuple(N.n - 1 if i == j else 0 for i in range(N.d))) for j in range(N.d)]
-    powers = np.stack(N.matrices) @ stack[pure]
+    powers = np.array(N.matrices) @ stack[pure]
     for j, (P, norm) in enumerate(zip(powers, N.norms)):
         gate = tol * max(1.0, norm) ** N.n
         if float(np.linalg.norm(P)) <= gate:
@@ -334,10 +334,10 @@ def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTu
     """(X, U, residual) with U the weighted orbit matrix and X = U^-1.
     ``orbit`` maps alpha to N^alpha xi; an index it lacks lies past a degree
     at which every power of N vanishes, so its column is zero."""
-    U = np.zeros((N.n, N.n), dtype=complex)
-    for k, beta in enumerate(model.basis_indices):
-        if beta in orbit:
-            U[:, k] = math.sqrt(tuples._weight_table(N.d, mi.degree(beta))[beta]) * orbit[beta]
+    zero = np.zeros(N.n, dtype=complex)
+    basis = model.basis_indices
+    roots = [math.sqrt(tuples._weight_table(N.d, mi.degree(beta))[beta]) for beta in basis]
+    U = np.multiply(np.array([orbit.get(beta, zero) for beta in basis]).T, roots, order="C")
     try:
         X = numerics.inv(U)
     except NumericalError as exc:
@@ -346,7 +346,7 @@ def _correspondence(N: tuples.CommutingTuple, orbit: dict, model: models.ModelTu
             "its matrix is singular"
         ) from exc
     # the d residuals X N_j U - Z_j as one stack: one SVD call
-    Ns, Zs = np.stack(N.matrices), np.stack(model.tuple.matrices)
+    Ns, Zs = np.array(N.matrices), np.array(model.tuple.matrices)
     residual = float(numerics.operator_norms(X @ Ns @ U - Zs).max())
     return X, U, residual
 
@@ -490,7 +490,7 @@ def necessity_check(
     scale = max(1.0, N.scale())
     X_inv = numerics.inv(X)
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
-    Ns, Zs = np.stack(N.matrices), np.stack(model.tuple.matrices)
+    Ns, Zs = np.array(N.matrices), np.array(model.tuple.matrices)
     resid = float(numerics.operator_norms(X @ Ns - Zs @ X).max())
     if resid > NECESSITY_TOL * scale * norm_X:
         raise ValidationError(

@@ -95,7 +95,7 @@ class CommutingTuple:
     @functools.cached_property
     def norms(self) -> tuple:
         """Operator norm of each coordinate, from one stacked SVD."""
-        return tuple(numerics.operator_norms(np.stack(self.matrices)).tolist())
+        return tuple(numerics.operator_norms(np.array(self.matrices)).tolist())
 
     def scale(self) -> float:
         """Largest operator norm among the coordinates."""
@@ -115,7 +115,7 @@ class CommutingTuple:
         """
         if "row_defect" not in self.__dict__ and self._screens(tol):
             a = np.abs(self._gram())
-            if max(a.sum(axis=0).max(), a.sum(axis=1).max()) <= 1.0 + tol / 2:
+            if max(np.add.reduce(a, 0).max(), np.add.reduce(a, 1).max()) <= 1.0 + tol / 2:
                 return True
         return self.row_defect <= tol
 
@@ -132,7 +132,7 @@ class CommutingTuple:
         all, far below (tol/2)^2 >= (16 n^3 u)^2, so they do not disturb it.
         """
         if "commutator_defect" not in self.__dict__ and self._screens(tol):
-            if all(np.linalg.norm(C) <= tol / 2 for C in self._commutators()):
+            if all(math.sqrt(np.vdot(C, C).real) <= tol / 2 for C in self._commutators()):
                 return
         bound = tol * max(1.0, self.scale()) ** 2
         if self.commutator_defect > bound:
@@ -197,7 +197,7 @@ def _levels(T: CommutingTuple, start: np.ndarray):
     ends: bound it with ``zip(range(n), _levels(...))``, so that a consumer
     that stops at a dead degree computes nothing beyond it.
     """
-    Ns = np.stack(T.matrices)
+    Ns = np.array(T.matrices)
     keys, stack = ((0,) * T.d,), start[None]
     for ell in itertools.count(1):
         yield keys, stack
