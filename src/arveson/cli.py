@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from . import (
     multiindex as mi,
     nilsim,
     numerics,
+    polyideal,
     repro,
     serialization as ser,
     spectral,
@@ -64,7 +64,7 @@ def _cmd_tuple_check(args):
     if xi is not None:
         kry = tuples.krylov(T, xi, T.n)
         result["cyclic"] = kry.is_cyclic
-        result["layer_dims"] = list(kry.layer_dims)
+        result["layer_dims"] = kry.layer_dims
         result["layers_direct"] = kry.layers_direct
     return ser.report_envelope(
         "tuple-check", result, tolerances={"tol": args.tol}
@@ -89,14 +89,14 @@ def _cmd_jordan(args):
     T, _ = ser.load_tuple(_load(args))
     dec = spectral.jordan_decompose(T, cluster_tol=args.cluster_tol, seed=args.seed)
     result = {
-        "points": [list(p) for p in dec.spectrum.points],
-        "multiplicities": list(dec.spectrum.multiplicities),
+        "points": dec.spectrum.points,
+        "multiplicities": dec.spectrum.multiplicities,
         "cond": dec.cond,
         "residual": dec.residual,
         "idempotent_defect": dec.idempotent_defect,
         "X": dec.X,
         "blocks": [
-            {"point": list(p), "matrices": [ser.dump_matrix(M) for M in blk.matrices]}
+            {"point": p, "matrices": blk.matrices}
             for p, blk in zip(dec.spectrum.points, dec.blocks)
         ],
     }
@@ -106,16 +106,17 @@ def _cmd_jordan(args):
 
 
 def _monomial_generators(obj, where: str = "ideal") -> tuple:
-    """(d, generator exponents) of the ideal in ``obj``; an offender is named
-    by its place in the input list, zero generators (``PolyIdeal`` drops them) included."""
-    d = ser.load_ideal(obj, where).d
-    gens = []
-    for k, g in enumerate(obj["generators"]):
-        alphas = list(ser.load_polynomial(g).coeffs)
-        if len(alphas) > 1:
+    """(d, generator exponents) of the ideal in ``obj``, each generator read
+    once and checked as ``load_ideal`` checks it; an offender is named by its
+    place in the input list, zero generators (``PolyIdeal`` drops them) included."""
+    d, degree_bound, gens = ser.load_generators(obj, where)
+    d = polyideal.PolyIdeal.from_terms(gens, degree_bound, d=d).d
+    alphas = []
+    for k, (_, table) in enumerate(gens):
+        if len(table) > 1:
             raise InputError(f"{where}.generators[{k}]: expected a monomial (single term)")
-        gens += alphas
-    return d, gens
+        alphas += table
+    return d, alphas
 
 
 def _cmd_model_monomial(args):
@@ -131,8 +132,8 @@ def _cmd_model_monomial(args):
     )
     result = {
         "dimension": model.dim,
-        "basis_indices": [list(b) for b in model.basis_indices],
-        "matrices": [ser.dump_matrix(M) for M in model.tuple.matrices],
+        "basis_indices": model.basis_indices,
+        "matrices": model.tuple.matrices,
         "commutator_defect": model.tuple.commutator_defect,
         "row_defect": model.tuple.row_defect,
         "gauge_defect": gauge_defect,
@@ -157,13 +158,13 @@ def _cmd_model_jet(args):
     loc = models.verify_localizations(model, ideals)
     result = {
         "dimension": model.dim,
-        "points": [[ser.dump_complex(z) for z in p] for p in model.points],
-        "orders": list(model.orders),
-        "local_dims": list(model.local_dims),
-        "matrices": [ser.dump_matrix(M) for M in model.tuple.matrices],
+        "points": model.points,
+        "orders": model.orders,
+        "local_dims": model.local_dims,
+        "matrices": model.tuple.matrices,
         "commutator_defect": model.tuple.commutator_defect,
         "row_defect": model.tuple.row_defect,
-        "localizations": [asdict(r) for r in loc],
+        "localizations": loc,
         "all_localizations_match": all(r.matches for r in loc),
     }
     return ser.report_envelope(
@@ -179,11 +180,11 @@ def _cmd_interp_check(args):
         "count": sep.count,
         "delta_weak": sep.delta_weak,
         "gamma_carleson": sep.gamma_carleson,
-        "worst_pair": list(sep.worst_pair),
+        "worst_pair": sep.worst_pair,
         "strong_separation": {
-            "eps": list(strong.eps),
+            "eps": strong.eps,
             "overall": strong.overall,
-            "pick_norms": list(strong.pick_norms),
+            "pick_norms": strong.pick_norms,
         },
     }
     return ser.report_envelope("interp-check", result)
@@ -218,7 +219,7 @@ def _certificate_result(cert: nilsim.SimilarityCertificate) -> dict:
         "gamma": h.gamma,
         "gamma_upper": h.gamma_upper,
         "layers_direct": h.layers_direct,
-        "layer_dims": list(h.layer_dims),
+        "layer_dims": h.layer_dims,
         "norm_X": cert.norm_X,
         "norm_X_inv": cert.norm_X_inv,
         "cond": cert.cond,
@@ -265,7 +266,7 @@ def _cmd_repro_6_2(args):
         for r in repro.example_one_variable(eps_list=[e], lams=lams).rows
     ]
     result = {
-        "rows": [asdict(r) for r in rows],
+        "rows": rows,
         "ok": repro.OneVariableReport(rows=tuple(rows)).ok,
     }
     return ser.report_envelope("repro-6-2", result)
@@ -275,8 +276,8 @@ def _cmd_repro_6_4(args):
     eps_list = _parse_float_list(args.eps, "--eps")
     rep = repro.example_two_variable(eps_list=eps_list, seed=args.seed)
     result = {
-        "rows": [asdict(r) for r in rep.rows],
-        "moebius": [asdict(r) for r in rep.moebius_rows],
+        "rows": rep.rows,
+        "moebius": rep.moebius_rows,
         "ok": rep.ok,
     }
     return ser.report_envelope("repro-6-4", result, seed=args.seed)
@@ -290,7 +291,7 @@ def _cmd_dichotomy(args):
     rep = repro.dichotomy_demo(points=pts, kappa=args.kappa, eps_list=eps_list)
     result = {
         "kappa": rep.kappa,
-        "rows": [asdict(r) for r in rep.rows],
+        "rows": rep.rows,
         "global_min_cond": rep.global_min_cond,
         "global_nullspace_dim": rep.global_nullspace_dim,
         "blocks_forced_diagonal": rep.blocks_forced_diagonal,

@@ -252,7 +252,7 @@ def jet_model(
     # the unit columns are W D^-1 with D = diag(norms), so M_j^* acts on
     # them by D A_j D^-1
     A = A * norms[:, None] / norms[None, :]
-    vals, vecs = np.linalg.eigh(numerics._hermitian_part(G))
+    vals, vecs = numerics.hermitian_part_eig(G)
     if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
         raise NumericalError(
             f"kernel data Gram matrix is numerically singular (eigenvalue "

@@ -368,6 +368,16 @@ class SimilarityCertificate:
     residual: float
 
 
+def _within(value: float, tol: float, factor: float, N: tuples.CommutingTuple) -> bool:
+    """Whether value <= tol * max(1, scale) * factor, the coordinate norms
+    behind scale measured only when value <= tol * factor does not decide.
+    Rounding is monotone, so fl(tol max(1, scale)) >= tol, and for
+    factor >= 0 and a finite scale fl(tol factor) is at most the measured
+    threshold: the screen passes only what the measurement passes. A NaN
+    value or factor fails both comparisons, as it fails the measured one."""
+    return value <= tol * factor or value <= tol * max(1.0, N.scale()) * factor
+
+
 def build_similarity(
     N: tuples.CommutingTuple,
     xi,
@@ -399,8 +409,7 @@ def build_similarity(
     X, X_inv, residual = _correspondence(N, hyps._orbit, model)
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
     cond = norm_X * norm_X_inv
-    scale = max(1.0, N.scale())
-    intertwines = residual <= RESIDUAL_RTOL * scale * cond
+    intertwines = _within(residual, RESIDUAL_RTOL, cond, N)
     if not intertwines and not _annihilator_matches_ideal(N, generators, model):
         raise ValidationError(
             "annihilator of the tuple does not match the monomial ideal"
@@ -487,12 +496,12 @@ def necessity_check(
     X = numerics.as_cmatrix(X)
     if X.shape != (N.n, N.n):
         raise InputError(f"intertwiner has shape {X.shape}, expected ({N.n}, {N.n})")
-    scale = max(1.0, N.scale())
     X_inv = numerics.inv(X)
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
     Ns, Zs = np.array(N.matrices), np.array(model.tuple.matrices)
     resid = float(numerics.operator_norms(X @ Ns - Zs @ X).max())
-    if resid > NECESSITY_TOL * scale * norm_X:
+    # the first comparison screens the second as in :func:`_within`
+    if resid > NECESSITY_TOL * norm_X and resid > NECESSITY_TOL * max(1.0, N.scale()) * norm_X:
         raise ValidationError(
             f"matrix does not intertwine the tuple with the model "
             f"(residual {resid:.3e})"
@@ -532,7 +541,7 @@ def necessity_check(
     fix = max(float(np.linalg.norm(Yi @ xi - xi)) for Yi in Y_inv)
     gauge_ok = (
         gauge_norm <= cond * (1.0 + NECESSITY_TOL)
-        and commute <= NECESSITY_TOL * scale * max(1.0, cond)
+        and _within(commute, NECESSITY_TOL, max(1.0, cond), N)
         and fix <= NECESSITY_TOL * max(1.0, cond)
     )
     return NecessityReport(

@@ -15,7 +15,9 @@ except where the OpenBLAS builds of numpy and scipy split a threaded call
 apart (tall, 64 rows and up). The ``ztrsen`` (Schur reordering) and ``ztrsyl``
 (triangular Sylvester) handles of ``spectral`` are bound here too, the one
 home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
-come from :func:`largest_eigenvalue`.
+come from :func:`largest_eigenvalue`, the eigensolves of jet models from
+:func:`hermitian_part_eig`, and the pivoted QR of spectral projections from
+:func:`pivoted_qr`.
 """
 
 from __future__ import annotations
@@ -123,6 +125,19 @@ def hermitian_eig(a):
     return vals, vecs
 
 
+def hermitian_part_eig(a) -> tuple:
+    """Eigenvalues (ascending) and unitary eigenvectors of the Hermitian
+    part of ``a`` (one ``eigh``); for a matrix Hermitian by construction,
+    as :func:`_hermitian_part`."""
+    return np.linalg.eigh(_hermitian_part(a))
+
+
+def pivoted_qr(a) -> tuple:
+    """(Q, R) of the column-pivoted QR factorization A P = Q R."""
+    q, r, _ = scipy.linalg.qr(a, pivoting=True)
+    return q, r
+
+
 def largest_eigenvalue(a) -> float:
     """Largest eigenvalue of the Hermitian part of ``a`` (one ``eigvalsh``);
     for a matrix Hermitian by construction, as :func:`_hermitian_part`."""
@@ -151,7 +166,7 @@ def sqrt_and_inv_sqrt(a) -> tuple:
     construction (unchecked), from one eigensolve of its Hermitian part. S
     counts as positive definite when its smallest eigenvalue exceeds
     ``PD_RTOL`` times its largest."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(a))
+    vals, vecs = hermitian_part_eig(a)
     top = float(vals[-1])
     if top <= 0 or float(vals[0]) <= PD_RTOL * top:
         raise NumericalError(

@@ -11,13 +11,15 @@ jet image, i.e. the vanishing order the ideal prescribes at an isolated
 common zero.
 
 ``Polynomial`` objects enter only through the ``PolyIdeal`` constructor,
-which turns each generator into a column once; ``vanishing_ideal_slice``
-hands its kernel matrix over as it is. Both spans are gathers on that
-matrix: x^q * g has coefficient g[gamma - q] at x^gamma, and
-(x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at z, where t_g
-is the Taylor row of g. Every column is a gather through ``_shift_index``,
-and the Taylor rows of all generators are one contraction of the matrix
-with the Taylor table of the monomials (``_taylor_rows``).
+which turns each generator into a column once; ``PolyIdeal.from_terms``
+takes the coefficient tables the JSON loader reads instead, and
+``vanishing_ideal_slice`` hands its kernel matrix over as it is. Both
+spans are gathers on that matrix: x^q * g has coefficient g[gamma - q] at
+x^gamma, and (x - z)^beta * g has Taylor coefficient t_g[gamma - beta] at
+z, where t_g is the Taylor row of g. Every column is a gather through
+``_shift_index``, and the Taylor rows of all generators are one
+contraction of the matrix with the Taylor table of the monomials
+(``_taylor_rows``).
 
 The slice is built on first read of ``slice_basis`` (``slice_dim``,
 ``contains`` and ``repr`` read it), so an ambiguous rank decision there
@@ -51,24 +53,14 @@ class PolyIdeal:
     """
 
     def __init__(self, generators: Sequence[Polynomial], degree_bound: int, d: int | None = None):
-        generators = [g for g in generators if not g.is_zero()]
-        if d is None:
-            if not generators:
-                raise InputError("cannot infer dimension from an empty generator list")
-            d = generators[0].d
-        for g in generators:
-            if g.d != d:
-                raise InputError("generators live in different dimensions")
-        if degree_bound < 0:
-            raise InputError(f"degree_bound must be >= 0, got {degree_bound}")
-        top = max((g.degree() for g in generators), default=0)
-        if top > degree_bound:
-            raise InputError(
-                f"generator degree {top} exceeds the degree bound {degree_bound}"
-            )
-        basis = mi.enumerate_indices(int(d), int(degree_bound))
-        cols = np.array([g.coeff_vector(basis) for g in generators], dtype=complex)
-        self._set(int(d), int(degree_bound), cols.reshape(-1, len(basis)).T)
+        self._set(*_generator_columns([(g.d, g.coeffs) for g in generators], degree_bound, d))
+
+    @classmethod
+    def from_terms(cls, generators: Sequence[tuple], degree_bound: int, d: int | None = None) -> "PolyIdeal":
+        """The constructor, with each generator given as the pair
+        (d, {alpha: nonzero coefficient}) that ``serialization.load_generators``
+        reads, so that no ``Polynomial`` is built."""
+        return cls._from_coeffs(*_generator_columns(generators, degree_bound, d))
 
     @classmethod
     def _from_coeffs(cls, d: int, degree_bound: int, coeffs: np.ndarray) -> "PolyIdeal":
@@ -136,6 +128,34 @@ class PolyIdeal:
             f"PolyIdeal(d={self.d}, generators={self.coeffs.shape[1]}, "
             f"degree_bound={self.degree_bound}, slice_dim={self.slice_dim})"
         )
+
+
+def _generator_columns(generators: Sequence[tuple], degree_bound: int, d: int | None) -> tuple:
+    """(d, degree_bound, coeffs) of the ideal of ``generators``, pairs
+    (d, {alpha: nonzero coefficient}): zero generators are dropped, then
+    the dimensions, the degree bound and the generator degrees are checked,
+    and each generator left is one column of ``coeffs``."""
+    generators = [(gd, table) for gd, table in generators if table]
+    if d is None:
+        if not generators:
+            raise InputError("cannot infer dimension from an empty generator list")
+        d = generators[0][0]
+    if any(gd != d for gd, _ in generators):
+        raise InputError("generators live in different dimensions")
+    if degree_bound < 0:
+        raise InputError(f"degree_bound must be >= 0, got {degree_bound}")
+    top = max((mi.degree(alpha) for _, table in generators for alpha in table), default=0)
+    if top > degree_bound:
+        raise InputError(
+            f"generator degree {top} exceeds the degree bound {degree_bound}"
+        )
+    basis = mi.enumerate_indices(int(d), int(degree_bound))
+    position = {alpha: i for i, alpha in enumerate(basis)}
+    rows = np.zeros((len(generators), len(basis)), dtype=complex)
+    for row, (_, table) in zip(rows, generators):
+        for alpha, c in table.items():
+            row[position[alpha]] = c
+    return int(d), int(degree_bound), rows.T
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,36 @@
 Complex scalars travel as [re, im] pairs, matrices as explicit
 rows/cols/data objects, polynomials as coefficient-exponent term lists.
 Loaders raise InputError naming the offending field; writers are the
-exact inverses and never emit anything nondeterministic.
+exact inverses and never emit anything nondeterministic. Entries that are
+all [re, im] pairs of floats, as the writers emit them, are read as one
+array; any other entry goes through ``load_complex``, one at a time, which
+accepts or refuses it. Ideals are read into, and written from, their
+coefficient matrix directly, without a ``Polynomial`` per generator.
+
+Report contract. ``dumps_report`` writes the bytes of
+``json.dumps(to_jsonable(report), sort_keys=True, indent=2)`` and a final
+newline: keys sorted, a two-space indent, ASCII with ``\\u`` escapes, floats
+as ``float.__repr__`` writes them. Non-finite floats are written ``NaN``,
+``Infinity`` and ``-Infinity``, as the standard library's encoder writes
+them; that is not strict RFC 8259 JSON, though Python's ``json`` and other
+lenient readers accept it. The writer is one recursive pass that appends
+string fragments. It converts numpy values, complex numbers, tuples,
+``Polynomial`` and dataclass rows as it meets them, by ``to_jsonable``'s
+rule, and writes a list of floats or of [re, im] pairs of floats with one
+``join``: the standard library's C encoder ignores ``indent``, and its
+Python encoder costs a few calls per node.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 from typing import Sequence
 
 import numpy as np
 
+from . import multiindex as mi
 from . import tuples
 from .errors import InputError
 from .polynomials import Polynomial
@@ -56,6 +76,25 @@ def dump_complex(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _float_pairs(rows: list, width: int):
+    """The entries of ``rows`` as one complex array of shape
+    (len(rows), width) when every row is a list of ``width`` [re, im] pairs
+    of floats (``type(x) is float``, so no bool or int), else None. Each
+    entry keeps the bits of its two floats, as ``complex(re, im)`` does."""
+    flat = [
+        x
+        for row in rows
+        if type(row) is list and len(row) == width
+        for z in row
+        if type(z) is list and len(z) == 2
+        for x in z
+        if type(x) is float
+    ]
+    if flat and len(flat) == 2 * width * len(rows):
+        return np.array(flat).view(complex).reshape(len(rows), width)
+    return None
+
+
 def load_matrix(obj, where: str = "matrix") -> np.ndarray:
     rows = _expect(obj, "rows", int, where)
     cols = _expect(obj, "cols", int, where)
@@ -64,6 +103,9 @@ def load_matrix(obj, where: str = "matrix") -> np.ndarray:
         raise InputError(f"{where}: rows and cols must be positive")
     if len(data) != rows:
         raise InputError(f"{where}.data: expected {rows} rows, got {len(data)}")
+    out = _float_pairs(data, cols)
+    if out is not None:
+        return out
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
@@ -84,12 +126,16 @@ def dump_matrix(M: np.ndarray) -> dict:
     }
 
 
-def load_polynomial(obj, where: str = "polynomial") -> Polynomial:
+def _load_terms(obj, where: str) -> tuple:
+    """(d, {alpha: coefficient}) of a polynomial in the wire format. Terms
+    add up in input order and a zero sum is dropped, as ``Polynomial``
+    adds them; every exponent passes ``multiindex.as_index``, whose
+    ``MAX_DEGREE`` guard holds for a zero coefficient too."""
     d = _expect(obj, "d", int, where)
     if d < 1:
         raise InputError(f"{where}.d: must be >= 1")
     terms = _expect(obj, "terms", list, where)
-    p = Polynomial.zero(d)
+    table = {}
     for k, term in enumerate(terms):
         coeff = load_complex(
             _expect(term, "coeff", object, f"{where}.terms[{k}]"),
@@ -102,8 +148,18 @@ def load_polynomial(obj, where: str = "polynomial") -> Polynomial:
             raise InputError(
                 f"{where}.terms[{k}].alpha: expected {d} nonnegative integers"
             )
-        p = p + Polynomial.monomial(tuple(alpha), coeff)
-    return p
+        alpha = mi.as_index(alpha)
+        if coeff != 0:
+            c = table.get(alpha, 0) + coeff
+            if c != 0:
+                table[alpha] = c
+            else:
+                del table[alpha]
+    return d, table
+
+
+def load_polynomial(obj, where: str = "polynomial") -> Polynomial:
+    return Polynomial(*_load_terms(obj, where))
 
 
 def dump_polynomial(p: Polynomial) -> dict:
@@ -114,23 +170,42 @@ def dump_polynomial(p: Polynomial) -> dict:
     return {"d": p.d, "terms": terms}
 
 
-def load_ideal(obj, where: str = "ideal"):
-    from . import polyideal
-
+def load_generators(obj, where: str = "ideal") -> tuple:
+    """(d, degree_bound, generators) of an ideal in the wire format, each
+    generator a (d, {alpha: coefficient}) pair as ``PolyIdeal.from_terms``
+    takes it, in input order, zero generators included."""
     d = _expect(obj, "d", int, where)
     degree_bound = _expect(obj, "degree_bound", int, where)
     gens_obj = _expect(obj, "generators", list, where)
-    gens = [
-        load_polynomial(g, f"{where}.generators[{k}]") for k, g in enumerate(gens_obj)
+    return d, degree_bound, [
+        _load_terms(g, f"{where}.generators[{k}]") for k, g in enumerate(gens_obj)
     ]
-    return polyideal.PolyIdeal(gens, degree_bound, d=d)
+
+
+def load_ideal(obj, where: str = "ideal"):
+    from . import polyideal
+
+    d, degree_bound, gens = load_generators(obj, where)
+    return polyideal.PolyIdeal.from_terms(gens, degree_bound, d=d)
 
 
 def dump_generators(coeffs: np.ndarray, basis: Sequence[tuple]) -> list:
     """The columns of ``coeffs``, coefficient vectors on the monomials
-    ``basis``, in the wire format of ``dump_polynomial``."""
+    ``basis`` in graded order, in the wire format of ``dump_polynomial``,
+    whose term order that is. A zero entry is no term; adding 0.0 writes
+    a negative zero part as 0.0, as ``Polynomial`` stores it."""
     d = len(basis[0])
-    return [dump_polynomial(Polynomial.from_coeff_vector(d, c, basis)) for c in coeffs.T.tolist()]
+    return [
+        {
+            "d": d,
+            "terms": [
+                {"alpha": list(alpha), "coeff": [c.real + 0.0, c.imag + 0.0]}
+                for alpha, c in zip(basis, col)
+                if c != 0
+            ],
+        }
+        for col in coeffs.T.tolist()
+    ]
 
 
 def dump_ideal(ideal) -> dict:
@@ -155,6 +230,9 @@ def load_tuple(obj, where: str = "tuple"):
             raise InputError(
                 f"{where}.cyclic_vector: expected a list of {T.n} complex entries"
             )
+        xi = _float_pairs([vec], T.n)
+        if xi is not None:
+            return T, xi[0]
         xi = np.array(
             [load_complex(v, f"{where}.cyclic_vector[{k}]") for k, v in enumerate(vec)]
         )
@@ -173,6 +251,9 @@ def load_points(obj, where: str = "points") -> list:
     pts_obj = _expect(obj, "points", list, where)
     if not pts_obj:
         raise InputError(f"{where}.points: need at least one point")
+    fast = _float_pairs(pts_obj, d)
+    if fast is not None:
+        return list(fast)
     pts = []
     for k, p in enumerate(pts_obj):
         if not isinstance(p, list) or len(p) != d:
@@ -193,51 +274,188 @@ def dump_points(points) -> dict:
     }
 
 
+def _convert(obj):
+    """One step of :func:`to_jsonable` for a value other than a plain
+    dict, list, tuple, str, int, float, bool or None: its JSON form, whose
+    members may still need converting."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return dump_complex(complex(obj))
+    if isinstance(obj, np.ndarray):
+        return dump_matrix(obj) if obj.ndim == 2 else obj.tolist()
+    if isinstance(obj, Polynomial):
+        return dump_polynomial(obj)
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
 def to_jsonable(obj):
-    """Recursive conversion for report payloads."""
+    """Recursive conversion for report payloads: numpy values to Python
+    ones, complex numbers to [re, im], 2-d arrays to ``dump_matrix``
+    objects, other arrays and tuples to lists, ``Polynomial`` to
+    ``dump_polynomial`` objects, dataclasses to dicts of their fields and
+    dict keys to strings. ``dumps_report`` applies the same rule as it
+    writes."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return dump_complex(complex(obj))
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2:
-            return dump_matrix(obj)
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, Polynomial):
-        return dump_polynomial(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+    return to_jsonable(_convert(obj))
 
 
 def report_envelope(command: str, result, seed=None, tolerances=None) -> dict:
+    """The report of one command; ``result`` and ``tolerances`` are kept
+    as given, and ``dumps_report`` converts them as it writes."""
     from . import __version__
 
     out = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "arveson", "version": __version__},
         "command": command,
-        "result": to_jsonable(result),
+        "result": result,
     }
     if seed is not None:
         out["seed"] = int(seed)
     if tolerances:
-        out["tolerances"] = to_jsonable(tolerances)
+        out["tolerances"] = tolerances
     return out
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _nonfinite(text: str) -> str:
+    """Float reprs with nan and inf respelled NaN and Infinity; a finite
+    repr holds no letter n."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+# the writers of the JSON scalars, by exact type
+_SCALARS = {
+    float: lambda x: _nonfinite(float.__repr__(x)),
+    str: _escape,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _nested(floats: list, shape: tuple, nl: str) -> str:
+    """The JSON text of a nested list of floats of ``shape``, every extent
+    positive, from its entries in row-major order: the reprs are grouped
+    and joined level by level, the glue between two groups closing the
+    deeper brackets and opening them again, so no Python code runs per
+    entry."""
+    ins = [nl + "  " * (k + 1) for k in range(len(shape))]
+    opens = ["[" + i for i in ins]
+    closes = [i + "]" for i in [nl] + ins[:-1]]
+    parts = map(float.__repr__, floats)
+    for k in reversed(range(len(shape))):
+        glue = "".join(reversed(closes[k + 1 :])) + "," + ins[k] + "".join(opens[k + 1 :])
+        if k:
+            parts = map(glue.join, zip(*[iter(parts)] * shape[k]))
+    return "".join(opens) + _nonfinite(glue.join(parts)) + "".join(reversed(closes))
+
+
+def _write(x, emit, nl: str) -> None:
+    """Emit the JSON text of x, a value that is no plain JSON scalar, whose
+    line is indented as ``nl`` (a newline and that indent) says, in the
+    layout of ``json.dumps`` with ``indent=2``. A 2-d array becomes the
+    object of ``dump_matrix`` directly, its data one nested join."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            emit("{}")
+            return
+        if set(map(type, x)) != {str}:
+            x = {str(k): v for k, v in x.items()}
+        inner = nl + "  "
+        head = "{" + inner
+        for k in sorted(x):
+            v = x[k]
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                emit(head + _escape(k) + ": " + scalar(v))
+            else:
+                emit(head + _escape(k) + ": ")
+                _write(v, emit, inner)
+            head = "," + inner
+        emit(nl + "}")
+    elif t is list or t is tuple:
+        _write_list(x, emit, nl)
+    elif t is np.ndarray and x.ndim == 2 and x.size:
+        rows, cols = x.shape
+        floats = np.ascontiguousarray(x, dtype=complex).view(float).ravel().tolist()
+        inner = nl + "  "
+        emit(
+            f"{{{inner}\"cols\": {cols},{inner}\"data\": {_nested(floats, (rows, cols, 2), inner)},"
+            f"{inner}\"rows\": {rows}{nl}}}"
+        )
+    else:
+        x = _convert(x)
+        scalar = _SCALARS.get(type(x))
+        if scalar is not None:
+            emit(scalar(x))
+        else:
+            _write(x, emit, nl)
+
+
+def _write_list(x, emit, nl: str) -> None:
+    if not x:
+        emit("[]")
+        return
+    kinds = set(map(type, x))
+    if kinds == {float}:
+        inner = nl + "  "
+        emit("[" + inner + _nonfinite(("," + inner).join(map(float.__repr__, x))) + nl + "]")
+    elif kinds == {int}:
+        inner = nl + "  "
+        emit("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+    elif (
+        kinds == {list}
+        and set(map(len, x)) == {2}
+        and set(map(type, flat := list(itertools.chain.from_iterable(x)))) == {float}
+    ):
+        emit(_nested(flat, (len(x), 2), nl))
+    else:
+        inner = nl + "  "
+        head = "[" + inner
+        for v in x:
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                emit(head + scalar(v))
+            else:
+                emit(head)
+                _write(v, emit, inner)
+            head = "," + inner
+        emit(nl + "]")
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON text in one pass (module docstring)."""
+    scalar = _SCALARS.get(type(report))
+    if scalar is not None:
+        return scalar(report) + "\n"
+    out = []
+    _write(report, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json_file(path: str):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import InputError, NumericalError
@@ -366,7 +365,7 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
             raise NumericalError(
                 f"symmetrized projection is not Hermitian (defect {herm:.3e})"
             )
-        qr_q, qr_r, _ = scipy.linalg.qr(P, pivoting=True)
+        qr_q, qr_r = numerics.pivoted_qr(P)
         phases = np.ones(m, dtype=complex)
         for j in range(m):
             rjj = qr_r[j, j]

@@ -230,6 +230,26 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     (their dimensions add up to the full Krylov dimension). Trailing zero
     layers are dropped. The orbit vectors come from :func:`_levels`, one
     stacked matvec per degree.
+
+    A layer of degree l and largest entry m is dead when m = 0 or
+    m <= fl(a fl(s^l)), with a = fl(1e-13 |xi|) and s = max(1, scale):
+    every orbit vector of degree l is bounded by s^l |xi|. The coordinate
+    norms behind s are measured only for a layer that the screen
+    m > fl(a (2 P_l)) cannot call live, where P_l is the running product of
+    l factors S = max(1, max_j fl(||T_j||_F)); norms measured before the
+    call decide without the screen. The screen never calls a dead layer live. The computed top
+    singular value of T_j is within the SVD's backward error of
+    ||T_j||_2 <= ||T_j||_F, and the computed Frobenius norm within
+    (n^2 + 3) u of the exact one, so s <= S (1 + delta), with u the unit
+    roundoff and delta = 16 n^3 u the total rounding of
+    ``CommutingTuple``. A power is rounded to within an ulp, so
+    fl(s^l) <= s^l (1 + 2u) <= S^l (1 + delta)^l (1 + 2u), while
+    P_l >= S^l (1 - u)^l. For l (delta + 2u) <= 1/2 the ratio
+    (1 + delta)^l (1 + 2u) / (1 - u)^l is at most e^(1/2) (1 + 2u) < 2,
+    so fl(s^l) <= 2 P_l, the doubling being exact. Rounding is monotone
+    and a >= 0, so fl(a fl(s^l)) <= fl(a (2 P_l)) < m: the layer is live
+    by the measured rule too. A product P_l that overflows calls nothing
+    live, and degrees past the bound on l are not screened.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.size != T.n:
@@ -239,19 +259,24 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     layer_bases = []
     layer_dims = []
     all_cols = []
-    s = max(1.0, T.scale())
-    ref = float(np.linalg.norm(xi))
+    a = 1e-13 * float(np.linalg.norm(xi))
+    # the screen of the docstring, unless the norms are measured already
+    S = None if "norms" in T.__dict__ else max(1.0, math.sqrt(max(np.vdot(M, M).real for M in T.matrices)))
+    reach = 0.5 / ((16 * T.n**3 + 2) * _UNIT_ROUNDOFF)
+    P = 1.0
     # the dead-layer break below means nothing past the first dead layer is
-    # ever computed
+    # ever computed; deeper layers are products with a dead one
     for ell, (_, stack) in zip(range(max_degree + 1), _levels(T, xi[:, None])):
         V = stack[:, :, 0].T
         scale = float(np.abs(V).max())
-        # every orbit vector at this degree is bounded by s^ell |xi|, so a
-        # layer this far below that bound is numerically zero; deeper layers
-        # are products with this one and inherit the same relative bound
-        thresh = 1e-13 * ref * s**ell
-        if scale == 0.0 or (math.isfinite(thresh) and scale <= thresh):
+        if scale == 0.0:
             break
+        if S is None or ell > reach or not scale > a * (2.0 * P):
+            thresh = a * max(1.0, T.scale()) ** ell
+            if math.isfinite(thresh) and scale <= thresh:
+                break
+        if S is not None:
+            P *= S
         B = numerics.orth_columns(V)
         layer_bases.append(B)
         layer_dims.append(B.shape[1])

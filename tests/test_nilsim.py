@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
@@ -367,15 +368,17 @@ def test_certificate_norms_match_separate_svds():
 # one eigvalsh) and the coordinate norms and the conjugation residuals took
 # one SVD per coordinate, they made svd 12, eigvalsh 1 and svd 14, eigvalsh
 # 1. The screens of those gates decide both models without a factorization,
-# and the norms and the residuals are one stacked SVD each.
+# and the norms and the residuals are one stacked SVD each. While krylov's
+# dead-layer rule and the residual gate always read the coordinate norms
+# (one stacked SVD), they made svd 9 and 7; their screens decide both models.
 @pytest.mark.parametrize(
     "gens, d, want",
     [
-        ([(3, 0), (0, 2)], 2, {"svd": 9, "eigh": 0, "eigvalsh": 0, "inv": 1}),
+        ([(3, 0), (0, 2)], 2, {"svd": 8, "eigh": 0, "eigvalsh": 0, "inv": 1}),
         (
             [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
             3,
-            {"svd": 7, "eigh": 0, "eigvalsh": 0, "inv": 1},
+            {"svd": 6, "eigh": 0, "eigvalsh": 0, "inv": 1},
         ),
     ],
 )
@@ -746,3 +749,14 @@ def test_build_similarity_grid_branch_lapack_calls(lapack_counts):
     assert cert.hypotheses.gamma > 1.0
     want = {"svd": 7, "eigh": 0, "eigvalsh": 0, "inv": 2}
     assert {k: lapack_counts[k] for k in want} == want
+
+
+@given(
+    st.floats(0, 1e3) | st.sampled_from([math.nan, math.inf, 0.0]),
+    st.sampled_from([nilsim.RESIDUAL_RTOL, nilsim.NECESSITY_TOL, 1e-300, 1.0]),
+    st.floats(0, 1e20) | st.sampled_from([math.nan, math.inf, 0.0, 1.0]),
+    st.floats(1e-3, 1e3),
+)
+def test_within_decides_as_the_measured_gate(value, tol, factor, scale):
+    N = tuples.validate([scale * np.eye(2, dtype=complex)])
+    assert nilsim._within(value, tol, factor, N) == (value <= tol * max(1.0, N.scale()) * factor)

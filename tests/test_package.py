@@ -118,14 +118,14 @@ def _factorization_calls(tree: ast.Module) -> set:
 
 
 def test_certificate_modules_factor_through_numerics():
-    # nilsim and tuples reach every SVD and eigensolve through numerics
+    # nilsim, tuples, models and spectral reach every factorization through numerics
     calls = {
         path.stem: _factorization_calls(ast.parse(path.read_text(encoding="utf-8")))
         for path in (ROOT / "src" / "arveson").glob("*.py")
     }
-    assert calls["nilsim"] == calls["tuples"] == set()
+    assert calls["nilsim"] == calls["tuples"] == calls["models"] == calls["spectral"] == set()
     # the scan sees direct calls where they remain
-    assert {"eigh"} <= calls["interp"] and {"qr"} <= calls["spectral"]
+    assert {"eigh"} <= calls["interp"] and {"det"} <= calls["repro"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -397,3 +397,24 @@ def test_screened_pass_makes_no_factorization_and_keeps_the_defect_bits(lapack_c
             assert sum(lapack_counts.values()) == 0, comp
             assert (T.commutator_defect, T.row_defect) == _eager_defects(T.matrices)
             assert T.norms == tuple(numerics.operator_norm(M) for M in T.matrices)
+
+
+@pytest.mark.parametrize("k", [0.5, 0.99, 1.0, 1.01, 1.5, 1.99, 2.0, 2.01, 3.0, 1e6])
+def test_krylov_screen_decides_as_the_measured_threshold(k):
+    # layer 2 of xi = e_0 has largest entry 5c = k 1e-13 s^2 with s = 5, the
+    # scale; its measured threshold sits at k = 1, and the screen, with
+    # S = max(1, max ||T_j||_F) = 5 here, calls it live only past k = 2
+    c = k * 5e-13
+    J = np.zeros((3, 3), dtype=complex)
+    J[2, 1] = c
+    K = np.zeros((3, 3), dtype=complex)
+    K[1, 0] = 5.0
+    xi = np.array([1.0, 0, 0], dtype=complex)
+    fresh, measured = tuples.validate([J, K]), tuples.validate([J, K])
+    assert measured.norms == (c, 5.0)
+    got, want = tuples.krylov(fresh, xi, 3), tuples.krylov(measured, xi, 3)
+    assert got.layer_dims == want.layer_dims == ((1, 1, 1) if k > 1 else (1, 1))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.layer_bases, want.layer_bases))
+    assert got.basis.tobytes() == want.basis.tobytes()
+    # past the screen's threshold no layer needs the norms
+    assert ("norms" in fresh.__dict__) == (k <= 2)
