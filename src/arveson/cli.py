@@ -48,12 +48,7 @@ def _load(args):
 
 def _cmd_tuple_check(args):
     T, xi = ser.load_tuple(_load(args))
-    scale = max(1.0, T.scale()) ** 2
-    if T.commutator_defect > args.tol * scale:
-        raise ValidationError(
-            f"commutator defect {T.commutator_defect:.6e} exceeds "
-            f"tolerance {args.tol * scale:.6e}"
-        )
+    T.require_commuting(args.tol)
     result = {
         "d": T.d,
         "n": T.n,
@@ -198,15 +193,7 @@ def _cmd_pick(args):
     targets = [
         ser.load_complex(t, f"targets[{k}]") for k, t in enumerate(obj["targets"])
     ]
-    r = interp.pick_min_norm(pts, targets)
-    result = {
-        "value": r.value,
-        "margin": r.margin,
-        "lower": r.lower,
-        "upper": r.upper,
-        "iterations": r.iterations,
-    }
-    return ser.report_envelope("pick", result)
+    return ser.report_envelope("pick", interp.pick_min_norm(pts, targets))
 
 
 def _certificate_result(cert: nilsim.SimilarityCertificate) -> dict:
@@ -288,16 +275,7 @@ def _cmd_dichotomy(args):
     if args.input is not None:
         pts = ser.load_points(ser.load_json_file(args.input))
     eps_list = _parse_float_list(args.eps, "--eps") if args.eps else None
-    rep = repro.dichotomy_demo(points=pts, kappa=args.kappa, eps_list=eps_list)
-    result = {
-        "kappa": rep.kappa,
-        "rows": rep.rows,
-        "global_min_cond": rep.global_min_cond,
-        "global_nullspace_dim": rep.global_nullspace_dim,
-        "blocks_forced_diagonal": rep.blocks_forced_diagonal,
-        "jet_model_cond": rep.jet_model_cond,
-    }
-    return ser.report_envelope("dichotomy", result)
+    return ser.report_envelope("dichotomy", repro.dichotomy_demo(points=pts, kappa=args.kappa, eps_list=eps_list))
 
 
 @functools.cache
@@ -359,6 +337,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # nan and inf pass every gate they meet, and a zero cut counts exact zeros toward a rank
+        if not 0 < getattr(args, "tol", 1.0) < np.inf:
+            raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
         report = args.func(args)
         text = ser.dumps_report(report)
         if args.out:

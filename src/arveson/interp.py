@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import fockspace, numerics
 from .errors import InputError, NumericalError
@@ -64,7 +63,7 @@ def separation_constants(points) -> SeparationReport:
             if v < delta:
                 delta = v
                 worst = (i, j)
-    gamma = float(np.linalg.eigh(numerics._hermitian_part(G))[0][-1])
+    gamma = float(numerics.hermitian_part_eig(G)[0][-1])
     return SeparationReport(
         points=tuple(tuple(p.tolist()) for p in pts),
         delta_weak=float(delta),
@@ -87,7 +86,7 @@ class PickResult:
 
 
 def _pick_feasible(K: np.ndarray, a: np.ndarray, c: float):
-    vals = np.linalg.eigh(numerics._hermitian_part((c * c - np.outer(a, a.conj())) * K))[0]
+    vals = numerics.hermitian_part_eig((c * c - np.outer(a, a.conj())) * K)[0]
     scale = max(1.0, float(abs(vals[-1])))
     return float(vals[0]) >= -PICK_PSD_RTOL * scale, float(vals[0])
 
@@ -111,10 +110,7 @@ def _pick_min_norm(pts: list, targets) -> PickResult:
         raise InputError(f"{len(pts)} points but {a.size} targets")
     K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
     lo = float(np.abs(a).max())
-    try:
-        top = scipy.linalg.eigh(np.outer(a, a.conj()) * K, K, eigvals_only=True)[-1]
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"kernel Gram matrix is numerically singular: {exc}") from exc
+    top = numerics.generalized_eigvalsh(np.outer(a, a.conj()) * K, K)[-1]
     value = float(np.sqrt(max(top, lo * lo)))  # sqrt(fl(lo^2)) is lo
     hi = value * (1.0 + PICK_CERT_RTOL)
     ok, margin = _pick_feasible(K, a, hi)

@@ -500,8 +500,7 @@ def necessity_check(
     norm_X, norm_X_inv = numerics.norm_and_inverse_norm(X)
     Ns, Zs = np.array(N.matrices), np.array(model.tuple.matrices)
     resid = float(numerics.operator_norms(X @ Ns - Zs @ X).max())
-    # the first comparison screens the second as in :func:`_within`
-    if resid > NECESSITY_TOL * norm_X and resid > NECESSITY_TOL * max(1.0, N.scale()) * norm_X:
+    if not _within(resid, NECESSITY_TOL, norm_X, N):
         raise ValidationError(
             f"matrix does not intertwine the tuple with the model "
             f"(residual {resid:.3e})"

@@ -1,9 +1,11 @@
 """Dense complex-matrix kernel used by all higher modules.
 
-Thin, contract-checked wrappers around LAPACK via numpy/scipy. All tolerances
-are relative to the input norm; rank decisions go through one cut
-(:func:`_rank`), which refuses to guess when the singular-value gap is
-ambiguous.
+Thin, contract-checked wrappers around LAPACK via numpy/scipy. No other
+module calls a factorization, so ``CALLS`` counts every LAPACK call by kind
+(``svd`` for ``zgesdd`` and stacked SVDs, ``gen_eigh`` for the generalized
+``eigh``, else the routine's name). All tolerances are relative to the
+input norm; rank decisions go through one cut (:func:`_rank`), which refuses
+to guess when the singular-value gap is ambiguous.
 
 Single-matrix SVDs (:func:`_svd`) call the ``zgesdd`` handle of
 ``scipy.linalg.lapack`` with the workspace numpy would query, from a table of
@@ -12,16 +14,17 @@ as much as the SVD on the few-row matrices certificates make by the thousand;
 stacked SVDs stay on numpy (:func:`operator_norms`: the largest singular
 value of every matrix of a stack from one call). Both agree bit for bit,
 except where the OpenBLAS builds of numpy and scipy split a threaded call
-apart (tall, 64 rows and up). The ``ztrsen`` (Schur reordering) and ``ztrsyl``
-(triangular Sylvester) handles of ``spectral`` are bound here too, the one
+apart (tall, 64 rows and up). The ``ztrsen`` (:func:`reorder_schur`) and
+``ztrsyl`` (:func:`triangular_sylvester`) handles are bound here too, the one
 home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
-come from :func:`largest_eigenvalue`, the eigensolves of jet models from
+come from :func:`largest_eigenvalue`, Hermitian eigensolves from
 :func:`hermitian_part_eig`, and the pivoted QR of spectral projections from
 :func:`pivoted_qr`.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -43,6 +46,7 @@ _gesdd = scipy.linalg.lapack.zgesdd
 _gesdd_lwork = scipy.linalg.lapack.zgesdd_lwork
 _trsen = scipy.linalg.lapack.ztrsen
 _trsyl = scipy.linalg.lapack.ztrsyl
+CALLS = collections.defaultdict(int)  # its increment costs a third of a Counter's
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -71,6 +75,7 @@ def _svd(a: np.ndarray, uv: bool = False, full: bool = False):
     """s, or (u, s, vh) with ``uv`` (square u, vh with ``full``), of a
     nonempty matrix: LAPACK rejects an empty one."""
     m, n = a.shape
+    CALLS["svd"] += 1
     u, s, vh, info = _gesdd(a, compute_uv=uv, full_matrices=full, lwork=_gesdd_work(m, n, uv, full))
     if info:
         raise NumericalError(f"SVD of a {m}x{n} matrix failed: LAPACK zgesdd info {info}")
@@ -93,6 +98,7 @@ def operator_norms(stack) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if len(stack) == 1:
         return _svd(stack[0])[:1]
+    CALLS["svd"] += 1
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
@@ -121,19 +127,29 @@ def hermitian_eig(a):
         raise InputError(
             f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e}*{scale:.3e}"
         )
-    vals, vecs = np.linalg.eigh(_hermitian_part(a))
-    return vals, vecs
+    return hermitian_part_eig(a)
 
 
 def hermitian_part_eig(a) -> tuple:
     """Eigenvalues (ascending) and unitary eigenvectors of the Hermitian
     part of ``a`` (one ``eigh``); for a matrix Hermitian by construction,
     as :func:`_hermitian_part`."""
+    CALLS["eigh"] += 1
     return np.linalg.eigh(_hermitian_part(a))
+
+
+def generalized_eigvalsh(a, b) -> np.ndarray:
+    """Eigenvalues (ascending) of the Hermitian pencil (a, b), b positive definite."""
+    CALLS["gen_eigh"] += 1
+    try:
+        return scipy.linalg.eigh(a, b, eigvals_only=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
 
 
 def pivoted_qr(a) -> tuple:
     """(Q, R) of the column-pivoted QR factorization A P = Q R."""
+    CALLS["qr"] += 1
     q, r, _ = scipy.linalg.qr(a, pivoting=True)
     return q, r
 
@@ -141,6 +157,7 @@ def pivoted_qr(a) -> tuple:
 def largest_eigenvalue(a) -> float:
     """Largest eigenvalue of the Hermitian part of ``a`` (one ``eigvalsh``);
     for a matrix Hermitian by construction, as :func:`_hermitian_part`."""
+    CALLS["eigvalsh"] += 1
     return float(np.linalg.eigvalsh(_hermitian_part(a))[-1])
 
 
@@ -148,13 +165,38 @@ def schur(a):
     """Complex Schur form A = Q U Q* with Q unitary, U upper triangular."""
     a = as_cmatrix(a)
     _require_square(a)
+    CALLS["schur"] += 1
     u, q = scipy.linalg.schur(a, output="complex")
     return q, u
+
+
+def reorder_schur(select, U, Z) -> tuple:
+    """(R, Z') with Z U Z* = Z' R Z'* and the places ``select`` marks leading."""
+    CALLS["trsen"] += 1
+    R, Zs, _, _, _, _, info = _trsen(select, U, Z, job="N")
+    if info:
+        raise NumericalError(f"Schur reordering failed: LAPACK ztrsen info {info}")
+    return R, Zs
+
+
+def triangular_sylvester(A, B, C) -> np.ndarray:
+    """Y with A Y - Y B = C, A and B upper triangular; close eigenvalues are perturbed (info 1)."""
+    CALLS["trsyl"] += 1
+    Y, scale, info = _trsyl(A, B, C, isgn=-1)
+    if info < 0:
+        raise NumericalError(f"Sylvester solve failed: LAPACK ztrsyl info {info}")
+    return Y / scale
+
+
+def det(a):
+    CALLS["det"] += 1
+    return np.linalg.det(as_cmatrix(a))
 
 
 def inv(a) -> np.ndarray:
     a = as_cmatrix(a)
     _require_square(a)
+    CALLS["inv"] += 1
     try:
         return scipy.linalg.inv(a)
     except scipy.linalg.LinAlgError as exc:
@@ -174,6 +216,12 @@ def sqrt_and_inv_sqrt(a) -> tuple:
             f"max {top:.3e}"
         )
     return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * (vals ** -0.5)) @ vecs.conj().T
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values, descending."""
+    a = as_cmatrix(a)
+    return _svd(a) if a.size else np.zeros(0)
 
 
 def cond(a) -> float:

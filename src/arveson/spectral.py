@@ -221,27 +221,15 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     n = T.n
     Z, U = spectrum.schur
     select = np.isin(np.arange(n), spectrum.places[i])
-    R, Zs, _, _, _, _, info = numerics._trsen(select, U, Z, job="N")
-    if info:
-        raise NumericalError(
-            f"Schur reordering failed for the cluster at {spectrum.points[i]}: "
-            f"LAPACK ztrsen info {info}"
-        )
+    R, Zs = numerics.reorder_schur(select, U, Z)
     m = spectrum.multiplicities[i]
     if m == n:
         return np.eye(n, dtype=complex)
-    # info 1 (eigenvalues perturbed to separate them) proceeds to the gates
-    Y, y_scale, info = numerics._trsyl(R[:m, :m], R[m:, m:], R[:m, m:], isgn=-1)
-    if info < 0:
-        raise NumericalError(
-            "Sylvester solve for the spectral coupling block failed; the "
-            "cluster is not separated from the rest of the spectrum"
-        )
     P = np.zeros((n, n), dtype=complex)
     P[:m, :m] = np.eye(m)
-    P[:m, m:] = Y / y_scale
+    P[:m, m:] = numerics.triangular_sylvester(R[:m, :m], R[m:, m:], R[:m, m:])
     Q = Zs @ P @ Zs.conj().T
-    s = numerics._svd(Q)
+    s = numerics.singular_values(Q)
     if s[0] > PROJECTOR_NORM_GATE:
         raise NumericalError(
             f"spectral projector norm {s[0]:.3e} exceeds "

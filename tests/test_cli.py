@@ -460,3 +460,10 @@ def test_model_jet_exits_3_on_an_undecidable_localization(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "undecidable" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
+@pytest.mark.parametrize("command", ["tuple-check", "tuple-ann", "model-jet", "nilsim"])
+def test_tol_must_be_positive_and_finite(command, tol, tuple_file, capsys):
+    code, out, err = run([command, "--in", tuple_file, f"--tol={tol}"], capsys)
+    assert (code, out) == (1, "") and "--tol must be a positive finite number" in err

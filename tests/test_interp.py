@@ -195,3 +195,13 @@ def test_each_entry_point_validates_its_points_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_pick_paths_lapack_calls(lapack_counts):
+    # a pencil eigensolve or one inverse for the norms, one eigh per certificate
+    pts = [[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5], [0.0, 0.3]]
+    interp.pick_min_norm(pts, [0.3, -0.2 + 0.4j, 0.8, 0.1])
+    assert dict(lapack_counts) == {"gen_eigh": 1, "eigh": 1}
+    lapack_counts.clear()
+    interp.strong_separation(pts)
+    assert dict(lapack_counts) == {"inv": 1, "eigh": 4}

@@ -105,11 +105,13 @@ _LINALG = ("np.linalg", "numpy.linalg", "scipy.linalg", "linalg")
 
 def _factorization_calls(tree: ast.Module) -> set:
     """The numpy.linalg and scipy.linalg factorizations a module calls by
-    attribute or imports by name."""
+    attribute or imports by name, and the private numerics names it reads."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "") in ("numpy.linalg", "scipy.linalg"):
             found |= {a.name for a in node.names} & _FACTORIZATIONS
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and _dotted(node.value).endswith("numerics"):
+            found.add(f"numerics.{node.attr}")
         elif isinstance(node, ast.Call):
             owner, _, name = _dotted(node.func).rpartition(".")
             if owner in _LINALG and name in _FACTORIZATIONS:
@@ -118,14 +120,16 @@ def _factorization_calls(tree: ast.Module) -> set:
 
 
 def test_certificate_modules_factor_through_numerics():
-    # nilsim, tuples, models and spectral reach every factorization through numerics
+    # numerics alone calls LAPACK, so numerics.CALLS sees every call
     calls = {
         path.stem: _factorization_calls(ast.parse(path.read_text(encoding="utf-8")))
         for path in (ROOT / "src" / "arveson").glob("*.py")
     }
-    assert calls["nilsim"] == calls["tuples"] == calls["models"] == calls["spectral"] == set()
-    # the scan sees direct calls where they remain
-    assert {"eigh"} <= calls["interp"] and {"det"} <= calls["repro"]
+    assert {m: c for m, c in calls.items() if m != "numerics" and c} == {}
+    # the scan sees direct calls and private reads where they remain
+    assert {"svd", "eigh", "eigvalsh", "det", "inv", "qr", "schur"} <= calls["numerics"]
+    tests = ast.parse((ROOT / "tests" / "test_numerics.py").read_text(encoding="utf-8"))
+    assert {"numerics._svd", "numerics._hermitian_part"} <= _factorization_calls(tests)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

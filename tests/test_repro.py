@@ -227,3 +227,8 @@ def test_two_variable_row_norm_matches_hermitian_eig_oracle():
         M2 = N1 + eps * N2
         gram = N1 @ N1.conj().T + M2 @ M2.conj().T
         assert r.f_measured == math.sqrt(float(numerics.hermitian_eig(gram)[0][-1]))
+
+
+def test_two_variable_checks_eight_determinants_per_eps(lapack_counts):
+    repro.example_two_variable(eps_list=[0.1, 0.01])
+    assert lapack_counts["det"] == 16

@@ -307,3 +307,8 @@ def test_jordan_decompose_lapack_calls(lapack_counts):
     spectral.jordan_decompose(T)
     want = {"svd": 18, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
     assert {k: lapack_counts[k] for k in want} == want
+
+
+def test_jordan_decompose_makes_one_qr_per_block(lapack_counts):
+    blocks = sum(len(spectral.jordan_decompose(_jordan_input(seed)[0]).blocks) for seed in range(10))
+    assert lapack_counts["qr"] == blocks
