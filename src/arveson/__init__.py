@@ -10,10 +10,12 @@ from .fockspace import kernel_gram
 from .interp import (
     PickResult,
     SeparationReport,
+    SimilarityBracket,
     StrongSeparationReport,
     ThetaJetCertificate,
     pick_min_norm,
     separation_constants,
+    similarity_bracket,
     strong_separation,
     theta_jets,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "PolyIdeal",
     "Polynomial",
     "SeparationReport",
+    "SimilarityBracket",
     "SimilarityCertificate",
     "StrongSeparationReport",
     "ThetaJetCertificate",
@@ -88,6 +91,7 @@ __all__ = [
     "polynomial_order",
     "riesz_idempotent",
     "separation_constants",
+    "similarity_bracket",
     "strong_separation",
     "theta_jets",
     "vanishing_ideal_slice",

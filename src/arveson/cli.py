@@ -325,10 +325,12 @@ def _build_parser() -> _Parser:
     p = cmd("repro-6-4", _cmd_repro_6_4, "two-variable troubled similarity family",
             input_=False, seed=True)
     p.add_argument("--eps", default="0.1,0.01,0.001")
-    p = cmd("dichotomy", _cmd_dichotomy, "bounded versus degrading similarity",
+    p = cmd("dichotomy", _cmd_dichotomy,
+            "bounded versus degrading similarity (kappa 0: a proved bracket, not a witness)",
             input_=False)
     p.add_argument("--in", dest="input", default=None, metavar="FILE")
-    p.add_argument("--kappa", type=int, default=0)
+    p.add_argument("--kappa", type=int, default=0,
+                   help="0: min_cond_lower <= min cond <= min_cond_upper; 1: both ends exact")
     p.add_argument("--eps", default=None)
     return parser
 

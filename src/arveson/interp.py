@@ -5,17 +5,19 @@ finite set the optimal Carleson constant is exactly its largest
 eigenvalue, weak separation is read off its entries, and multiplier
 interpolation feasibility at level c is positive semidefiniteness of the
 Pick matrix (c^2 - a_n conj(a_m)) k(l_n, l_m), so the minimal norm is one
-generalized eigenvalue.
+generalized eigenvalue. The smallest condition number of a similarity that
+makes the point model normal is bracketed from one eigensolve of the Gram.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import fockspace, numerics
+from . import fockspace, models, numerics
 from .errors import InputError, NumericalError
 
 PICK_PSD_RTOL = 1e-12
@@ -25,6 +27,14 @@ PICK_CERT_RTOL = 1e-6  # relative offset of the level the value is certified at
 def kernel_matrix(points) -> np.ndarray:
     pts = fockspace._as_points(points)
     return fockspace.kernel_gram(pts, [(0,) * pts[0].size])
+
+
+def _normalized_gram(pts: list) -> np.ndarray:
+    """G_mn = k(z_m, z_n) / sqrt(k(z_m, z_m) k(z_n, z_n)), the Gram of the
+    normalized kernels; its diagonal is one."""
+    K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
+    norms = np.sqrt(np.diag(K).real)
+    return K / np.outer(norms, norms)
 
 
 @dataclass(frozen=True)
@@ -51,9 +61,7 @@ def separation_constants(points) -> SeparationReport:
     pts = fockspace._as_points(points)
     if len(pts) < 2:
         raise InputError("separation needs at least two points")
-    K = fockspace.kernel_gram(pts, [(0,) * pts[0].size])
-    norms = np.sqrt(np.diag(K).real)
-    G = K / np.outer(norms, norms)
+    G = _normalized_gram(pts)
     m = len(pts)
     delta = 1.0
     worst = (0, 0)
@@ -70,6 +78,82 @@ def separation_constants(points) -> SeparationReport:
         gamma_carleson=gamma,
         worst_pair=worst,
         gram=G,
+    )
+
+
+@dataclass(frozen=True)
+class SimilarityBracket:
+    points: tuple
+    lower: float
+    upper: float
+    projection_lower: float
+    scaling_lower: float
+    pair_lower: float | None
+    gram_cond: float
+
+
+def similarity_bracket(points) -> SimilarityBracket:
+    """Proved bracket on the smallest condition number of a similarity that
+    makes the model of distinct points normal.
+
+    The model (the jet model of the maximal ideals) compresses the
+    coordinate multipliers to span{k_n}, and its adjoints have the
+    normalized kernels k_n / ||k_n|| as joint eigenvectors with pairwise
+    distinct joint eigenvalues conj(z_n). If X Z X^-1 is a commuting normal
+    tuple, the joint eigenvectors X^-* k_n / ||k_n|| of its adjoint are
+    pairwise orthogonal, so X^-* W = U D with W = [k_1 / ||k_1||, ...], U
+    unitary and D > 0 diagonal; every D arises. Since W^* W = G, the
+    normalized Gram, cond(X)^2 = cond(D^-1 G D^-1), and the bracketed number
+    is m = sqrt(min_D cond(D G D)) over positive diagonal D. For any such D
+    put A = D G D, d_n = D_nn:
+
+    - ``upper`` = sqrt(cond G): D = I is one choice.
+    - ``projection_lower`` = max_n sqrt((G^-1)_nn), which is max_n ||Q_n||
+      for the model's Riesz idempotents since G_nn = 1:
+      lambda_max(A) >= A_nn = d_n^2 and 1/lambda_min(A) >= (A^-1)_nn =
+      (G^-1)_nn / d_n^2, so cond A >= (G^-1)_nn.
+    - ``scaling_lower`` = sqrt(cond(G) / N) (van der Sluis, 1969):
+      lambda_max(G) <= tr G = N, and x^* G x = (D^-1 x)^* A (D^-1 x) >=
+      lambda_min(A) |x|^2 / max_n d_n^2 with max_n d_n^2 = max_n A_nn <=
+      lambda_max(A), so cond G <= N cond A.
+    - ``pair_lower`` = max_{m != n} sqrt((1 + |g_mn|) / (1 - |g_mn|)), for
+      N >= 2 (None for one point): by interlacing cond A is at least the
+      cond c of its 2x2 principal block [[a, s], [conj s, b]], |s|^2 =
+      ab |g_mn|^2, and c + 1/c + 2 = (a + b)^2 / (ab (1 - |g_mn|^2)) is
+      least at a = b, where the eigenvalues are a (1 +- |g_mn|).
+
+    ``lower`` is the largest of the three, and ``gram_cond`` is cond G; the
+    inverse diagonal (G^-1)_nn = sum_k |v_nk|^2 / lambda_k comes from the
+    same eigh. Rounding, nothing clamped: each entry of the computed G has
+    relative error O(u / (1 - r^2)), r = max_n |z_n|, from forming
+    1 - <z_m, z_n> and the norms, and the eigensolve returns the exact
+    eigenpairs of a matrix within O(n u ||G||) of it; as lambda_max >= 1,
+    Weyl's inequality leaves every reported number a relative error
+    O(n u cond(G) / (1 - r^2)). On two points both ends are 2 + sqrt(3),
+    and ``lower`` exceeds ``upper`` in the last bits. A Gram
+    with lambda_min <= models.GRAM_FLOOR_RTOL * lambda_max is refused with
+    NumericalError, as ``models.jet_model`` refuses it.
+    """
+    pts = fockspace._as_points(points)
+    n = len(pts)
+    G = _normalized_gram(pts)
+    vals, vecs = numerics.hermitian_part_eig(G)
+    models.require_gram_floor(vals)
+    cond = float(vals[-1] / vals[0])
+    inv_diag = (np.abs(vecs) ** 2) @ (1.0 / vals)
+    terms = [math.sqrt(float(inv_diag.max())), math.sqrt(cond / n)]
+    if n >= 2:
+        # (1 + g) / (1 - g) increases with g, also in floating point
+        g = float(np.abs(G[~np.eye(n, dtype=bool)]).max())
+        terms.append(math.sqrt((1.0 + g) / (1.0 - g)))
+    return SimilarityBracket(
+        points=tuple(tuple(p.tolist()) for p in pts),
+        lower=max(terms),
+        upper=math.sqrt(cond),
+        projection_lower=terms[0],
+        scaling_lower=terms[1],
+        pair_lower=terms[2] if n >= 2 else None,
+        gram_cond=cond,
     )
 
 

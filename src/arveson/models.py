@@ -178,6 +178,17 @@ def _local_dual_basis(
     return np.conj(numerics.nullspace(rows, rtol=tol))
 
 
+def require_gram_floor(vals) -> None:
+    """Refuse a kernel Gram whose ascending eigenvalues ``vals`` have
+    vals[0] <= GRAM_FLOOR_RTOL * vals[-1]."""
+    if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
+        raise NumericalError(
+            f"kernel data Gram matrix is numerically singular (eigenvalue "
+            f"ratio {float(vals[0]) / float(vals[-1]):.3e}); the points are "
+            f"too close"
+        )
+
+
 def jet_model(
     points: Sequence[Sequence[complex]],
     local_ideals: Sequence[polyideal.PolyIdeal],
@@ -253,12 +264,7 @@ def jet_model(
     # them by D A_j D^-1
     A = A * norms[:, None] / norms[None, :]
     vals, vecs = numerics.hermitian_part_eig(G)
-    if float(vals[0]) <= GRAM_FLOOR_RTOL * float(vals[-1]):
-        raise NumericalError(
-            f"kernel data Gram matrix is numerically singular (eigenvalue "
-            f"ratio {float(vals[0]) / float(vals[-1]):.3e}); the points are "
-            f"too close"
-        )
+    require_gram_floor(vals)
     G_isqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
     mats = [G_isqrt @ Aj.conj().T @ G @ G_isqrt for Aj in A]
     constants = np.concatenate([C[0, :] for C in duals])

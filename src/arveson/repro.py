@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import models, numerics, polyideal, spectral, tuples
+from . import interp, models, numerics, polyideal, tuples
 from .errors import InputError, NumericalError
-from .polynomials import Polynomial
 
 
 def _intertwiner_space(sources, targets) -> np.ndarray:
@@ -339,25 +337,27 @@ class DichotomyBlockRow:
 class DichotomyReport:
     kappa: int
     rows: tuple
-    global_min_cond: float
+    min_cond_lower: float
+    min_cond_upper: float
     global_nullspace_dim: int | None
     blocks_forced_diagonal: bool | None
-    jet_model_cond: float | None
 
     @property
     def bounded(self) -> bool:
-        return math.isfinite(self.global_min_cond)
+        return math.isfinite(self.min_cond_upper)
 
 
 def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyReport:
     """Order zero stays similar to a diagonal model; order one degrades.
 
-    kappa = 0: the jet model of the points is block-diagonalized and the
-    similarity condition number reported (finite, set by the point
-    geometry alone). kappa = 1: 2x2 blocks with degrading eps are summed;
-    spectral disjointness forces every global intertwiner block diagonal,
-    so the minimal global condition number is the worst per-block one.
-    eps values with kappa = 0, or kappa = 1 points with d != 1, are refused.
+    kappa = 0: the smallest condition number of a similarity that makes the
+    point model normal is bracketed by ``interp.similarity_bracket``
+    (finite, set by the point geometry alone); ``min_cond_lower`` and
+    ``min_cond_upper`` are its proved ends. kappa = 1: 2x2 blocks with
+    degrading eps are summed; spectral disjointness forces every global
+    intertwiner block diagonal, so the minimal global condition number is
+    the worst per-block one, and both ends are that exact minimum. eps
+    values with kappa = 0, or kappa = 1 points with d != 1, are refused.
     """
     if kappa not in (0, 1):
         raise InputError(f"kappa must be 0 or 1, got {kappa}")
@@ -366,28 +366,17 @@ def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyRepor
             raise InputError("eps values apply to kappa = 1 only, not to kappa = 0")
         if points is None:
             points = [[0.0], [0.5]]
-        pts = [np.asarray(p, dtype=complex).reshape(-1) for p in points]
-        d = pts[0].size
-        ideals = []
-        for z in pts:
-            gens = [
-                Polynomial.variable(d, j) - Polynomial.constant(d, z[j])
-                for j in range(d)
-            ]
-            ideals.append(polyideal.PolyIdeal(gens, 2, d=d))
-        model = models.jet_model(pts, ideals)
-        dec = spectral.jordan_decompose(model.tuple)
-        rows = tuple(
-            DichotomyBlockRow(point=p, eps=None, block_min_cond=1.0)
-            for p in dec.spectrum.points
-        )
+        bracket = interp.similarity_bracket(points)
         return DichotomyReport(
             kappa=0,
-            rows=rows,
-            global_min_cond=dec.cond,
+            rows=tuple(
+                DichotomyBlockRow(point=p, eps=None, block_min_cond=1.0)
+                for p in bracket.points
+            ),
+            min_cond_lower=bracket.lower,
+            min_cond_upper=bracket.upper,
             global_nullspace_dim=None,
             blocks_forced_diagonal=None,
-            jet_model_cond=dec.cond,
         )
 
     if eps_list is None:
@@ -406,27 +395,24 @@ def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyRepor
         for j in range(i + 1, len(lams)):
             if abs(lams[i] - lams[j]) < 1e-12:
                 raise InputError("block eigenvalues must be distinct")
-    S_blocks = []
-    T_blocks = []
+    n = 2 * len(lams)
+    S_full = np.zeros((n, n), dtype=complex)
+    T_full = np.zeros((n, n), dtype=complex)
     rows = []
-    for lam, eps in zip(lams, eps_list):
-        S, T = _block_pair_1var(lam, eps)
-        S_blocks.append(S)
-        T_blocks.append(T)
+    for i, (lam, eps) in enumerate(zip(lams, eps_list)):
+        block = slice(2 * i, 2 * i + 2)
+        S_full[block, block], T_full[block, block] = _block_pair_1var(lam, eps)
         rows.append(
             DichotomyBlockRow(
                 point=(lam,), eps=float(eps), block_min_cond=_min_cond_1var(eps)
             )
         )
-    S_full = scipy.linalg.block_diag(*S_blocks).astype(complex)
-    T_full = scipy.linalg.block_diag(*T_blocks).astype(complex)
     basis = _intertwiner_space([T_full], [S_full])
     dim = basis.shape[1]
     # distinct eigenvalues force every intertwiner block diagonal, so the
     # intertwiner space is exactly the direct sum of the per-block ones
-    forced = dim == 2 * len(lams)
+    forced = dim == n
     off_mass = 0.0
-    n = S_full.shape[0]
     for k in range(dim):
         X = _unvec(basis[:, k], n, n)
         for i in range(len(lams)):
@@ -440,11 +426,12 @@ def dichotomy_demo(points=None, kappa: int = 0, eps_list=None) -> DichotomyRepor
                     ),
                 )
     forced = bool(forced and off_mass <= 1e-9)
+    worst = max(r.block_min_cond for r in rows)
     return DichotomyReport(
         kappa=1,
         rows=tuple(rows),
-        global_min_cond=max(r.block_min_cond for r in rows),
+        min_cond_lower=worst,
+        min_cond_upper=worst,
         global_nullspace_dim=dim,
         blocks_forced_diagonal=forced,
-        jet_model_cond=None,
     )

@@ -323,7 +323,27 @@ def test_dichotomy_smoke(capsys):
     code, out, err = run(["dichotomy", "--kappa", "0"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["result"]["jet_model_cond"] < 10
+    assert rep["result"]["min_cond_upper"] < 10
+    # two points: both ends are 2 + sqrt(3)
+    assert abs(rep["result"]["min_cond_upper"] - (2 + 3**0.5)) <= 1e-12 * (2 + 3**0.5)
+    assert abs(rep["result"]["min_cond_lower"] - (2 + 3**0.5)) <= 1e-12 * (2 + 3**0.5)
+    assert "global_min_cond" not in rep["result"] and "jet_model_cond" not in rep["result"]
+
+
+def test_dichotomy_kappa_0_makes_one_eigh_and_repeats_its_bytes(lapack_counts, capsys):
+    code, out, err = run(["dichotomy"], capsys)
+    assert code == 0
+    assert dict(lapack_counts) == {"eigh": 1}
+    assert run(["dichotomy"], capsys) == (0, out, "")
+
+
+def test_dichotomy_refuses_near_coincident_points(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"d": 1, "points": [[0.5], [0.5 + 1e-7]]}))
+    code, out, err = run(["dichotomy", "--in", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "eigenvalue ratio" in err and "too close" in err
 
 
 def test_dichotomy_refuses_eps_with_kappa_0(capsys):

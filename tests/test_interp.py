@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
-from arveson import fockspace, interp, numerics
+from arveson import fockspace, interp, models, numerics, polyideal, spectral
 from arveson.errors import InputError, NumericalError
+from arveson.polynomials import Polynomial
 
 
 def pick_matrix(points, targets, c):
@@ -205,3 +209,93 @@ def test_pick_paths_lapack_calls(lapack_counts):
     lapack_counts.clear()
     interp.strong_separation(pts)
     assert dict(lapack_counts) == {"inv": 1, "eigh": 4}
+
+
+def _maximal_ideals(pts):
+    d = len(pts[0])
+    return [
+        polyideal.PolyIdeal(
+            [Polynomial.variable(d, j) - Polynomial.constant(d, complex(z[j])) for j in range(d)], 2, d=d
+        )
+        for z in pts
+    ]
+
+
+def nelder_mead_min_cond(points):
+    # tests-only oracle: Nelder-Mead over log D (d_1 = 1) from D = I, on a
+    # normalized Gram formed here; returns sqrt(cond(D G D)) at the best D
+    pts = [np.asarray(p, dtype=complex) for p in points]
+    K = np.array([[1.0 / (1.0 - np.vdot(w, z)) for w in pts] for z in pts])
+    s = np.sqrt(np.diag(K).real)
+    G = K / np.outer(s, s)
+
+    def cond_at(x):
+        d = np.exp(np.concatenate([[0.0], x]))
+        w = np.linalg.eigvalsh(d[:, None] * G * d[None, :])
+        return w[-1] / w[0]
+
+    res = scipy.optimize.minimize(
+        cond_at,
+        np.zeros(len(pts) - 1),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-9, "maxfev": 5000},
+    )
+    return math.sqrt(res.fun)
+
+
+BRACKET_SETS = [
+    [[0.1], [0.3], [0.55], [0.9]],
+    [[0.0], [0.5], [0.8]],
+    [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]],
+]
+
+
+def test_similarity_bracket_two_points_closed_form():
+    # G = [[1, g], [g, 1]] with g = sqrt(3)/2: cond G = (1 + g)/(1 - g) = (2 + sqrt 3)^2,
+    # and the 2x2 term makes the lower end equal the upper one
+    b = interp.similarity_bracket([[0.0], [0.5]])
+    assert_allclose([b.lower, b.upper], 2.0 + math.sqrt(3.0), rtol=1e-12)
+    assert_allclose(b.pair_lower, 2.0 + math.sqrt(3.0), rtol=1e-12)
+    assert_allclose(b.gram_cond, (2.0 + math.sqrt(3.0)) ** 2, rtol=1e-12)
+    # (G^-1)_nn = 1 / (1 - g^2) = 4 and cond(G) / N
+    assert_allclose(b.projection_lower, 2.0, rtol=1e-12)
+    assert_allclose(b.scaling_lower, (2.0 + math.sqrt(3.0)) / math.sqrt(2.0), rtol=1e-12)
+    assert b.points == ((0j,), (0.5 + 0j,))
+
+
+def test_similarity_bracket_of_one_point_is_one():
+    b = interp.similarity_bracket([[0.3, 0.4j]])
+    assert (b.lower, b.upper, b.pair_lower, b.gram_cond) == (1.0, 1.0, None, 1.0)
+
+
+@pytest.mark.parametrize("points", BRACKET_SETS)
+def test_similarity_bracket_contains_an_attained_condition_number(points):
+    b = interp.similarity_bracket(points)
+    assert b.lower == max(b.projection_lower, b.scaling_lower, b.pair_lower)
+    assert_allclose(b.upper, math.sqrt(b.gram_cond), rtol=0)
+    attained = nelder_mead_min_cond(points)
+    assert b.lower <= attained <= b.upper * (1 + 1e-12)
+    # a rescaling beats the unit-diagonal witness: upper is no minimum
+    assert attained < b.upper * (1 - 1e-3)
+
+
+@pytest.mark.parametrize("points", BRACKET_SETS)
+def test_similarity_bracket_lower_end_holds_for_the_jordan_witness(points):
+    # the Jordan decomposition of the jet model is one similarity of the kind
+    dec = spectral.jordan_decompose(models.jet_model(points, _maximal_ideals(points)).tuple)
+    assert interp.similarity_bracket(points).lower <= dec.cond
+
+
+def test_similarity_bracket_refuses_near_coincident_points():
+    # the floor and the message of the jet model's Gram refusal
+    pts = [[0.5], [0.5 + 1e-7]]
+    with pytest.raises(NumericalError, match="eigenvalue ratio") as got:
+        interp.similarity_bracket(pts)
+    with pytest.raises(NumericalError) as want:
+        models.jet_model(pts, _maximal_ideals(pts))
+    assert str(got.value) == str(want.value)
+
+
+def test_similarity_bracket_lapack_calls(lapack_counts):
+    interp.similarity_bracket(BRACKET_SETS[2])
+    assert dict(lapack_counts) == {"eigh": 1}

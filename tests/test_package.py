@@ -36,10 +36,10 @@ def _imports_polynomials(tree: ast.Module) -> bool:
 
 def test_polynomials_stay_at_the_boundary():
     # Polynomial objects are read and written at the JSON edge
-    # (serialization), turned into coefficient columns once (polyideal) and
-    # built for the paper's examples (repro); the package re-exports the
-    # class. Everything else works on coefficient arrays.
-    allowed = {"__init__", "polynomials", "polyideal", "serialization", "repro"}
+    # (serialization) and turned into coefficient columns once (polyideal);
+    # the package re-exports the class. Everything else works on
+    # coefficient arrays.
+    allowed = {"__init__", "polynomials", "polyideal", "serialization"}
     importers = {
         path.stem
         for path in (ROOT / "src" / "arveson").glob("*.py")
@@ -60,14 +60,16 @@ def _dotted(node) -> str:
 
 def _lapack_uses(tree: ast.Module) -> dict:
     """Which of: a reference to ``scipy.linalg.lapack``, a
-    ``solve_sylvester`` call, a ``schur(..., sort=...)`` call, the module
-    makes."""
-    found = {"lapack": False, "solve_sylvester": False, "sorted_schur": False}
+    ``solve_sylvester`` call, a ``schur(..., sort=...)`` call, an import of
+    scipy, the module makes."""
+    found = {"lapack": False, "solve_sylvester": False, "sorted_schur": False, "scipy": False}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found["lapack"] |= any(a.name.startswith("scipy.linalg.lapack") for a in node.names)
+            found["scipy"] |= any(a.name.split(".")[0] == "scipy" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
+            found["scipy"] |= module.split(".")[0] == "scipy"
             found["lapack"] |= module.startswith("scipy.linalg.lapack") or (
                 module == "scipy.linalg" and any(a.name == "lapack" for a in node.names)
             )
@@ -91,6 +93,33 @@ def test_lapack_handles_live_in_numerics():
     }
     assert sorted(m for m, u in uses.items() if u["lapack"]) == ["numerics"]
     assert sorted(m for m, u in uses.items() if u["solve_sylvester"] or u["sorted_schur"]) == []
+    # numerics alone decides whether scipy is imported
+    assert sorted(m for m, u in uses.items() if u["scipy"]) == ["numerics"]
+
+
+def _names(tree: ast.Module) -> set:
+    """Every identifier a module names: variables, attributes and imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    return found
+
+
+def test_no_module_takes_matrix_powers():
+    # powers come from walks that reuse the previous degree (nilsim's
+    # nilpotency gate reads N_j^n as N_j times the walk's last power)
+    names = {
+        path.stem: _names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+    }
+    assert sorted(m for m, n in names.items() if "matrix_power" in n) == []
+    # the scan sees the name where it is used
+    assert "matrix_power" in _names(ast.parse("np.linalg.matrix_power(a, 3)"))
 
 
 # dense factorizations (and the solves and inverses built on them) of

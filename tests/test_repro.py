@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from arveson import numerics, repro
+from arveson import interp, numerics, repro, spectral
 from arveson.errors import InputError, NumericalError
 
 EPS_CASES = (1.0, 0.1, 0.01, 0.001)
@@ -117,14 +117,30 @@ def test_dichotomy_bounded_regime():
     rep = repro.dichotomy_demo(kappa=0)
     assert rep.kappa == 0
     assert rep.bounded
-    assert rep.jet_model_cond is not None
-    assert rep.jet_model_cond < 10
+    assert rep.min_cond_upper < 10
+    # two points: both ends are 2 + sqrt(3)
+    assert_allclose([rep.min_cond_lower, rep.min_cond_upper], 2.0 + math.sqrt(3.0), rtol=1e-12)
+
+
+def test_dichotomy_kappa_0_is_one_gram_eigensolve(lapack_counts, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kappa = 0 builds no jet model and no Jordan decomposition")
+
+    monkeypatch.setattr(repro.models, "jet_model", refuse)
+    monkeypatch.setattr(spectral, "jordan_decompose", refuse)
+    pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]]
+    rep = repro.dichotomy_demo(points=pts, kappa=0)
+    assert dict(lapack_counts) == {"eigh": 1}
+    b = interp.similarity_bracket(pts)
+    assert (rep.min_cond_lower, rep.min_cond_upper) == (b.lower, b.upper)
+    # the rows carry the input points, not computed spectrum points
+    assert [r.point for r in rep.rows] == [tuple(complex(x) for x in p) for p in pts]
 
 
 def test_dichotomy_degrading_regime():
     rep = repro.dichotomy_demo(kappa=1)
     assert rep.kappa == 1
-    assert rep.global_min_cond >= 64 - 1e-6
+    assert rep.min_cond_upper >= 64 - 1e-6
     assert rep.blocks_forced_diagonal
     # per block the minimum condition number is exactly 1/eps
     for row in rep.rows:
@@ -154,6 +170,27 @@ def test_dichotomy_kappa_1_takes_scalars_or_one_coordinate_points():
     want = repro.dichotomy_demo(points=pts, kappa=1, eps_list=[0.5, 0.25])
     got = repro.dichotomy_demo(points=[[z] for z in pts], kappa=1, eps_list=[0.5, 0.25])
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "kwargs, conds, dim",
+    [
+        ({}, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0], 12),
+        (
+            {"points": [0.2, -0.4, 0.6j], "eps_list": [0.3, 0.07, 0.011]},
+            [3.3333333333333335, 14.285714285714285, 90.90909090909092],
+            6,
+        ),
+    ],
+)
+def test_dichotomy_kappa_1_values_are_pinned(kwargs, conds, dim):
+    # the values of the scipy block_diag assembly, bit for bit; both ends
+    # are the certified per-block maximum, an exact minimum
+    rep = repro.dichotomy_demo(kappa=1, **kwargs)
+    assert [r.block_min_cond for r in rep.rows] == conds
+    assert rep.min_cond_lower == rep.min_cond_upper == conds[-1]
+    assert rep.global_nullspace_dim == dim
+    assert rep.blocks_forced_diagonal is True
 
 
 @pytest.mark.parametrize("eps", EPS_CASES)
