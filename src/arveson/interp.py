@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +21,6 @@ from .errors import InputError, NumericalError
 
 PICK_PSD_RTOL = 1e-12
 PICK_CERT_RTOL = 1e-6  # relative offset of the level the value is certified at
-
-
-def kernel_matrix(points) -> np.ndarray:
-    pts = fockspace._as_points(points)
-    return fockspace.kernel_gram(pts, [(0,) * pts[0].size])
 
 
 def _normalized_gram(pts: list) -> np.ndarray:

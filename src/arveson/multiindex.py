@@ -1,15 +1,12 @@
 """Multi-index arithmetic and graded-lexicographic monomial enumeration.
 
 A multi-index is a plain tuple of non-negative integers; it serializes as a
-plain integer array. All factorial arithmetic is exact (Python integers), and
-monomial norms are exact rationals: the monomial x^alpha has squared norm
-alpha!/|alpha|! in the Drury-Arveson space.
+plain integer array. All factorial arithmetic is exact (Python integers).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
@@ -54,12 +51,6 @@ def multinomial_weight(alpha: Sequence[int]) -> int:
     return num // den
 
 
-def monomial_norm_sq(alpha: Sequence[int]) -> Fraction:
-    """Exact squared norm alpha!/|alpha|! of the monomial x^alpha."""
-    alpha = as_index(alpha)
-    return Fraction(index_factorial(alpha), math.factorial(degree(alpha)))
-
-
 @lru_cache(maxsize=None)
 def _homogeneous(d: int, ell: int) -> tuple[MultiIndex, ...]:
     # Exponent vectors of total degree ell, in descending lexicographic order
@@ -96,13 +87,6 @@ def add(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
     if len(alpha) != len(beta):
         raise InputError("multi-index length mismatch")
     return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def divides(alpha: Sequence[int], beta: Sequence[int]) -> bool:
-    """True when x^alpha divides x^beta."""
-    if len(alpha) != len(beta):
-        raise InputError("multi-index length mismatch")
-    return all(a <= b for a, b in zip(alpha, beta))
 
 
 def unit(d: int, j: int) -> MultiIndex:

@@ -136,7 +136,7 @@ def _require_unit(xi, n: int) -> np.ndarray:
     if xi.size != n:
         raise InputError(f"vector has size {xi.size}, expected {n}")
     nrm = float(np.linalg.norm(xi))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # refuses a non-finite norm as well
         raise InputError(f"cyclic vector must be a unit vector, got norm {nrm:.6g}")
     return xi / nrm
 
@@ -599,8 +599,8 @@ def lemma_checks(
             f"row contraction defect {T.row_defect:.3e} exceeds tolerance"
         )
     unit = _require_unit(xi, T.n)
-    if epsilon < 0:
-        raise InputError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < np.inf:  # refuses nan as well
+        raise InputError(f"epsilon must be a finite number >= 0, got {epsilon}")
     rng = np.random.default_rng(seed)
     cache = tuples._power_cache(T, max(T.n - 1, 0))
     orbit = {a: P @ unit for a, P in cache.items()}

@@ -36,7 +36,6 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-9
 GAP_RATIO = 1e6
-HERMITIAN_RTOL = 1e-10
 PD_RTOL = 1e-12
 # widest matrix whose kernel :func:`nullspace` may be asked for: its full SVD
 # holds an n x n V^H, 256 MiB of complex doubles at this width
@@ -105,29 +104,11 @@ def operator_norms(stack) -> np.ndarray:
 def _hermitian_part(a) -> np.ndarray:
     """(a + a^*)/2, the matrix every Hermitian eigensolve is handed (LAPACK
     reads one triangle only). A matrix Hermitian by construction (a Gram
-    matrix, a sum of M M^* or of Q^* Q, a Pick matrix) comes here directly,
-    since the asymmetry check of :func:`hermitian_eig` cannot fire on it."""
+    matrix, a sum of M M^* or of Q^* Q, a Pick matrix) comes here directly:
+    its asymmetry is rounding only, so none is measured."""
     a = as_cmatrix(a)
     _require_square(a)
     return (a + a.conj().T) / 2.0
-
-
-def hermitian_eig(a):
-    """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
-
-    The input is symmetrized internally; a deviation from Hermitian symmetry
-    beyond ``HERMITIAN_RTOL`` relative to the norm is an error. The library
-    calls it nowhere: it is the reference, bit for bit, of its eigensolves.
-    """
-    a = as_cmatrix(a)
-    _require_square(a)
-    scale = max(operator_norm(a), 1.0)
-    defect = operator_norm(a - a.conj().T)
-    if defect > HERMITIAN_RTOL * scale:
-        raise InputError(
-            f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e}*{scale:.3e}"
-        )
-    return hermitian_part_eig(a)
 
 
 def hermitian_part_eig(a) -> tuple:
@@ -216,12 +197,6 @@ def sqrt_and_inv_sqrt(a) -> tuple:
             f"max {top:.3e}"
         )
     return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * (vals ** -0.5)) @ vecs.conj().T
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    a = as_cmatrix(a)
-    return _svd(a) if a.size else np.zeros(0)
 
 
 def cond(a) -> float:

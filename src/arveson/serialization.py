@@ -10,17 +10,19 @@ accepts or refuses it. Ideals are read into, and written from, their
 coefficient matrix directly, without a ``Polynomial`` per generator.
 
 Report contract. ``dumps_report`` writes the bytes of
-``json.dumps(to_jsonable(report), sort_keys=True, indent=2)`` and a final
-newline: keys sorted, a two-space indent, ASCII with ``\\u`` escapes, floats
-as ``float.__repr__`` writes them. Non-finite floats are written ``NaN``,
-``Infinity`` and ``-Infinity``, as the standard library's encoder writes
-them; that is not strict RFC 8259 JSON, though Python's ``json`` and other
-lenient readers accept it. The writer is one recursive pass that appends
-string fragments. It converts numpy values, complex numbers, tuples,
-``Polynomial`` and dataclass rows as it meets them, by ``to_jsonable``'s
-rule, and writes a list of floats or of [re, im] pairs of floats with one
-``join``: the standard library's C encoder ignores ``indent``, and its
-Python encoder costs a few calls per node.
+``json.dumps(report, sort_keys=True, indent=2)`` and a final newline, with
+the report's values converted to JSON first: numpy values to Python ones,
+complex numbers to [re, im], 2-d arrays to ``dump_matrix`` objects, other
+arrays and tuples to lists, dataclasses to dicts of their fields and dict
+keys to strings. So keys are sorted, the indent is two spaces, the text is
+ASCII with ``\\u`` escapes and floats are as ``float.__repr__`` writes them.
+Non-finite floats are written ``NaN``, ``Infinity`` and ``-Infinity``, as
+the standard library's encoder writes them; that is not strict RFC 8259
+JSON, though Python's ``json`` and other lenient readers accept it. The
+writer is one recursive pass that appends string fragments. It converts
+each value as it meets it, and writes a list of floats or of [re, im]
+pairs of floats with one ``join``: the standard library's C encoder
+ignores ``indent``, and its Python encoder costs a few calls per node.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from . import multiindex as mi
 from . import tuples
 from .errors import InputError
-from .polynomials import Polynomial
 
 SCHEMA_VERSION = "1"
 
@@ -158,18 +159,6 @@ def _load_terms(obj, where: str) -> tuple:
     return d, table
 
 
-def load_polynomial(obj, where: str = "polynomial") -> Polynomial:
-    return Polynomial(*_load_terms(obj, where))
-
-
-def dump_polynomial(p: Polynomial) -> dict:
-    terms = [
-        {"alpha": list(alpha), "coeff": dump_complex(c)}
-        for alpha, c in sorted(p.coeffs.items(), key=lambda kv: (sum(kv[0]), [-a for a in kv[0]]))
-    ]
-    return {"d": p.d, "terms": terms}
-
-
 def load_generators(obj, where: str = "ideal") -> tuple:
     """(d, degree_bound, generators) of an ideal in the wire format, each
     generator a (d, {alpha: coefficient}) pair as ``PolyIdeal.from_terms``
@@ -191,9 +180,9 @@ def load_ideal(obj, where: str = "ideal"):
 
 def dump_generators(coeffs: np.ndarray, basis: Sequence[tuple]) -> list:
     """The columns of ``coeffs``, coefficient vectors on the monomials
-    ``basis`` in graded order, in the wire format of ``dump_polynomial``,
-    whose term order that is. A zero entry is no term; adding 0.0 writes
-    a negative zero part as 0.0, as ``Polynomial`` stores it."""
+    ``basis`` in graded order, in the polynomial wire format, their terms
+    in that order. A zero entry is no term; adding 0.0 writes a negative
+    zero part as 0.0, as ``Polynomial`` stores it."""
     d = len(basis[0])
     return [
         {
@@ -275,9 +264,9 @@ def dump_points(points) -> dict:
 
 
 def _convert(obj):
-    """One step of :func:`to_jsonable` for a value other than a plain
-    dict, list, tuple, str, int, float, bool or None: its JSON form, whose
-    members may still need converting."""
+    """The JSON form of a value that is no plain JSON scalar, as the
+    report contract (module docstring) converts it; its members may still
+    need converting."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -290,8 +279,6 @@ def _convert(obj):
         return dump_complex(complex(obj))
     if isinstance(obj, np.ndarray):
         return dump_matrix(obj) if obj.ndim == 2 else obj.tolist()
-    if isinstance(obj, Polynomial):
-        return dump_polynomial(obj)
     if isinstance(obj, dict):
         return {str(k): v for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -299,24 +286,6 @@ def _convert(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def to_jsonable(obj):
-    """Recursive conversion for report payloads: numpy values to Python
-    ones, complex numbers to [re, im], 2-d arrays to ``dump_matrix``
-    objects, other arrays and tuples to lists, ``Polynomial`` to
-    ``dump_polynomial`` objects, dataclasses to dicts of their fields and
-    dict keys to strings. ``dumps_report`` applies the same rule as it
-    writes."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    return to_jsonable(_convert(obj))
 
 
 def report_envelope(command: str, result, seed=None, tolerances=None) -> dict:

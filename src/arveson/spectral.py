@@ -213,9 +213,18 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     R11 Y - Y R22 = R12 on the triangular blocks; then Q = Z' [I Y; 0 0] Z'*.
     The conditioning of the result is the separation between the cluster
     and the rest of the spectrum, with none of the intermediate growth a
-    polynomial in the combination would suffer. One SVD of Q gates
-    ||Q|| <= ``PROJECTOR_NORM_GATE`` and scales the Q^2 = Q and commutator
-    gates and the rank check; each failure raises NumericalError.
+    polynomial in the combination would suffer. The norm of Q is gated,
+    ||Q|| <= ``PROJECTOR_NORM_GATE``, and scales the commutator gate; each
+    failure raises NumericalError.
+
+    Q^2 = Q and rank Q = m hold by construction and are not measured.
+    P = [I Y; 0 0] satisfies P^2 = P exactly in floating point; its
+    singular values are sqrt(1 + sigma_i(Y)^2) >= 1, m of them, and exactly
+    0 for the rest. Z' is unitary to O(n u), so Weyl's inequality and the
+    backward error of the two products bound the rounding of ||Q^2 - Q||
+    by c n u ||Q||^2 and that of each singular value of Q by c n u ||Q||.
+    Past the norm gate, neither the ``IDEMPOTENT_TOL`` test of Q^2 = Q nor
+    a cut of the singular values at 0.5 can fail for any n below about 1e6.
     """
     i = spectrum.locate(z)
     n = T.n
@@ -229,27 +238,20 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     P[:m, :m] = np.eye(m)
     P[:m, m:] = numerics.triangular_sylvester(R[:m, :m], R[m:, m:], R[:m, m:])
     Q = Zs @ P @ Zs.conj().T
-    s = numerics.singular_values(Q)
-    if s[0] > PROJECTOR_NORM_GATE:
+    norm = numerics.operator_norm(Q)
+    if norm > PROJECTOR_NORM_GATE:
         raise NumericalError(
-            f"spectral projector norm {s[0]:.3e} exceeds "
+            f"spectral projector norm {norm:.3e} exceeds "
             f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
             f"defective eigenvalue or the split is untrustworthy"
         )
-    scale = max(1.0, float(s[0]))
-    if numerics.operator_norm(Q @ Q - Q) > IDEMPOTENT_TOL * scale**2:
-        raise NumericalError(
-            "computed spectral idempotent fails Q^2 = Q beyond tolerance"
-        )
+    scale = max(1.0, norm)
     for Tj in T.matrices:
         comm = numerics.operator_norm(Q @ Tj - Tj @ Q)
         if comm > IDEMPOTENT_TOL * scale * max(1.0, T.scale()):
             raise NumericalError(
                 "spectral idempotent does not commute with the tuple"
             )
-    rank = int((s > 0.5).sum())
-    if rank != m:
-        raise NumericalError(f"idempotent rank {rank} disagrees with cluster multiplicity {m}")
     return Q
 
 
@@ -263,10 +265,6 @@ class JordanDecomposition:
     blocks: tuple
     nilpotents: tuple
     idempotent_defect: float = field(default=0.0)
-
-    @property
-    def block_sizes(self) -> tuple:
-        return self.spectrum.multiplicities
 
 
 def jordan_decompose(

@@ -28,6 +28,7 @@ from arveson import (
 )
 from arveson.errors import ValidationError
 from arveson.polynomials import Polynomial
+from oracles import hermitian_eig
 
 
 def _budget(started: float, limit: float) -> None:
@@ -230,7 +231,7 @@ def _perturbed_input(seed: int):
         ) / math.sqrt(n)
         mats = [S @ Z @ np.linalg.inv(S) for Z in m.tuple.matrices]
         g = float(
-            numerics.hermitian_eig(sum(M @ M.conj().T for M in mats))[0][-1]
+            hermitian_eig(sum(M @ M.conj().T for M in mats))[0][-1]
         )
         if g > 1.0:
             mats = [M / math.sqrt(g) for M in mats]

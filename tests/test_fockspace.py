@@ -12,6 +12,7 @@ from arveson import fockspace as fk
 from arveson import multiindex as mi
 from arveson.errors import InputError
 from arveson.polynomials import Polynomial
+from oracles import monomial_norm_sq
 from test_polynomials import derivative_at, evaluate
 
 
@@ -65,7 +66,7 @@ class FockTruncation:
         self.max_degree = int(max_degree)
         self.basis = mi.enumerate_indices(d, max_degree)
         self.position = {alpha: i for i, alpha in enumerate(self.basis)}
-        self.norms_sq = [mi.monomial_norm_sq(alpha) for alpha in self.basis]
+        self.norms_sq = [monomial_norm_sq(alpha) for alpha in self.basis]
         self.norms = np.array([math.sqrt(float(q)) for q in self.norms_sq])
         self.dim = len(self.basis)
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from arveson import fockspace, interp, models, numerics, polyideal, spectral
+from arveson import fockspace, interp, models, polyideal, spectral
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
+from oracles import hermitian_eig
 
 
 def pick_matrix(points, targets, c):
@@ -101,7 +102,7 @@ def test_pick_value_is_sharp_on_ill_conditioned_kernel():
     pts = (0.7 * np.exp(2j * np.pi * k / 30)).reshape(-1, 1)
     a = np.exp(6j * np.pi * k / 30) * np.linspace(0.2, 0.9, 30)
     r = interp.pick_min_norm(pts, a)
-    K = interp.kernel_matrix(pts)
+    K = fockspace.kernel_gram(pts, [(0,)])
     assert np.linalg.cond(K) > 1e8
     assert cholesky_min_eig(K, a, r.value * (1 + 1e-6)) >= 0
     assert cholesky_min_eig(K, a, r.value * (1 - 1e-6)) < 0
@@ -158,22 +159,22 @@ def test_strong_separation_refuses_a_failed_pick_certificate(monkeypatch):
 
 
 # Kernel Gram and Pick matrices are Hermitian by construction; their
-# eigenvalues must be bit-identical to those of numerics.hermitian_eig, which
+# eigenvalues must be bit-identical to those of oracles.hermitian_eig, which
 # adds only an asymmetry check that cannot fire on them.
 
 
 def test_separation_gamma_matches_hermitian_eig_oracle():
     for pts in ([[0.0], [0.5]], [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]]):
         rep = interp.separation_constants(pts)
-        assert rep.gamma_carleson == float(numerics.hermitian_eig(rep.gram)[0][-1])
+        assert rep.gamma_carleson == float(hermitian_eig(rep.gram)[0][-1])
 
 
 def test_pick_feasible_matches_hermitian_eig_oracle():
     pts = [[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]]
-    K = interp.kernel_matrix(pts)
+    K = fockspace.kernel_gram(pts, [(0, 0)])
     a = np.array([0.3, -0.2 + 0.4j, 0.8])
     for c in (0.5, 0.9, interp.pick_min_norm(pts, a).upper, 2.0):
-        vals = numerics.hermitian_eig((c * c - np.outer(a, a.conj())) * K)[0]
+        vals = hermitian_eig((c * c - np.outer(a, a.conj())) * K)[0]
         scale = max(1.0, float(abs(vals[-1])))
         want = (float(vals[0]) >= -interp.PICK_PSD_RTOL * scale, float(vals[0]))
         assert interp._pick_feasible(K, a, c) == want
@@ -190,7 +191,6 @@ def test_each_entry_point_validates_its_points_once(monkeypatch):
     monkeypatch.setattr(fockspace, "_as_points", counted)
     pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5]]
     for run in (
-        lambda: interp.kernel_matrix(pts),
         lambda: interp.separation_constants(pts),
         lambda: interp.pick_min_norm(pts, [0.3, -0.2, 0.5]),
         lambda: interp.strong_separation(pts),

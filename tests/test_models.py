@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from arveson import interp, models, multiindex as mi, numerics, polyideal, tuples
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
+from oracles import monomial_norm_sq
 from test_acceptance import _downset_family, _staircase_generators
 from test_fockspace import FockTruncation, jet_vector, mult_matrix, truncation_degree
 from test_polyideal import generators
@@ -58,7 +59,7 @@ def _fraction_oracle(basis, d):
         for beta, col in pos.items():
             target = mi.add(beta, mi.unit(d, j))
             if target in pos:
-                ratio = mi.monomial_norm_sq(target) / mi.monomial_norm_sq(beta)
+                ratio = monomial_norm_sq(target) / monomial_norm_sq(beta)
                 Z[pos[target], col] = math.sqrt(float(ratio))
         mats.append(Z)
     return mats
@@ -572,8 +573,9 @@ def test_verify_localizations_matches_polynomial_oracle(name):
     assert got == oracle_localization_reports(m, ideals)
 
 
-def _symmetrizing(orig):
+def _symmetrizing(orig, calls: list):
     def wrapped(a, *args, **kwargs):
+        calls.append(orig.__name__)
         a = np.asarray(a)
         return orig((a + a.conj().T) / 2.0, *args, **kwargs)
 
@@ -581,10 +583,11 @@ def _symmetrizing(orig):
 
 
 def test_hermitian_eigensolves_see_the_symmetrized_matrix(monkeypatch):
-    # hermitian_eig hands eigh the symmetrized matrix (a + a^*)/2, which is
-    # exactly Hermitian, so symmetrizing it once more changes no bit; a
-    # caller that skipped the symmetrization would read different results
-    # here, since LAPACK reads one triangle only
+    # numerics hands eigh and eigvalsh the symmetrized matrix (a + a^*)/2,
+    # which is exactly Hermitian, so symmetrizing it once more changes no
+    # bit; a caller that skipped the symmetrization would read different
+    # results here, since LAPACK reads one triangle only. Both patches must
+    # be reached, or a name bound at import would make the test vacuous
     points, ideals = _jet_cases()["tilted jet at complex points"]
     sep_pts = [[0.1, 0.2], [-0.3, 0.1j], [0.0, -0.5], [0.45, 0.3]]
     pick_tgt = [0.3, -0.2 + 0.4j, 0.8, 0.1j]
@@ -596,13 +599,15 @@ def test_hermitian_eigensolves_see_the_symmetrized_matrix(monkeypatch):
         strong = interp.strong_separation(sep_pts)
         return (
             [Z.copy() for Z in m.tuple.matrices] + [m.cyclic],
-            [sep.gamma_carleson, pick.value, pick.margin] + list(strong.eps),
+            [m.tuple.row_defect, sep.gamma_carleson, pick.value, pick.margin] + list(strong.eps),
         )
 
     mats, values = run()
+    calls = []
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, _symmetrizing(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, _symmetrizing(getattr(np.linalg, name), calls))
     mats2, values2 = run()
+    assert set(calls) == {"eigh", "eigvalsh"}
     assert all(np.array_equal(a, b) for a, b in zip(mats, mats2))
     assert values == values2
 

@@ -63,10 +63,14 @@ def test_non_nilpotent_tuple_keeps_its_message(mats, message):
     assert str(got.value) == message
 
 
-def test_nilpotency_is_read_from_a_walk_that_dies():
+def test_nilpotency_is_read_from_a_walk_that_dies(monkeypatch):
     # the walk covers the degrees below n, so it dies on a model whose top
     # degree is below n - 1, scaled or not (no module takes matrix powers:
-    # tests/test_package.py)
+    # tests/test_package.py), and the gate on N_j^n never runs
+    def gate(*args, **kwargs):
+        raise AssertionError("the walk survived: the nilpotency gate ran")
+
+    monkeypatch.setattr(nilsim, "_require_nilpotent", gate)
     cube = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     for gens, d in ((SQUARE, 2), ([(3, 0), (0, 2)], 2), (cube, 3)):
         m = models.monomial_model(gens, d)
@@ -74,13 +78,21 @@ def test_nilpotency_is_read_from_a_walk_that_dies():
             nilsim.check_hypotheses(tuples.validate([s * Z for Z in m.tuple.matrices]), m.cyclic)
 
 
-def test_nilpotency_gate_runs_when_the_walk_survives():
+def test_nilpotency_gate_runs_when_the_walk_survives(monkeypatch):
     # one Jordan block: N^(n-1) != 0, so no degree below n dies and the
     # gate takes N_j^n for each j, as N_j times the N_j^(n-1) of the walk's
     # last degree
+    calls = []
+
+    def gate(*args, _orig=nilsim._require_nilpotent, **kwargs):
+        calls.append(1)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(nilsim, "_require_nilpotent", gate)
     N = tuples.validate([0.6 * _SHIFT3, 0.8 * _SHIFT3])
     h = nilsim.check_hypotheses(N, np.array([0.0, 0.0, 1.0]))
     assert h.L == 2 and h.card == 6
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(
@@ -308,6 +320,29 @@ def test_lemma_checks_scaled_tuple_stays_sound():
     T = tuples.validate([0.9 * M for M in m.tuple.matrices])
     rep = nilsim.lemma_checks(T, m.cyclic, epsilon=0.3, seed=2)
     assert rep.ok
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cyclic_vectors_are_refused(bad):
+    # a non-finite norm fails |norm - 1| <= tol as a wrong finite norm does
+    m = square_model()
+    xi = m.cyclic.copy()
+    xi[-1] = bad
+    for call in (
+        lambda: nilsim.check_hypotheses(m.tuple, xi),
+        lambda: nilsim.correspondence_similarity(m.tuple, xi, SQUARE),
+        lambda: nilsim.necessity_check(m.tuple, np.eye(m.dim), SQUARE, xi=xi),
+        lambda: nilsim.lemma_checks(m.tuple, xi, epsilon=0.05),
+    ):
+        with pytest.raises(InputError, match="cyclic vector must be a unit vector"):
+            call()
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -0.1])
+def test_lemma_checks_refuses_epsilon_outside_zero_to_inf(epsilon):
+    m = square_model()
+    with pytest.raises(InputError, match="epsilon must be a finite number >= 0"):
+        nilsim.lemma_checks(m.tuple, m.cyclic, epsilon=epsilon)
 
 
 def _separate_norms(X):

@@ -35,18 +35,61 @@ def _imports_polynomials(tree: ast.Module) -> bool:
 
 
 def test_polynomials_stay_at_the_boundary():
-    # Polynomial objects are read and written at the JSON edge
-    # (serialization) and turned into coefficient columns once (polyideal);
-    # the package re-exports the class. Everything else works on
-    # coefficient arrays.
-    allowed = {"__init__", "polynomials", "polyideal", "serialization"}
+    # Polynomial objects are turned into coefficient columns once
+    # (polyideal); the package re-exports the class. Everything else, the
+    # JSON edge included, works on coefficient arrays.
+    allowed = {"__init__", "polynomials", "polyideal"}
     importers = {
         path.stem
         for path in (ROOT / "src" / "arveson").glob("*.py")
         if _imports_polynomials(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert importers <= allowed, sorted(importers - allowed)
-    assert {"polyideal", "serialization"} <= importers  # the scan sees imports
+    assert "polyideal" in importers  # the scan sees imports
+
+
+def _references(tree: ast.AST) -> set:
+    """The identifiers a tree reads: ``Name`` ids and ``Attribute`` attrs."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _unreached(modules: dict, elsewhere: list, exported: set) -> list:
+    """``module.name`` of each public module-level function or class of
+    ``modules`` (stem to parsed source) that is not in ``exported`` and
+    that nothing references outside its own body: no other statement of
+    its module, no other module and no tree of ``elsewhere``."""
+    refs = {stem: [_references(node) for node in tree.body] for stem, tree in modules.items()}
+    outside = set().union(*map(_references, elsewhere))
+    found = []
+    for stem, tree in sorted(modules.items()):
+        for k, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            others = (r for key, rs in refs.items() for i, r in enumerate(rs) if (key, i) != (stem, k))
+            if node.name not in exported and node.name not in outside.union(*others):
+                found.append(f"{stem}.{node.name}")
+    return found
+
+
+def test_every_public_name_is_exported_or_reached():
+    # a library name that only tests reach belongs in the tests, as an
+    # oracle, or nowhere
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    modules = {path.stem: parse(path) for path in (ROOT / "src" / "arveson").glob("*.py")}
+    elsewhere = [parse(path) for folder in ("bench", "demos") for path in (ROOT / folder).glob("*.py")]
+    assert _unreached(modules, elsewhere, set(arveson.__all__)) == []
+    # a name's own body, a recursive call included, does not reach it
+    demo = ast.parse("def f():\n    return f()\ndef g():\n    return h()\ndef h():\n    pass\nclass C:\n    pass\n")
+    assert _unreached({"m": demo}, [], {"C"}) == ["m.f", "m.g"]
+    assert _unreached({"m": demo}, [ast.parse("m.g()")], {"C"}) == ["m.f"]
 
 
 def _dotted(node) -> str:
@@ -99,13 +142,9 @@ def test_lapack_handles_live_in_numerics():
 
 def _names(tree: ast.Module) -> set:
     """Every identifier a module names: variables, attributes and imports."""
-    found = set()
+    found = _references(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             found |= {a.name.rsplit(".", 1)[-1] for a in node.names}
     return found
 

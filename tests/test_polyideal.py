@@ -192,7 +192,7 @@ def oracle_vanishing_kernel(points, kappas, degree_bound):
         for alpha in mi.enumerate_indices(len(z), kz):
             row = np.zeros(len(basis), dtype=complex)
             for col, gamma in enumerate(basis):
-                if mi.divides(alpha, gamma):
+                if all(a <= g for a, g in zip(alpha, gamma)):
                     c = 1.0 + 0j
                     for gj, aj, zj in zip(gamma, alpha, z):
                         c *= float(np.prod(np.arange(gj - aj + 1, gj + 1))) * complex(zj) ** (gj - aj)

@@ -89,8 +89,9 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-# The 50 decompositions below make schur 53, trsen 248, trsyl 239, svd 1154,
-# eigh 50 calls. While the commuting gate always measured the commutators
+# The 50 decompositions below make schur 53, trsen 248, trsyl 239, svd 1033,
+# eigh 50 calls. While each idempotent that passed the norm gate took one
+# more SVD for its Q^2 = Q gate, svd was 1154. While the commuting gate always measured the commutators
 # and the coordinate norms took one SVD each, svd was 1255. While every rung of the clustering ladder drew and factored
 # the combination again and computed every idempotent anew, they made schur
 # 171, trsen 1344, trsyl 1334. While every idempotent of a rung was made
@@ -128,7 +129,7 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
             idempotents += 1
     assert idempotents == 130
-    assert decompositions == {"schur": 53, "trsen": 248, "trsyl": 239, "svd": 1154, "eigh": 50}
+    assert decompositions == {"schur": 53, "trsen": 248, "trsyl": 239, "svd": 1033, "eigh": 50}
 
 
 def _double_point_model(zs):
@@ -161,7 +162,7 @@ def test_jordan_certifies_double_points_at_the_default_radius(zs, radius, cond):
     # spurious singletons pass the projector-norm gate and fail only the
     # positive-definiteness of sum Q^* Q, which must widen the radius too
     dec = spectral.jordan_decompose(_double_point_model(zs).tuple)
-    assert dec.block_sizes == (2,) * len(zs)
+    assert dec.spectrum.multiplicities == (2,) * len(zs)
     assert dec.spectrum.cluster_tol == pytest.approx(radius)
     assert dec.cond == pytest.approx(cond, rel=1e-8)
 
@@ -215,7 +216,7 @@ def test_jordan_decompose_recovers_structure():
     sizes = [3, 2, 1]
     T = jordan_block_tuple(pts, sizes, seed=3)
     dec = spectral.jordan_decompose(T, seed=0)
-    assert sorted(dec.block_sizes) == sorted(sizes)
+    assert sorted(dec.spectrum.multiplicities) == sorted(sizes)
     assert dec.residual <= 1e-7 * max(1.0, T.scale())
     # eigenvalues to high accuracy: cluster means are well conditioned
     for p in dec.spectrum.points:
@@ -224,7 +225,7 @@ def test_jordan_decompose_recovers_structure():
     # explicit similarity actually block diagonalizes
     assert_allclose(dec.X @ dec.X_inv, np.eye(T.n), atol=1e-9)
     # each recovered nilpotent is nilpotent
-    for nil, m in zip(dec.nilpotents, dec.block_sizes):
+    for nil, m in zip(dec.nilpotents, dec.spectrum.multiplicities):
         for M in nil.matrices:
             assert np.linalg.norm(np.linalg.matrix_power(M, m)) < 1e-7
 
@@ -235,7 +236,7 @@ def test_jordan_single_cluster_nilpotent():
     T = tuples.validate([N1, N2])
     dec = spectral.jordan_decompose(T)
     assert dec.spectrum.count == 1
-    assert dec.block_sizes == (3,)
+    assert dec.spectrum.multiplicities == (3,)
     assert_allclose(dec.spectrum.points[0], [0, 0], atol=1e-10)
 
 
@@ -245,7 +246,7 @@ def test_jordan_escalates_past_defective_scatter():
     pts = [(0.5, 0.1), (-0.3, -0.4)]
     T = jordan_block_tuple(pts, [4, 3], seed=4)
     dec = spectral.jordan_decompose(T, cluster_tol=1e-10, seed=0)
-    assert sorted(dec.block_sizes) == [3, 4]
+    assert sorted(dec.spectrum.multiplicities) == [3, 4]
 
 
 def test_riesz_idempotent_refuses_a_split_defective_eigenvalue():
@@ -300,15 +301,34 @@ def test_eigenvalue_accuracy_on_conjugated_tuples():
 # norm and rank took SVDs of their own, and the eigensolve of sum Q^* Q ran
 # behind the asymmetry check of hermitian_eig, svd was 26. While the
 # commuting gate always measured the commutator and the two coordinate
-# norms took one SVD each, svd was 20.
+# norms took one SVD each, svd was 20. While each idempotent's Q^2 = Q gate
+# took an SVD of its own, svd was 18.
 def test_jordan_decompose_lapack_calls(lapack_counts):
     T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
     lapack_counts.clear()
     spectral.jordan_decompose(T)
-    want = {"svd": 18, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
+    want = {"svd": 16, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
     assert {k: lapack_counts[k] for k in want} == want
 
 
 def test_jordan_decompose_makes_one_qr_per_block(lapack_counts):
     blocks = sum(len(spectral.jordan_decompose(_jordan_input(seed)[0]).blocks) for seed in range(10))
     assert lapack_counts["qr"] == blocks
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+def test_idempotents_of_a_near_defective_pair_are_idempotent_of_rank_m(delta):
+    # eigenvalues 0 and delta of [[0, 1], [0, delta]] in a random unitary
+    # basis: each Riesz idempotent has norm about 1/delta, up to 1e7, and
+    # Q = Z' [I Y; 0 0] Z'* keeps Q^2 = Q and rank m within rounding
+    rng = np.random.default_rng(7)
+    W, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    T = tuples.validate([W @ np.array([[0.0, 1.0], [0.0, delta]]) @ W.conj().T])
+    spec = spectral.joint_eigenvalues(T, cluster_tol=delta / 10)
+    assert spec.multiplicities == (1, 1)
+    for p, m in zip(spec.points, spec.multiplicities):
+        Q = spectral.riesz_idempotent(T, p, spec)
+        s = np.linalg.svd(Q, compute_uv=False)
+        assert 0.5 / delta < s[0] < 2.0 / delta
+        assert np.linalg.norm(Q @ Q - Q, 2) <= spectral.IDEMPOTENT_TOL * s[0] ** 2
+        assert int((s > 0.5).sum()) == m
