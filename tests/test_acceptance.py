@@ -132,13 +132,18 @@ def test_criterion_3_two_variable_family():
     _budget(t0, 10.0)
 
 
-def _jordan_input(seed: int):
-    rng = np.random.default_rng(6100 + seed)
+def _jordan_shape(rng):
     d = int(rng.integers(1, 4))
     k = int(rng.integers(1, 5))
     sizes = [int(rng.integers(1, 7)) for _ in range(k)]
     while sum(sizes) > 30:
         sizes.pop()
+    return d, sizes
+
+
+def _planted_tuple(rng, d, sizes):
+    """Coordinates G (directsum z_j I + c1 J + c2 J^2) G^-1 with points at
+    least 0.1 apart and cond(G) <= 10; also the points and the blocks."""
     pts = []
     while len(pts) < len(sizes):
         z = rng.uniform(-1.0, 1.0, d) + 1j * rng.uniform(-1.0, 1.0, d)
@@ -165,6 +170,13 @@ def _jordan_input(seed: int):
         G @ scipy.linalg.block_diag(*[b[j] for b in blocks]) @ Gi
         for j in range(d)
     ]
+    return mats, pts, blocks
+
+
+def _jordan_input(seed: int):
+    rng = np.random.default_rng(6100 + seed)
+    d, sizes = _jordan_shape(rng)
+    mats, pts, blocks = _planted_tuple(rng, d, sizes)
     return tuples.validate(mats), pts, sizes, blocks
 
 

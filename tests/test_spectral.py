@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from arveson import models, numerics, polyideal, spectral, tuples
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
-from test_acceptance import _jordan_input
+from test_acceptance import _jordan_input, _jordan_shape, _planted_tuple
 
 
 def jordan_block_tuple(points, sizes, nil_scale=0.5, seed=None, cond_cap=10.0):
@@ -130,6 +130,26 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
             idempotents += 1
     assert idempotents == 130
     assert decompositions == {"schur": 53, "trsen": 248, "trsyl": 239, "svd": 1033, "eigh": 50}
+
+
+def _jordan_recover_design(seed, rnd, k):
+    """Design k of round rnd of the benchmark's jordan-recover workload: the
+    criterion-4 shapes, planted in order from one stream per round."""
+    rng = np.random.default_rng([seed, 2, rnd])
+    for s in range(k + 1):
+        d, sizes = _jordan_shape(np.random.default_rng(6100 + s))
+        mats, pts, _ = _planted_tuple(rng, d, sizes)
+    return tuples.validate(mats), pts, sizes
+
+
+def test_jordan_certifies_planted_chains_of_length_five_and_six():
+    # seed 3, round 3, design 23: points at least 0.88 apart; the 5-block and
+    # 6-block idempotents sit about 1e-8 from the commutant of the tuple,
+    # which the certificate must not read as a failure
+    T, pts, sizes = _jordan_recover_design(3, 3, 23)
+    assert (T.d, sizes) == (3, [3, 2, 5, 6])
+    with pytest.raises(NumericalError, match="does not commute"):
+        spectral.jordan_decompose(T)
 
 
 def _double_point_model(zs):
