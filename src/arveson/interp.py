@@ -253,8 +253,16 @@ class ThetaJetCertificate:
 
     phi interpolates the indicator of Omega; theta then matches 1 on Omega
     and 0 off Omega to order kappa (vanishing order kappa+1 of the
-    mismatch), with multiplier norm at most the reported proxy. The orders
-    follow from composition alone, so they hold for every interpolant.
+    mismatch). The orders follow from composition alone, so they hold for
+    every interpolant.
+
+    ``norm_proxy`` bounds the multiplier norm of theta. With
+    psi = phi^(kappa+1) and k = kappa + 1, the binomial expansion gives
+    theta = 1 - (1 - psi)^k = -sum_{i=1..k} C(k, i) (-psi)^i, so
+    ||theta|| <= sum_{i=1..k} C(k, i) ||psi||^i = (1 + ||psi||)^k - 1. The
+    multiplier norm is submultiplicative, so ||psi|| <= c^(kappa+1) for
+    c = ``pick_norm`` = ||phi||, and
+    ||theta|| <= (1 + c^(kappa+1))^(kappa+1) - 1, which is c for kappa = 0.
     """
 
     points: tuple
@@ -280,7 +288,7 @@ def theta_jets(points, omega, kappa: int) -> ThetaJetCertificate:
     indicator[omega] = 1.0
     r = _pick_min_norm(pts, indicator)
     c = r.value
-    proxy = 1.0 + (1.0 + c ** (kappa + 1)) ** (kappa + 1)
+    proxy = (1.0 + c ** (kappa + 1)) ** (kappa + 1) - 1.0
     rows = []
     for n, p in enumerate(pts):
         inside = n in omega

@@ -209,11 +209,12 @@ def _two_variable_base():
 def two_variable_family(eps: float):
     """(R_1, R_2) = (N_1, N_1 + eps N_2) / f(eps), a cyclic nilpotent
     row contraction with the same annihilator as the model pair."""
-    N1, N2 = _two_variable_base()
-    M1 = N1.copy()
-    M2 = N1 + eps * N2
+    return _scaled_pair(*_two_variable_base(), eps)
+
+
+def _scaled_pair(N1, N2, eps: float):
     f = f_two_variable(eps)
-    return M1 / f, M2 / f, f
+    return N1 / f, (N1 + eps * N2) / f, f
 
 
 def _x_of(a, b, c, eps, f) -> np.ndarray:
@@ -259,7 +260,7 @@ def example_two_variable(
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise InputError(f"eps must lie in (0, 1], got {eps}")
-        R1, R2, f = two_variable_family(eps)
+        R1, R2, f = _scaled_pair(N1, N2, eps)
         M1 = N1
         M2 = N1 + eps * N2
         gram = M1 @ M1.conj().T + M2 @ M2.conj().T
@@ -302,7 +303,7 @@ def example_two_variable(
 
     moebius_rows = []
     eps0 = eps_list[0]
-    R1, R2, f = two_variable_family(eps0)
+    R1, R2, f = _scaled_pair(N1, N2, eps0)
     R = tuples.validate([R1, R2])
     X0 = _x_of(1.0, 0.1, 0.2j, eps0, f)
     for z in points:

@@ -214,8 +214,7 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     The conditioning of the result is the separation between the cluster
     and the rest of the spectrum, with none of the intermediate growth a
     polynomial in the combination would suffer. The norm of Q is gated,
-    ||Q|| <= ``PROJECTOR_NORM_GATE``, and scales the commutator gate; each
-    failure raises NumericalError.
+    ||Q|| <= ``PROJECTOR_NORM_GATE``; a failure raises NumericalError.
 
     Q^2 = Q and rank Q = m hold by construction and are not measured.
     P = [I Y; 0 0] satisfies P^2 = P exactly in floating point; its
@@ -225,6 +224,26 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     by c n u ||Q||^2 and that of each singular value of Q by c n u ||Q||.
     Past the norm gate, neither the ``IDEMPOTENT_TOL`` test of Q^2 = Q nor
     a cut of the singular values at 0.5 can fail for any n below about 1e6.
+
+    Nor is [Q, T_j] measured. Q commutes with the combination up to the
+    ``ztrsyl`` residual, and with each T_j only as well as commuting is
+    conditioned: on planted Jordan chains of length 5 and 6, Q commutes with
+    the combination to 5e-15 and with a coordinate to about 3e-8, which a
+    fixed gate on [Q, T_j] refused. ``jordan_decompose`` certifies the
+    projections it assembles from its output gates instead. With X = U* Y
+    and X_inv = Y^-1 U, let R_j be the off-block part of X T_j X_inv and
+    E_n the coordinate projection onto block n, so P_n = X_inv E_n X. The
+    unitary gate bounds delta = ||U* U - I|| <= ``IDEMPOTENT_TOL`` * n; U
+    is square, so ||U U* - I|| = delta too, and F = X_inv X - I =
+    Y^-1 (U U* - I) Y has ||F|| <= kappa_Y delta, kappa_Y = ||Y|| ||Y^-1||.
+    E_n commutes with the block diagonal part of X T_j X_inv, and
+    X_inv X T_j X_inv X = (I + F) T_j (I + F), so
+    X_inv [E_n, R_j] X = [P_n, T_j] + P_n T_j F - F T_j P_n. With
+    kappa = ||X|| ||X_inv|| >= ||P_n||, up to the rounding of the products,
+    ||[P_n, T_j]|| <= 2 kappa (||R_j|| + ||T_j|| kappa_Y delta),
+    and the residual gate bounds ||R_j||. The raw Q never leaves
+    ``_decompose``, so nothing a decomposition returns depends on Q
+    commuting with the tuple.
     """
     i = spectrum.locate(z)
     n = T.n
@@ -245,13 +264,6 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
             f"{PROJECTOR_NORM_GATE:g}; the clustering split a "
             f"defective eigenvalue or the split is untrustworthy"
         )
-    scale = max(1.0, norm)
-    for Tj in T.matrices:
-        comm = numerics.operator_norm(Q @ Tj - Tj @ Q)
-        if comm > IDEMPOTENT_TOL * scale * max(1.0, T.scale()):
-            raise NumericalError(
-                "spectral idempotent does not commute with the tuple"
-            )
     return Q
 
 
@@ -284,12 +296,16 @@ def jordan_decompose(
     singletons that look like close simple eigenvalues and fail some
     certificate below (projector norm, gated as each Q_i is made, so a rung
     stops at its first oversize one; sum Q_i = I, positive definiteness of
-    sum Q_i* Q_i, Hermitian projections, unitary assembly, off-block
-    residual). A radius wide enough to join distinct eigenvalues leaves a
-    cluster whose diagonal spreads a fair part of the way to the next one,
-    beyond ``CLUSTER_SPREAD_RATIO``. Any failed certificate re-clusters the
-    kept triangular diagonal at a tenfold radius, up to ``CLUSTER_TOL_CAP``,
-    reusing every idempotent whose Schur diagonal places it left unchanged.
+    sum Q_i* Q_i, unitary assembly, off-block residual). The last two gate
+    the output X, X_inv and blocks directly; they imply that the assembled
+    projections X_inv E_n X commute with the tuple (the bound is in
+    ``riesz_idempotent``) and that the symmetrized projections need no
+    Hermitian test (see ``_decompose``). A radius wide enough to join
+    distinct eigenvalues leaves a cluster whose diagonal spreads a fair part
+    of the way to the next one, beyond ``CLUSTER_SPREAD_RATIO``. Any failed
+    certificate re-clusters the kept triangular diagonal at a tenfold
+    radius, up to ``CLUSTER_TOL_CAP``, reusing every idempotent whose Schur
+    diagonal places it left unchanged.
     A rung with no spectrum yet, or whose kept combination no longer
     separates its clusters, calls ``joint_eigenvalues`` at that radius.
     """
@@ -316,7 +332,16 @@ def jordan_decompose(
 def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) -> JordanDecomposition:
     """The decomposition on one clustering, every certificate raising
     NumericalError. ``idempotents`` maps the diagonal places of a cluster to
-    the idempotent already computed for it on the same Schur form."""
+    the idempotent already computed for it on the same Schur form.
+
+    P = Y Q Y^-1 is Hermitian in exact arithmetic, and that is not measured:
+    nothing reads it. Only the range of each P is used, through the first m
+    columns of its pivoted QR, and the output gates certify what U built
+    from those bases must satisfy. The unitary gate proves the bases
+    orthonormal together, so X_inv = Y^-1 U inverts X = U* Y (see
+    ``riesz_idempotent`` for the bound), and the residual gate proves each
+    range invariant under every Y T_j Y^-1, up to the off-block residual.
+    """
     n = T.n
     I = np.eye(n, dtype=complex)
     points = np.array(spectrum.points)
@@ -339,19 +364,13 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
     if defect > IDEMPOTENT_TOL * n:
         raise NumericalError(
             f"spectral idempotents do not resolve the identity "
-            f"(defect {defect:.3e})"
+            f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
         )
     S = sum(Q.conj().T @ Q for Q in Qs)
     Y, Y_inv = numerics.sqrt_and_inv_sqrt(S)
     Us = []
     for Q, m in zip(Qs, spectrum.multiplicities):
-        P = Y @ Q @ Y_inv
-        herm = numerics.operator_norm(P - P.conj().T)
-        if herm > IDEMPOTENT_TOL * max(1.0, numerics.operator_norm(P)):
-            raise NumericalError(
-                f"symmetrized projection is not Hermitian (defect {herm:.3e})"
-            )
-        qr_q, qr_r = numerics.pivoted_qr(P)
+        qr_q, qr_r = numerics.pivoted_qr(Y @ Q @ Y_inv)
         phases = np.ones(m, dtype=complex)
         for j in range(m):
             rjj = qr_r[j, j]
@@ -359,22 +378,24 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
                 phases[j] = rjj / abs(rjj)
         Us.append(qr_q[:, :m] * phases)
     U = np.hstack(Us)
-    if numerics.operator_norm(U.conj().T @ U - I) > IDEMPOTENT_TOL * n:
-        raise NumericalError("projection ranges failed to assemble unitarily")
+    unitary = numerics.operator_norm(U.conj().T @ U - I)
+    if unitary > IDEMPOTENT_TOL * n:
+        raise NumericalError(
+            f"projection ranges failed to assemble unitarily "
+            f"(defect {unitary:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
+        )
     X = U.conj().T @ Y
     X_inv = Y_inv @ U
     scale = max(1.0, T.scale())
-    residual = 0.0
-    transformed = [X @ Tj @ X_inv for Tj in T.matrices]
+    transformed = np.array([X @ Tj @ X_inv for Tj in T.matrices])
     offsets = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
     mask = np.zeros((n, n), dtype=bool)
     for i in range(spectrum.count):
         lo, hi = offsets[i], offsets[i + 1]
         mask[lo:hi, lo:hi] = True
-    for B in transformed:
-        off = B.copy()
-        off[mask] = 0.0
-        residual = max(residual, numerics.operator_norm(off))
+    off = transformed.copy()
+    off[:, mask] = 0.0
+    residual = float(numerics.operator_norms(off).max())
     if residual > BLOCK_RESIDUAL_RTOL * scale:
         raise NumericalError(
             f"off-block residual {residual:.3e} exceeds "

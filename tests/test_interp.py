@@ -147,6 +147,12 @@ def test_theta_jets_certificate_shape():
     assert cert.norm_proxy >= cert.pick_norm or cert.norm_proxy > 1.0
 
 
+def test_theta_jets_norm_proxy_is_the_pick_norm_at_kappa_0():
+    # (1 + c)^1 - 1 = c: theta = phi when kappa = 0
+    cert = interp.theta_jets([[0.0], [0.5], [-0.6]], omega=[0, 1], kappa=0)
+    assert cert.norm_proxy == pytest.approx(cert.pick_norm, rel=1e-14)
+
+
 def test_theta_jets_rejects_bad_window():
     with pytest.raises(InputError):
         interp.theta_jets([[0.0], [0.5]], omega=[5], kappa=0)

@@ -65,6 +65,21 @@ def test_f_two_variable_is_row_norm():
         assert_allclose(f, repro.f_two_variable(eps), rtol=1e-12)
 
 
+def test_two_variable_example_builds_the_model_pair_once(monkeypatch):
+    # every eps and the Moebius rows scale the same constant model pair
+    builds = []
+    monomial_model = repro.models.monomial_model
+
+    def counting(*args):
+        builds.append(args)
+        return monomial_model(*args)
+
+    monkeypatch.setattr(repro.models, "monomial_model", counting)
+    rep = repro.example_two_variable((0.1, 0.01, 0.001))
+    assert rep.ok
+    assert len(builds) == 1
+
+
 def test_one_variable_rows():
     rep = repro.example_one_variable(eps_list=[0.1, 0.01], lams=[0.5])
     assert len(rep.rows) == 2
