@@ -72,7 +72,6 @@ class NilsimHypotheses:
     1 + ``BOUND_SLACK``, which covers the rounding of the computed gauges and
     of their SVD (a few n u cond(B) relative, with u the unit roundoff).
     Without a direct layer decomposition ``gamma_upper`` is None.
-    ``gauge_defect`` is measured on first read.
     """
 
     xi: np.ndarray
@@ -87,7 +86,6 @@ class NilsimHypotheses:
     _layer_basis: np.ndarray | None = field(default=None, repr=False)
     _layer_labels: tuple = field(default=(), repr=False)
     _layer_basis_inv: np.ndarray | None = field(default=None, repr=False)
-    _matrices: tuple = field(default=(), repr=False)
     # {alpha: N^alpha xi} over the degrees up to the first one at which every
     # power vanishes identically
     _orbit: dict = field(default_factory=dict, repr=False)
@@ -107,22 +105,6 @@ class NilsimHypotheses:
                 "layers are not a direct sum; no layer gauge is available"
             )
         return _layer_gauge(self._layer_basis, self._layer_labels, self._layer_basis_inv, t)
-
-    @functools.cached_property
-    def gauge_defect(self) -> float | None:
-        """max_j ||Y_t N_j Y_t^-1 - e^{it} N_j|| at t = pi/3, or None without
-        a direct layer decomposition. The subdiagonal layer structure makes
-        the commutation exact; this measures it."""
-        if self._layer_basis is None:
-            return None
-        t0 = np.pi / 3.0
-        B, labels, B_inv = self._layer_basis, self._layer_labels, self._layer_basis_inv
-        Y = _layer_gauge(B, labels, B_inv, t0)
-        Y_inv = _layer_gauge(B, labels, B_inv, -t0)
-        return max(
-            numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
-            for Nj in self._matrices
-        )
 
 
 def _layer_gauge(B: np.ndarray, labels: tuple, B_inv: np.ndarray, t: float) -> np.ndarray:
@@ -271,7 +253,6 @@ def check_hypotheses(
         _layer_basis=layer_basis,
         _layer_labels=labels,
         _layer_basis_inv=B_inv,
-        _matrices=N.matrices,
         _orbit=orbit,
     )
 

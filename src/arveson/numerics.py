@@ -2,19 +2,16 @@
 
 Thin, contract-checked wrappers around LAPACK via numpy/scipy. No other
 module calls a factorization, so ``CALLS`` counts every LAPACK call by kind
-(``svd`` for ``zgesdd`` and stacked SVDs, ``gen_eigh`` for the generalized
+(``svd`` for the SVD gufuncs, ``gen_eigh`` for the generalized
 ``eigh``, else the routine's name). All tolerances are relative to the
 input norm; rank decisions go through one cut (:func:`_rank`), which refuses
 to guess when the singular-value gap is ambiguous.
 
-Single-matrix SVDs (:func:`_svd`) call the ``zgesdd`` handle of
-``scipy.linalg.lapack`` with the workspace numpy would query, from a table of
-shapes (:func:`_gesdd_work`), without numpy's per-call dispatch, which costs
-as much as the SVD on the few-row matrices certificates make by the thousand;
-stacked SVDs stay on numpy (:func:`operator_norms`: the largest singular
-value of every matrix of a stack from one call). Both agree bit for bit,
-except where the OpenBLAS builds of numpy and scipy split a threaded call
-apart (tall, 64 rows and up). The ``ztrsen`` (:func:`reorder_schur`) and
+Every SVD (:func:`_svd`), of one matrix or of a stack, calls the LAPACK
+gufuncs that ``np.linalg.svd`` calls, without its dispatch, which costs as
+much as the SVD on the few-row matrices certificates make by the thousand;
+so a stack entry equals the SVD of its matrix bit for bit
+(:func:`operator_norms`). The ``ztrsen`` (:func:`reorder_schur`) and
 ``ztrsyl`` (:func:`triangular_sylvester`) handles are bound here too, the one
 home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
 come from :func:`largest_eigenvalue`, Hermitian eigensolves from
@@ -25,11 +22,12 @@ come from :func:`largest_eigenvalue`, Hermitian eigensolves from
 from __future__ import annotations
 
 import collections
-import functools
+import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError, NumericalError
 
@@ -41,8 +39,6 @@ PD_RTOL = 1e-12
 # holds an n x n V^H, 256 MiB of complex doubles at this width
 MAX_NULLSPACE_COLS = 4096
 
-_gesdd = scipy.linalg.lapack.zgesdd
-_gesdd_lwork = scipy.linalg.lapack.zgesdd_lwork
 _trsen = scipy.linalg.lapack.ztrsen
 _trsyl = scipy.linalg.lapack.ztrsyl
 CALLS = collections.defaultdict(int)  # its increment costs a third of a Counter's
@@ -63,22 +59,21 @@ def _require_square(a: np.ndarray) -> None:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
 
 
-@functools.lru_cache(maxsize=None)
-def _gesdd_work(m: int, n: int, uv: bool, full: bool) -> int:
-    """The ``zgesdd`` workspace of an m x n SVD in one form, queried once."""
-    work, _ = _gesdd_lwork(m, n, compute_uv=uv, full_matrices=full)
-    return int(work.real)
-
-
 def _svd(a: np.ndarray, uv: bool = False, full: bool = False):
     """s, or (u, s, vh) with ``uv`` (square u, vh with ``full``), of a
-    nonempty matrix: LAPACK rejects an empty one."""
-    m, n = a.shape
+    complex matrix or of each matrix of a stack. LAPACK's failure to
+    converge comes back as NaN with the invalid flag raised."""
     CALLS["svd"] += 1
-    u, s, vh, info = _gesdd(a, compute_uv=uv, full_matrices=full, lwork=_gesdd_work(m, n, uv, full))
-    if info:
-        raise NumericalError(f"SVD of a {m}x{n} matrix failed: LAPACK zgesdd info {info}")
-    return (u, s, vh) if uv else s
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            if not uv:
+                return _umath_linalg.svd(a, signature="D->d")
+            if full:
+                return _umath_linalg.svd_f(a, signature="D->DdD")
+            return _umath_linalg.svd_s(a, signature="D->DdD")
+    except FloatingPointError as exc:
+        m, n = a.shape[-2:]
+        raise NumericalError(f"SVD of a {m}x{n} matrix failed: LAPACK did not converge") from exc
 
 
 def operator_norm(a) -> float:
@@ -92,13 +87,8 @@ def operator_norm(a) -> float:
 def operator_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a nonempty k x m x n stack,
     from one stacked SVD; entry i equals ``operator_norm(stack[i])`` bit for
-    bit (see the module docstring for the threaded exception). A stack of
-    one goes to :func:`_svd`, whose call costs less than numpy's dispatch."""
-    stack = np.asarray(stack, dtype=complex)
-    if len(stack) == 1:
-        return _svd(stack[0])[:1]
-    CALLS["svd"] += 1
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    bit."""
+    return _svd(np.asarray(stack, dtype=complex))[:, 0]
 
 
 def _hermitian_part(a) -> np.ndarray:
@@ -175,12 +165,16 @@ def det(a):
 
 
 def inv(a) -> np.ndarray:
+    """a^-1; an inverse that scipy flags as meaningless (reciprocal
+    condition number below the double epsilon) is refused, not returned."""
     a = as_cmatrix(a)
     _require_square(a)
     CALLS["inv"] += 1
     try:
-        return scipy.linalg.inv(a)
-    except scipy.linalg.LinAlgError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.inv(a)
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise NumericalError(f"matrix inversion failed: {exc}") from exc
 
 
@@ -257,20 +251,15 @@ def nullspace(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``, past the rank
     cut of :func:`_rank`; a zero matrix keeps the standard basis."""
     a = as_cmatrix(a)
-    n = a.shape[1]
-    if a.size == 0:
-        return np.eye(n, dtype=complex)
     _, s, vh = _svd(a, uv=True, full=True)
     rank = _rank(s, rtol)
-    return vh[rank:].conj().T if rank else np.eye(n, dtype=complex)
+    return vh[rank:].conj().T if rank else np.eye(a.shape[1], dtype=complex)
 
 
 def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``a``, up to the
     rank cut of :func:`_rank`."""
     a = as_cmatrix(a)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = _svd(a, uv=True)
     return u[:, : _rank(s, rtol)]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -62,14 +63,10 @@ def test_tuple_check_ok(tuple_file, capsys):
     assert rep["result"]["cyclic"] is True
 
 
-def test_tuple_check_svd_non_convergence_exits_3(tuple_file, capsys, monkeypatch):
-    def fails(a, **kwargs):
-        return np.zeros((0, 0)), np.zeros(min(a.shape)), np.zeros((0, 0)), 1
-
-    monkeypatch.setattr(numerics, "_gesdd", fails)
+def test_tuple_check_svd_non_convergence_exits_3(tuple_file, capsys, svd_fails):
     code, out, err = run(["tuple-check", "--in", tuple_file], capsys)
-    assert code == 3
-    assert "info 1" in err
+    assert (code, out) == (3, "")
+    assert "LAPACK did not converge" in err
 
 
 def test_tuple_check_noncommuting_exits_2(tmp_path, capsys):
@@ -234,6 +231,24 @@ def test_interp_check_and_pick(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["result"]["value"] - 2.0) < 1e-5
+
+
+def test_interp_check_refuses_a_meaningless_inverse(tmp_path, capsys):
+    # z_k = 1 - 1/(k+1), k = 1..n: at n = 12 the Gram inverse has rcond
+    # below the double epsilon; at n = 10 the report keeps its bytes
+    def check(n):
+        p = tmp_path / f"pts{n}.json"
+        p.write_text(json.dumps({"d": 1, "points": [[1.0 - 1.0 / (k + 1)] for k in range(1, n + 1)]}))
+        return run(["interp-check", "--in", str(p)], capsys)
+
+    code, out, err = check(12)
+    assert (code, out) == (3, "")
+    assert "ill-conditioned matrix detected: slice 0 has rcond = 2.195866088055931e-17" in err
+    code, out, err = check(10)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "053dae775e2181ff3b8e823dabd18d0838f5f6ee68a656d22c3b55aa714b1df5"
+    )
 
 
 def test_nilsim_certificate(tuple_file, ideal_file, tmp_path, capsys):

@@ -131,6 +131,19 @@ def test_strong_separation_two_points():
     assert_allclose(rep.pick_norms, [2.0, 2.0], atol=1e-5)
 
 
+def _harmonic_prefix(n):
+    # z_k = 1 - 1/(k+1), k = 1..n, in d = 1
+    return [[1.0 - 1.0 / (k + 1)] for k in range(1, n + 1)]
+
+
+def test_strong_separation_refuses_a_meaningless_inverse():
+    # the Gram matrix of 12 points has rcond 2.2e-17 < eps: its inverse
+    # read overall 3.2e-8 against a true 1.46e-8
+    with pytest.raises(NumericalError, match=r"^matrix inversion failed: An ill-conditioned matrix detected: .* rcond = "):
+        interp.strong_separation(_harmonic_prefix(12))
+    assert interp.strong_separation(_harmonic_prefix(10)).overall == 4.09830897395188e-07
+
+
 def test_theta_jets_certificate_shape():
     pts = [[0.0], [0.5], [-0.6]]
     cert = interp.theta_jets(pts, omega=[0, 1], kappa=1)

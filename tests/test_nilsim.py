@@ -620,48 +620,6 @@ def test_check_hypotheses_orbit_matches_per_index_products():
         assert all(np.array_equal(h._orbit[a], want[a]) for a in want)
 
 
-def _oracle_gauge_defect(N, xi):
-    # the former inline measurement of check_hypotheses
-    kry = tuples.krylov(N, xi / float(np.linalg.norm(xi)), N.n)
-    if not kry.layers_direct:
-        return None
-    B = np.hstack(kry.layer_bases)
-    labels = [ell for ell, L in enumerate(kry.layer_bases) for _ in range(L.shape[1])]
-    if numerics.operator_norm(B.conj().T @ B - np.eye(B.shape[1])) <= 1e-12:
-        B_inv = B.conj().T
-    else:
-        B_inv = numerics.inv(B)
-
-    def gauge(t):
-        phases = np.array([cmath.exp(1j * ell * t) for ell in labels])
-        return (B * phases) @ B_inv
-
-    t0 = np.pi / 3.0
-    Y, Y_inv = gauge(t0), gauge(-t0)
-    return max(
-        numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t0) * Nj)
-        for Nj in N.matrices
-    )
-
-
-def _gauge_cases():
-    for seed in range(20):
-        N, xi, _ = _perturbed_input(seed)
-        yield N, xi
-    for gens, d in (([(3, 0), (0, 2)], 2), (SQUARE, 2), ([(2,)], 1)):
-        m = models.monomial_model(gens, d)
-        yield m.tuple, m.cyclic
-    # the Jordan block pair has layers that are not a direct sum
-    J = np.diag([1.0, 1.0], -1) / np.sqrt(2)
-    yield tuples.validate([J, J]), np.array([1.0, 0.0, 0.0])
-
-
-def test_gauge_defect_read_on_first_use_matches_the_former_formula():
-    for N, xi in _gauge_cases():
-        h = nilsim.check_hypotheses(N, xi)
-        assert h.gauge_defect == _oracle_gauge_defect(N, xi)
-
-
 def _oracle_necessity(N, X, generators):
     # the former necessity_check with its per-sample gauge loop
     model = models.monomial_model(generators, N.d)

@@ -169,21 +169,33 @@ _FACTORIZATIONS = {
     "slogdet", "solve", "solve_sylvester", "svd", "svdvals",
 }
 _LINALG = ("np.linalg", "numpy.linalg", "scipy.linalg", "linalg")
+# the LAPACK gufuncs behind np.linalg.svd, each an SVD
+_SVD_GUFUNCS = {"svd", "svd_s", "svd_f"}
 
 
 def _factorization_calls(tree: ast.Module) -> set:
     """The numpy.linalg and scipy.linalg factorizations a module calls by
-    attribute or imports by name, and the private numerics names it reads."""
+    attribute or imports by name, and the private numerics names it reads;
+    numpy's ``_umath_linalg`` and its SVD gufuncs count as ``svd``."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "") in ("numpy.linalg", "scipy.linalg"):
+        if isinstance(node, ast.Import):
+            if any(a.name.endswith("._umath_linalg") for a in node.names):
+                found.add("svd")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("._umath_linalg"):
+            found.add("svd")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "") in ("numpy.linalg", "scipy.linalg"):
             found |= {a.name for a in node.names} & _FACTORIZATIONS
+            if any(a.name == "_umath_linalg" for a in node.names):
+                found.add("svd")
         elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and _dotted(node.value).endswith("numerics"):
             found.add(f"numerics.{node.attr}")
         elif isinstance(node, ast.Call):
             owner, _, name = _dotted(node.func).rpartition(".")
             if owner in _LINALG and name in _FACTORIZATIONS:
                 found.add(name)
+            elif owner.rpartition(".")[2] == "_umath_linalg" and name in _SVD_GUFUNCS:
+                found.add("svd")
     return found
 
 
@@ -196,6 +208,15 @@ def test_certificate_modules_factor_through_numerics():
     assert {m: c for m, c in calls.items() if m != "numerics" and c} == {}
     # the scan sees direct calls and private reads where they remain
     assert {"svd", "eigh", "eigvalsh", "det", "inv", "qr", "schur"} <= calls["numerics"]
+    # and every way of reaching numpy's SVD gufuncs
+    for source in (
+        "import numpy.linalg._umath_linalg",
+        "from numpy.linalg import _umath_linalg",
+        "from numpy.linalg._umath_linalg import svd_s",
+        "np.linalg._umath_linalg.svd_f(a)",
+        "_umath_linalg.svd(a)",
+    ):
+        assert _factorization_calls(ast.parse(source)) == {"svd"}, source
     tests = ast.parse((ROOT / "tests" / "test_numerics.py").read_text(encoding="utf-8"))
     assert {"numerics._svd", "numerics._hermitian_part"} <= _factorization_calls(tests)
 
