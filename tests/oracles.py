@@ -8,11 +8,14 @@ does the same work.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from arveson import multiindex as mi
-from arveson import numerics, serialization
-from arveson.errors import InputError
+from arveson import nilsim, numerics, serialization, tuples
+from arveson.errors import InputError, NumericalError, ValidationError
 
 HERMITIAN_RTOL = 1e-10
+LEMMA_SAMPLES = 100
 
 
 def hermitian_eig(a):
@@ -48,3 +51,110 @@ def dump_polynomial(p) -> dict:
         for alpha, c in sorted(p.coeffs.items(), key=lambda kv: (sum(kv[0]), [-a for a in kv[0]]))
     ]
     return {"d": p.d, "terms": terms}
+
+
+def oracle_lemma_checks(T, xi, epsilon, seed):
+    """The orbit inequalities of ``nilsim.lemma_checks`` on sampled inputs:
+    every qualifying same-length pair, ``LEMMA_SAMPLES`` random subsets
+    and Gaussian coefficient vectors for the same-length lower bound, and
+    ``LEMMA_SAMPLES`` Gaussian vectors for the two-sided equivalence. A
+    sample can witness a failure, never prove a pass; the verdicts are
+    those of the exact library sections wherever no failure hides between
+    samples."""
+    T.require_commuting()
+    if not T.is_row_contraction(numerics.DEFAULT_TOL):
+        raise ValidationError(f"row contraction defect {T.row_defect:.3e} exceeds tolerance")
+    unit = nilsim._require_unit(xi, T.n)
+    if not 0 <= epsilon < np.inf:
+        raise InputError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    rng = np.random.default_rng(seed)
+    cache = tuples._power_cache(T, max(T.n - 1, 0))
+    orbit = {a: P @ unit for a, P in cache.items()}
+    weighted = {a: mi.multinomial_weight(a) * float(np.linalg.norm(v)) ** 2 for a, v in orbit.items()}
+    by_level = {}
+    for a in cache:
+        by_level.setdefault(mi.degree(a), []).append(a)
+    tol = nilsim.LEMMA_TOL
+
+    def section(name, runs, worst, passed, note):
+        return nilsim.LemmaSection(
+            name=name,
+            ran=runs > 0,
+            worst_slack=float(worst) if runs else 0.0,
+            passed=bool(runs == 0 or passed),
+            note="" if runs else note,
+        )
+
+    # same-length near orthogonality on qualifying pairs
+    worst = -np.inf
+    pairs = 0
+    for idxs in by_level.values():
+        Q = [a for a in idxs if weighted[a] >= 1.0 - epsilon]
+        for i in range(len(Q)):
+            for j in range(i + 1, len(Q)):
+                a, b = Q[i], Q[j]
+                w = math.sqrt(mi.multinomial_weight(a) * mi.multinomial_weight(b))
+                worst = max(worst, w * abs(complex(np.vdot(orbit[b], orbit[a]))) - epsilon)
+                pairs += 1
+    sections = [
+        section("same_length_orthogonality", pairs, worst, worst <= tol, "no qualifying pair at this epsilon")
+    ]
+
+    # same-length lower bound on random supported coefficients
+    worst = -np.inf
+    runs = 0
+    for idxs in by_level.values():
+        Q = [a for a in idxs if weighted[a] >= 1.0 - epsilon]
+        if not Q:
+            continue
+        for _ in range(max(1, LEMMA_SAMPLES // max(1, len(by_level)))):
+            mask = rng.random(len(Q)) < 0.7
+            if not mask.any():
+                mask[rng.integers(len(Q))] = True
+            S = [a for a, m_ in zip(Q, mask) if m_]
+            c = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
+            h = sum(cv * math.sqrt(mi.multinomial_weight(a)) * orbit[a] for cv, a in zip(c, S))
+            lhs = (1.0 - epsilon * len(S)) * float(np.vdot(c, c).real)
+            worst = max(worst, lhs - float(np.vdot(h, h).real))
+            runs += 1
+    sections.append(
+        section(
+            "same_length_lower_bound",
+            runs,
+            worst,
+            worst <= tol * max(1.0, abs(worst) + 1.0),
+            "no qualifying index at this epsilon",
+        )
+    )
+
+    # full two-sided equivalence on the hypotheses of the caller's vector
+    try:
+        hyps = nilsim.check_hypotheses(T, xi)
+    except (ValidationError, NumericalError) as exc:
+        skipped = f"hypotheses unavailable: {exc}"
+    else:
+        skipped = None if hyps.gamma is not None else "layers are not a direct sum; gauge unverified"
+    if skipped is not None:
+        sections.append(section("two_sided_equivalence", 0, 0.0, True, skipped))
+        return nilsim.LemmaCheckReport(epsilon=epsilon, sections=tuple(sections))
+    eps_eff = max(epsilon, hyps.epsilon)
+    lower_factor = (1.0 - eps_eff * hyps.card) / ((hyps.L + 1) * hyps.gamma**2)
+    upper_factor = float(hyps.L + 1)
+    worst = -np.inf
+    for _ in range(LEMMA_SAMPLES):
+        c = rng.standard_normal(hyps.card) + 1j * rng.standard_normal(hyps.card)
+        h = sum(cv * math.sqrt(mi.multinomial_weight(a)) * orbit[a] for cv, a in zip(c, hyps.support))
+        csq = float(np.vdot(c, c).real)
+        hsq = float(np.vdot(h, h).real)
+        worst = max(worst, lower_factor * csq - hsq, hsq - upper_factor * csq)
+    sections.append(
+        nilsim.LemmaSection(
+            name="two_sided_equivalence",
+            ran=True,
+            worst_slack=float(worst),
+            passed=bool(worst <= tol * max(1.0, upper_factor)),
+            note=f"evaluated at epsilon = {eps_eff:.6g}"
+            + ("; lower bound vacuous (epsilon card Xi >= 1)" if lower_factor <= 0 else ""),
+        )
+    )
+    return nilsim.LemmaCheckReport(epsilon=epsilon, sections=tuple(sections))

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
 from arveson.errors import InputError, ValidationError
-from test_acceptance import _downset_family, _perturbed_input, _staircase_generators
+from oracles import oracle_lemma_checks
+from test_acceptance import _downset_family, _lemma_draws, _perturbed_input, _staircase_generators
 from test_tuples import _oracle_power_cache
 
 SQUARE = [(2, 0), (1, 1), (0, 2)]
@@ -297,7 +298,7 @@ def test_necessity_check_names_the_square_shape_of_a_wrong_intertwiner(shape):
 
 def test_lemma_checks_on_exact_model():
     m = models.monomial_model([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
-    rep = nilsim.lemma_checks(m.tuple, m.cyclic, epsilon=0.05, seed=0)
+    rep = nilsim.lemma_checks(m.tuple, m.cyclic, epsilon=0.05)
     assert rep.ok
     names = [s.name for s in rep.sections]
     assert "same_length_orthogonality" in names
@@ -309,7 +310,7 @@ def test_lemma_checks_on_exact_model():
 
 def test_lemma_checks_perturbed_tuple():
     T, xi = perturbed_square(0.08)
-    rep = nilsim.lemma_checks(T, xi, epsilon=0.2, seed=1)
+    rep = nilsim.lemma_checks(T, xi, epsilon=0.2)
     assert rep.ok
 
 
@@ -318,7 +319,99 @@ def test_lemma_checks_scaled_tuple_stays_sound():
     # vacuous but must never report a violated inequality
     m = square_model()
     T = tuples.validate([0.9 * M for M in m.tuple.matrices])
-    rep = nilsim.lemma_checks(T, m.cyclic, epsilon=0.3, seed=2)
+    rep = nilsim.lemma_checks(T, m.cyclic, epsilon=0.3)
+    assert rep.ok
+
+
+def _lemma_sweep():
+    """(T, xi, epsilon, seed): the inputs of the lemma tests above, the
+    criterion-7 draws and the perturbed inputs at four epsilons."""
+    m = models.monomial_model([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
+    square = square_model()
+    cases = [
+        (m.tuple, m.cyclic, 0.05, 0),
+        (*perturbed_square(0.08), 0.2, 1),
+        (tuples.validate([0.9 * M for M in square.tuple.matrices]), square.cyclic, 0.3, 2),
+    ]
+    for k, (d, gens, s) in enumerate(_lemma_draws()):
+        model = models.monomial_model(gens, d)
+        cases.append((tuples.validate([s * Z for Z in model.tuple.matrices]), model.cyclic, 0.0, k))
+    for seed in range(40):
+        N, xi, _ = _perturbed_input(seed)
+        cases.extend((N, xi, eps, seed) for eps in (0.0, 0.1, 0.3, 1.0))
+    return cases
+
+
+def test_lemma_checks_agrees_with_the_sampled_oracle():
+    # each exact section runs and passes where the sampled one does; the
+    # sweep reaches both outcomes of ran in the same-length sections, and
+    # the two-sided section skips only on the inputs of the test below
+    cases = _lemma_sweep()
+    assert len(cases) == 363
+    seen = set()
+    for k, (T, xi, epsilon, seed) in enumerate(cases):
+        got = nilsim.lemma_checks(T, xi, epsilon)
+        want = oracle_lemma_checks(T, xi, epsilon, seed)
+        assert [s.name for s in got.sections] == [s.name for s in want.sections]
+        for a, b in zip(got.sections, want.sections):
+            assert (a.ran, a.passed, a.note) == (b.ran, b.passed, b.note), (k, a, b)
+            seen.add((a.name, a.ran))
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("s", [0.5, 0.8])
+def test_lemma_checks_reads_the_orbit_gram_eigenvalues_of_a_scaled_staircase(s, lapack_counts):
+    # the scaled model has the diagonal weighted orbit Gram diag(s^(2|a|)),
+    # so lambda_min = s^(2L) and lambda_max = 1; the two-sided slack is
+    # lower - lambda_min at epsilon 0 and lambda_max - (L + 1) once epsilon
+    # pushes the lower factor below lambda_min - L - 1
+    m = models.monomial_model([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
+    N = tuples.validate([s * Z for Z in m.tuple.matrices])
+    h = nilsim.check_hypotheses(N, m.cyclic)
+    assert (h.L, h.card) == (2, 6)
+    lapack_counts.clear()
+    lam = {}
+    for epsilon in (0.0, 2.0):
+        rep = nilsim.lemma_checks(N, m.cyclic, epsilon)
+        assert rep.ok
+        two_sided = rep.sections[2]
+        assert two_sided.ran
+        lower = (1.0 - max(epsilon, h.epsilon) * h.card) / ((h.L + 1) * h.gamma**2)
+        lam[epsilon] = (lower - two_sided.worst_slack, two_sided.worst_slack + h.L + 1)
+    assert lam[0.0][0] == pytest.approx(s ** (2 * h.L), rel=1e-12, abs=0)
+    assert lam[2.0][1] == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert lapack_counts["eigh"] == 2  # one eigensolve per call
+
+
+def _layers_not_direct():
+    # N_1 e_1 = 0.6 e_2, N_1 e_2 = 0.6 e_3 and N_2 e_1 = 0.6 e_3: layer 1
+    # spans e_2 and e_3, so layer 2 (e_3) lies inside it
+    N1 = np.zeros((3, 3))
+    N1[1, 0] = N1[2, 1] = 0.6
+    N2 = np.zeros((3, 3))
+    N2[2, 0] = 0.6
+    return tuples.validate([N1, N2]), np.eye(3)[0]
+
+
+@pytest.mark.parametrize(
+    "case, note",
+    [
+        (
+            lambda: (tuples.validate([np.diag([0.5, 0.3])]), np.ones(2) / math.sqrt(2)),
+            "hypotheses unavailable: matrix 1 is not nilpotent within tolerance (||N^n|| = 2.500e-01)",
+        ),
+        (_layers_not_direct, "layers are not a direct sum; gauge unverified"),
+    ],
+)
+def test_lemma_checks_skips_the_two_sided_section_without_its_hypotheses(case, note):
+    # one variable or orthogonal same-length vectors: no qualifying pair
+    # either, and the lower bound holds exactly on the single indices
+    T, xi = case()
+    rep = nilsim.lemma_checks(T, xi, epsilon=0.1)
+    pairs, lower, two_sided = rep.sections
+    assert (pairs.ran, pairs.passed, pairs.note) == (False, True, "no qualifying pair at this epsilon")
+    assert (lower.ran, lower.passed, lower.worst_slack, lower.note) == (True, True, 0.0, "")
+    assert (two_sided.ran, two_sided.passed, two_sided.note) == (False, True, note)
     assert rep.ok
 
 

@@ -161,6 +161,43 @@ def test_no_module_takes_matrix_powers():
     assert "matrix_power" in _names(ast.parse("np.linalg.matrix_power(a, 3)"))
 
 
+def _draws_random_numbers(tree: ast.Module) -> bool:
+    """Whether a module reaches ``numpy.random``: by attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _dotted(node) in ("np.random", "numpy.random"):
+            return True
+        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.random")
+            or (node.module == "numpy" and any(a.name == "random" for a in node.names))
+        ):
+            return True
+    return False
+
+
+def test_random_numbers_are_drawn_only_where_a_seed_is_part_of_the_answer():
+    # spectral draws its generic combination, polyideal its isolation mesh
+    # (which can only refuse) and repro the intertwiners on which
+    # repro-6-4 checks its determinant identity (its --seed is part of the
+    # command); every other module decides without sampling
+    drawers = {
+        path.stem
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+        if _draws_random_numbers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert drawers == {"spectral", "polyideal", "repro"}
+    for source in (
+        "np.random.default_rng(0)",
+        "numpy.random.seed(1)",
+        "import numpy.random",
+        "from numpy.random import default_rng",
+        "from numpy import random",
+    ):
+        assert _draws_random_numbers(ast.parse(source)), source
+    assert not _draws_random_numbers(ast.parse("rng.standard_normal(3)"))
+
+
 # dense factorizations (and the solves and inverses built on them) of
 # numpy.linalg and scipy.linalg
 _FACTORIZATIONS = {
