@@ -15,8 +15,8 @@ so a stack entry equals the SVD of its matrix bit for bit
 ``ztrsyl`` (:func:`triangular_sylvester`) handles are bound here too, the one
 home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
 come from :func:`largest_eigenvalue`, Hermitian eigensolves from
-:func:`hermitian_part_eig`, and the pivoted QR of spectral projections from
-:func:`pivoted_qr`.
+:func:`hermitian_part_eig`, and an orthonormal basis of a range whose rank
+is known, with no rank decision, from :func:`range_basis`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-9
 GAP_RATIO = 1e6
+# floor of 1/cond^2 of the stacked orthonormal spectral bases that
+# spectral.jordan_decompose assembles: below it the subspaces are not
+# safely independent
 PD_RTOL = 1e-12
 # widest matrix whose kernel :func:`nullspace` may be asked for: its full SVD
 # holds an n x n V^H, 256 MiB of complex doubles at this width
@@ -118,13 +121,6 @@ def generalized_eigvalsh(a, b) -> np.ndarray:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
 
 
-def pivoted_qr(a) -> tuple:
-    """(Q, R) of the column-pivoted QR factorization A P = Q R."""
-    CALLS["qr"] += 1
-    q, r, _ = scipy.linalg.qr(a, pivoting=True)
-    return q, r
-
-
 def largest_eigenvalue(a) -> float:
     """Largest eigenvalue of the Hermitian part of ``a`` (one ``eigvalsh``);
     for a matrix Hermitian by construction, as :func:`_hermitian_part`."""
@@ -166,7 +162,8 @@ def det(a):
 
 def inv(a) -> np.ndarray:
     """a^-1; an inverse that scipy flags as meaningless (reciprocal
-    condition number below the double epsilon) is refused, not returned."""
+    condition number below the double epsilon) is refused, not returned,
+    with the 2-norm reciprocal condition number from one SVD."""
     a = as_cmatrix(a)
     _require_square(a)
     CALLS["inv"] += 1
@@ -175,22 +172,13 @@ def inv(a) -> np.ndarray:
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             return scipy.linalg.inv(a)
     except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-        raise NumericalError(f"matrix inversion failed: {exc}") from exc
-
-
-def sqrt_and_inv_sqrt(a) -> tuple:
-    """(S^(1/2), S^(-1/2)) of a positive definite S, Hermitian by
-    construction (unchecked), from one eigensolve of its Hermitian part. S
-    counts as positive definite when its smallest eigenvalue exceeds
-    ``PD_RTOL`` times its largest."""
-    vals, vecs = hermitian_part_eig(a)
-    top = float(vals[-1])
-    if top <= 0 or float(vals[0]) <= PD_RTOL * top:
-        raise NumericalError(
-            f"matrix not safely positive definite: min eigenvalue {vals[0]:.3e}, "
-            f"max {top:.3e}"
+        # scipy decides; its text reports a 1-norm estimate, and misreports
+        # it for some inputs, so the message states the 2-norm number
+        s = _svd(a)
+        state = "singular" if s[-1] == 0 else (
+            f"too ill-conditioned to invert (2-norm reciprocal condition number {s[-1] / s[0]:.3e})"
         )
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs * (vals ** -0.5)) @ vecs.conj().T
+        raise NumericalError(f"matrix inversion failed: the {len(a)}x{len(a)} matrix is {state}") from exc
 
 
 def cond(a) -> float:
@@ -262,6 +250,13 @@ def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
     a = as_cmatrix(a)
     u, s, _ = _svd(a, uv=True)
     return u[:, : _rank(s, rtol)]
+
+
+def range_basis(a, rank: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the range of ``a``, known to have rank
+    ``rank``: its first ``rank`` left singular vectors, with no rank
+    decision."""
+    return _svd(as_cmatrix(a), uv=True)[0][:, :rank]
 
 
 def subspace_distance(b1, b2) -> float:

@@ -7,10 +7,10 @@ so the cluster leads, and ``ztrsyl`` solves the Sylvester equation for the
 coupling block on the two triangular diagonal blocks. A block
 diagonalization factors the combination once: a wider clustering radius
 re-clusters the kept triangular diagonal, unless the combination no
-longer separates the clusters. The block diagonalization
-symmetrizes the idempotents into orthogonal projections before assembling
-the similarity, so the conditioning of the output is exactly the
-conditioning forced by the angles between the spectral subspaces.
+longer separates the clusters. The inverse of the block diagonalizing
+similarity stacks an orthonormal basis of each idempotent's range, so the
+conditioning of the output is exactly the conditioning forced by the
+angles between the spectral subspaces.
 """
 
 from __future__ import annotations
@@ -230,17 +230,16 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     conditioned: on planted Jordan chains of length 5 and 6, Q commutes with
     the combination to 5e-15 and with a coordinate to about 3e-8, which a
     fixed gate on [Q, T_j] refused. ``jordan_decompose`` certifies the
-    projections it assembles from its output gates instead. With X = U* Y
-    and X_inv = Y^-1 U, let R_j be the off-block part of X T_j X_inv and
-    E_n the coordinate projection onto block n, so P_n = X_inv E_n X. The
-    unitary gate bounds delta = ||U* U - I|| <= ``IDEMPOTENT_TOL`` * n; U
-    is square, so ||U U* - I|| = delta too, and F = X_inv X - I =
-    Y^-1 (U U* - I) Y has ||F|| <= kappa_Y delta, kappa_Y = ||Y|| ||Y^-1||.
-    E_n commutes with the block diagonal part of X T_j X_inv, and
+    projections it assembles from its output gates instead. With X_inv the
+    stacked orthonormal range bases and X its computed inverse, let R_j be
+    the off-block part of X T_j X_inv and E_n the coordinate projection
+    onto block n, so P_n = X_inv E_n X. The inverse-defect gate bounds
+    ||F|| <= ``IDEMPOTENT_TOL`` * n for F = X_inv X - I. E_n commutes with
+    the block diagonal part of X T_j X_inv, and
     X_inv X T_j X_inv X = (I + F) T_j (I + F), so
     X_inv [E_n, R_j] X = [P_n, T_j] + P_n T_j F - F T_j P_n. With
     kappa = ||X|| ||X_inv|| >= ||P_n||, up to the rounding of the products,
-    ||[P_n, T_j]|| <= 2 kappa (||R_j|| + ||T_j|| kappa_Y delta),
+    ||[P_n, T_j]|| <= 2 kappa (||R_j|| + ||T_j|| ||F||),
     and the residual gate bounds ||R_j||. The raw Q never leaves
     ``_decompose``, so nothing a decomposition returns depends on Q
     commuting with the tuple.
@@ -248,11 +247,11 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     i = spectrum.locate(z)
     n = T.n
     Z, U = spectrum.schur
-    select = np.isin(np.arange(n), spectrum.places[i])
-    R, Zs = numerics.reorder_schur(select, U, Z)
     m = spectrum.multiplicities[i]
     if m == n:
         return np.eye(n, dtype=complex)
+    select = np.isin(np.arange(n), spectrum.places[i])
+    R, Zs = numerics.reorder_schur(select, U, Z)
     P = np.zeros((n, n), dtype=complex)
     P[:m, :m] = np.eye(m)
     P[:m, m:] = numerics.triangular_sylvester(R[:m, :m], R[m:, m:], R[:m, m:])
@@ -287,20 +286,21 @@ def jordan_decompose(
     """Similarity X with X T_j X^{-1} block diagonal, one block per joint
     eigenvalue, each block a scalar plus a commuting nilpotent tuple.
 
-    The raw Riesz idempotents Q_i are symmetrized by Y = (sum Q_i* Q_i)^{1/2}
-    into orthogonal projections, so X = U* Y with unitary U and the reported
-    condition number is intrinsic to the tuple, not to basis choices.
+    X_inv stacks an orthonormal basis of the range of each Riesz idempotent
+    Q_i and X is its inverse. Other orthonormal bases change X only by a
+    block diagonal unitary, so the reported condition number is intrinsic
+    to the tuple, not to basis choices: it is the orthonormal-range witness
+    of Demmel, SIAM J. Numer. Anal. 20 (1983).
 
     The joint spectrum is computed once, at ``cluster_tol``. A radius below
     the diagonal scatter of a defective eigenvalue splits it into spurious
     singletons that look like close simple eigenvalues and fail some
     certificate below (projector norm, gated as each Q_i is made, so a rung
-    stops at its first oversize one; sum Q_i = I, positive definiteness of
-    sum Q_i* Q_i, unitary assembly, off-block residual). The last two gate
-    the output X, X_inv and blocks directly; they imply that the assembled
-    projections X_inv E_n X commute with the tuple (the bound is in
-    ``riesz_idempotent``) and that the symmetrized projections need no
-    Hermitian test (see ``_decompose``). A radius wide enough to join
+    stops at its first oversize one; sum Q_i = I, independence of the
+    spectral subspaces, inverse defect, off-block residual). The last two
+    gate the output X, X_inv and blocks directly; they imply that the
+    assembled projections X_inv E_n X commute with the tuple (the bound is
+    in ``riesz_idempotent``). A radius wide enough to join
     distinct eigenvalues leaves a cluster whose diagonal spreads a fair part
     of the way to the next one, beyond ``CLUSTER_SPREAD_RATIO``. Any failed
     certificate re-clusters the kept triangular diagonal at a tenfold
@@ -334,13 +334,18 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
     NumericalError. ``idempotents`` maps the diagonal places of a cluster to
     the idempotent already computed for it on the same Schur form.
 
-    P = Y Q Y^-1 is Hermitian in exact arithmetic, and that is not measured:
-    nothing reads it. Only the range of each P is used, through the first m
-    columns of its pivoted QR, and the output gates certify what U built
-    from those bases must satisfy. The unitary gate proves the bases
-    orthonormal together, so X_inv = Y^-1 U inverts X = U* Y (see
-    ``riesz_idempotent`` for the bound), and the residual gate proves each
-    range invariant under every Y T_j Y^-1, up to the off-block residual.
+    Only the range of each Q_i is read: V_i, its first m_i left singular
+    vectors, is an orthonormal basis of it, since Q_i has rank m_i (see
+    ``riesz_idempotent``), and X_inv = V = [V_1 ... V_b]. If the Q_i are
+    the spectral projections V E_i V^-1, then Q_i* Q_i = V^-* E_i V^-1, so
+    sum Q_i* Q_i = (V V*)^-1, whose eigenvalue ratio
+    lambda_min / lambda_max is 1/cond(V)^2. The subspace-independence gate
+    refuses 1/cond(V)^2 <= ``numerics.PD_RTOL``, read off one SVD of V
+    that also gives the reported cond, cond(X) = cond(V). X is the
+    computed inverse of V, and the inverse-defect gate measures the
+    F = X_inv X - I that the commuting bound in ``riesz_idempotent``
+    needs; the residual gate proves each range invariant under every T_j,
+    up to the off-block residual.
     """
     n = T.n
     I = np.eye(n, dtype=complex)
@@ -366,26 +371,21 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
             f"spectral idempotents do not resolve the identity "
             f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
         )
-    S = sum(Q.conj().T @ Q for Q in Qs)
-    Y, Y_inv = numerics.sqrt_and_inv_sqrt(S)
-    Us = []
-    for Q, m in zip(Qs, spectrum.multiplicities):
-        qr_q, qr_r = numerics.pivoted_qr(Y @ Q @ Y_inv)
-        phases = np.ones(m, dtype=complex)
-        for j in range(m):
-            rjj = qr_r[j, j]
-            if abs(rjj) > 0:
-                phases[j] = rjj / abs(rjj)
-        Us.append(qr_q[:, :m] * phases)
-    U = np.hstack(Us)
-    unitary = numerics.operator_norm(U.conj().T @ U - I)
-    if unitary > IDEMPOTENT_TOL * n:
+    X_inv = np.hstack([numerics.range_basis(Q, m) for Q, m in zip(Qs, spectrum.multiplicities)])
+    cond = numerics.cond(X_inv)
+    if cond**-2 <= numerics.PD_RTOL:
         raise NumericalError(
-            f"projection ranges failed to assemble unitarily "
-            f"(defect {unitary:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
+            f"spectral subspaces not safely independent: their stacked "
+            f"orthonormal bases have cond {cond:.3e}, and 1/cond^2 = "
+            f"{cond**-2:.3e} is at most {numerics.PD_RTOL:g}"
         )
-    X = U.conj().T @ Y
-    X_inv = Y_inv @ U
+    X = numerics.inv(X_inv)
+    inverse = numerics.operator_norm(X_inv @ X - I)
+    if inverse > IDEMPOTENT_TOL * n:
+        raise NumericalError(
+            f"the similarity does not invert the stacked spectral bases "
+            f"(defect {inverse:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
+        )
     scale = max(1.0, T.scale())
     transformed = np.array([X @ Tj @ X_inv for Tj in T.matrices])
     offsets = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
@@ -414,7 +414,7 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
         spectrum=spectrum,
         X=X,
         X_inv=X_inv,
-        cond=numerics.cond(X),
+        cond=cond,
         residual=residual,
         blocks=tuple(blocks),
         nilpotents=tuple(nilpotents),

@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from arveson import multiindex as mi
-from arveson import nilsim, numerics, serialization, tuples
+from arveson import nilsim, numerics, serialization, spectral, tuples
 from arveson.errors import InputError, NumericalError, ValidationError
 
 HERMITIAN_RTOL = 1e-10
@@ -34,6 +35,39 @@ def hermitian_eig(a):
             f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e}*{scale:.3e}"
         )
     return numerics.hermitian_part_eig(a)
+
+
+def oracle_jordan_similarity(Qs, multiplicities):
+    """(X, X_inv, cond) assembled from the spectral idempotents Qs as
+    ``spectral.jordan_decompose`` assembled them before it stacked
+    orthonormal range bases: Y = (sum Q_i^* Q_i)^(1/2) from one eigensolve,
+    refused unless its smallest eigenvalue exceeds ``numerics.PD_RTOL``
+    times its largest; the first m_i columns of a pivoted QR of each
+    P_i = Y Q_i Y^-1, phased so the diagonal of R is positive, stacked into
+    U and refused unless ||U^* U - I|| <= ``spectral.IDEMPOTENT_TOL`` n; X = U^* Y,
+    X_inv = Y^-1 U and cond = cond(X)."""
+    n = Qs[0].shape[0]
+    I = np.eye(n, dtype=complex)
+    vals, vecs = numerics.hermitian_part_eig(sum(Q.conj().T @ Q for Q in Qs))
+    top = float(vals[-1])
+    if top <= 0 or float(vals[0]) <= numerics.PD_RTOL * top:
+        raise NumericalError(f"matrix not safely positive definite: min eigenvalue {vals[0]:.3e}, max {top:.3e}")
+    Y = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    Y_inv = (vecs * (vals**-0.5)) @ vecs.conj().T
+    Us = []
+    for Q, m in zip(Qs, multiplicities):
+        q, r, _ = scipy.linalg.qr(Y @ Q @ Y_inv, pivoting=True)
+        phases = np.ones(m, dtype=complex)
+        for j in range(m):
+            if abs(r[j, j]) > 0:
+                phases[j] = r[j, j] / abs(r[j, j])
+        Us.append(q[:, :m] * phases)
+    U = np.hstack(Us)
+    unitary = numerics.operator_norm(U.conj().T @ U - I)
+    if unitary > spectral.IDEMPOTENT_TOL * n:
+        raise NumericalError(f"projection ranges failed to assemble unitarily (defect {unitary:.3e})")
+    X = U.conj().T @ Y
+    return X, Y_inv @ U, numerics.cond(X)
 
 
 def monomial_norm_sq(alpha) -> Fraction:

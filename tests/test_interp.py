@@ -137,9 +137,14 @@ def _harmonic_prefix(n):
 
 
 def test_strong_separation_refuses_a_meaningless_inverse():
-    # the Gram matrix of 12 points has rcond 2.2e-17 < eps: its inverse
-    # read overall 3.2e-8 against a true 1.46e-8
-    with pytest.raises(NumericalError, match=r"^matrix inversion failed: An ill-conditioned matrix detected: .* rcond = "):
+    # the Gram matrix of 12 points has rcond 2.2e-17 < eps (1-norm
+    # estimate; 2.9e-17 in the 2-norm): its inverse read overall 3.2e-8
+    # against a true 1.46e-8
+    with pytest.raises(
+        NumericalError,
+        match=r"^matrix inversion failed: the 12x12 matrix is too ill-conditioned to invert "
+        r"\(2-norm reciprocal condition number 2\.872e-17\)$",
+    ):
         interp.strong_separation(_harmonic_prefix(12))
     assert interp.strong_separation(_harmonic_prefix(10)).overall == 4.09830897395188e-07
 

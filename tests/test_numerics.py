@@ -45,20 +45,6 @@ def test_schur_reconstructs():
     assert_allclose(np.tril(u, -1), 0, atol=1e-12 * np.linalg.norm(a))
 
 
-def test_inv_sqrt_and_sqrtm():
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((5, 5))
-    s = b @ b.T + 5 * np.eye(5)
-    r, ri = numerics.sqrt_and_inv_sqrt(s)
-    assert_allclose(r @ r, s, atol=1e-10)
-    assert_allclose(r @ ri, np.eye(5), atol=1e-10)
-
-
-def test_inv_sqrt_rejects_indefinite():
-    with pytest.raises(NumericalError):
-        numerics.sqrt_and_inv_sqrt(np.diag([1.0, -1.0]))
-
-
 def test_nullspace_known_kernel():
     # kernel of [[1, 1, 0]] is a plane
     a = np.array([[1.0, 1.0, 0.0]])
@@ -120,14 +106,29 @@ def test_inv_inverts():
 
 
 def test_solve_singular_raises():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"^matrix inversion failed: the 2x2 matrix is singular$"):
         numerics.inv(np.zeros((2, 2)))
     # scipy's warning that rcond < eps is a refusal, and the filters it
     # went through are the caller's again afterwards
     filters = list(warnings.filters)
-    with pytest.raises(NumericalError, match="^matrix inversion failed: An ill-conditioned matrix detected"):
+    with pytest.raises(
+        NumericalError,
+        match=r"^matrix inversion failed: the 2x2 matrix is too ill-conditioned to invert "
+        r"\(2-norm reciprocal condition number 1\.000e-17\)$",
+    ):
         numerics.inv(np.diag([1.0, 1e-17]))
     assert warnings.filters == filters
+
+
+@pytest.mark.parametrize(
+    "diagonal, rcond",
+    [([1.0, 1e-20], "1.000e-20"), ([2.0, 1e-18, 1.0], "5.000e-19"), ([1e-3, 1.0, 1e-19], "1.000e-19")],
+)
+def test_inv_refusal_states_the_true_reciprocal_condition_number(diagonal, rcond):
+    # scipy refuses these diagonals and reports their condition number as
+    # "rcond" (1e+20 for the first, scipy 1.17); the refusal states s_min / s_max
+    with pytest.raises(NumericalError, match=rf"\(2-norm reciprocal condition number {rcond}\)$"):
+        numerics.inv(np.diag(diagonal))
 
 
 def test_norm_and_inverse_norm_matches_separate_svds():
@@ -141,7 +142,7 @@ def test_norm_and_inverse_norm_matches_separate_svds():
         numerics.norm_and_inverse_norm(np.ones((2, 3)))
 
 
-# -- rank cut and PSD roots, pinned against the code they replaced ---------
+# -- rank cut, pinned against the code it replaced ------------------------
 
 
 def _oracle_rank(s, rtol, gap):
@@ -197,25 +198,21 @@ def test_rank_decisions_match_the_former_copies():
         assert np.array_equal(numerics.orth_columns(a), _oracle_orth_columns(a))
 
 
-def _oracle_psd_roots(a, rtol=1e-12):
-    # the former sqrtm_psd and inv_sqrt, one eigensolve each
-    vals, vecs = hermitian_eig(a)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    vals, vecs = hermitian_eig(a)
-    top = float(vals[-1])
-    if top <= 0 or float(vals[0]) <= rtol * top:
-        raise NumericalError("matrix not safely positive definite")
-    return root, (vecs * (vals ** -0.5)) @ vecs.conj().T
-
-
-def test_sqrt_and_inv_sqrt_match_the_former_pair():
+def test_range_basis_is_orth_columns_without_the_rank_decision():
+    # at a known rank, the same leading left singular vectors bit for bit;
+    # an ambiguous gap that orth_columns refuses is not range_basis's to judge
     rng = np.random.default_rng(13)
-    for n in (1, 2, 5, 9):
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        s = b @ b.conj().T + 0.1 * np.eye(n)
-        got = numerics.sqrt_and_inv_sqrt(s)
-        want = _oracle_psd_roots(s)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for trial in range(20):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        r = int(rng.integers(1, min(m, n) + 1))
+        a = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ (
+            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        )
+        assert np.array_equal(numerics.range_basis(a, r), numerics.orth_columns(a)), trial
+    a = np.diag([1.0, 1e-3, 1e-8])
+    with pytest.raises(NumericalError, match="ambiguous rank"):
+        numerics.orth_columns(a, rtol=1e-5)
+    assert_allclose(numerics.range_basis(a, 2), np.eye(3)[:, :2], atol=0)
 
 
 # -- SVDs through the LAPACK gufuncs, pinned against numpy ---------------

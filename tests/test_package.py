@@ -244,7 +244,8 @@ def test_certificate_modules_factor_through_numerics():
     }
     assert {m: c for m, c in calls.items() if m != "numerics" and c} == {}
     # the scan sees direct calls and private reads where they remain
-    assert {"svd", "eigh", "eigvalsh", "det", "inv", "qr", "schur"} <= calls["numerics"]
+    assert {"svd", "eigh", "eigvalsh", "det", "inv", "schur"} <= calls["numerics"]
+    assert _factorization_calls(ast.parse("scipy.linalg.qr(a)")) == {"qr"}
     # and every way of reaching numpy's SVD gufuncs
     for source in (
         "import numpy.linalg._umath_linalg",
@@ -256,6 +257,44 @@ def test_certificate_modules_factor_through_numerics():
         assert _factorization_calls(ast.parse(source)) == {"svd"}, source
     tests = ast.parse((ROOT / "tests" / "test_numerics.py").read_text(encoding="utf-8"))
     assert {"numerics._svd", "numerics._hermitian_part"} <= _factorization_calls(tests)
+
+
+def _scipy_names(tree: ast.Module) -> set:
+    """The scipy names a module reaches, without the ``scipy.`` prefix:
+    each longest ``scipy.*`` attribute chain and each name imported from a
+    scipy module. An aliased scipy import, whose uses the scan cannot
+    follow, counts as its own text."""
+    found, inner = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner and _dotted(node).startswith("scipy."):
+            found.add(_dotted(node).removeprefix("scipy."))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            prefix = (node.module + ".").removeprefix("scipy.").removeprefix("scipy")
+            found |= {prefix + a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {f"import {a.name} as {a.asname}" for a in node.names if a.asname and a.name.split(".")[0] == "scipy"}
+    return found
+
+
+def test_numerics_reaches_a_fixed_scipy_surface():
+    # what a cold start without scipy would still have to replace; the set
+    # may only shrink
+    tree = ast.parse((ROOT / "src" / "arveson" / "numerics.py").read_text(encoding="utf-8"))
+    assert _scipy_names(tree) == {
+        "linalg.schur", "linalg.eigh", "linalg.inv", "linalg.LinAlgError", "linalg.LinAlgWarning",
+        "linalg.lapack.ztrsen", "linalg.lapack.ztrsyl",
+    }
+    # the scan sees every way of reaching a name
+    for source, want in (
+        ("scipy.linalg.qr(a, pivoting=True)", {"linalg.qr"}),
+        ("from scipy.linalg import qr", {"linalg.qr"}),
+        ("from scipy import linalg", {"linalg"}),
+        ("import scipy.linalg as sl\nsl.qr(a)", {"import scipy.linalg as sl"}),
+    ):
+        assert _scipy_names(ast.parse(source)) == want, source
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

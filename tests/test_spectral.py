@@ -1,5 +1,7 @@
 import collections
+import itertools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 from arveson import models, numerics, polyideal, spectral, tuples
 from arveson.errors import InputError, NumericalError
 from arveson.polynomials import Polynomial
+from oracles import oracle_jordan_similarity
 from test_acceptance import _jordan_input, _jordan_shape, _planted_tuple
 
 
@@ -89,9 +92,13 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-# The 50 decompositions below make schur 53, trsen 248, trsyl 239, svd 489,
-# eigh 50 calls. While each idempotent was gated on its commutators with the
-# coordinates, each symmetrized projection on its Hermitian defect, and the
+# The 50 decompositions below make schur 53, trsen 239, trsyl 239, svd 619,
+# eigh 0, inv 50 calls. While the similarity symmetrized the idempotents by
+# the square root of sum Q^* Q (one eigh) and took a pivoted QR per block,
+# its unitary gate and cond(X) one SVD each, they made svd 489, eigh 50,
+# inv 0 (and qr 130); while the single-cluster spectra of 9 of them were
+# reordered before the identity was returned, trsen was 248. While each
+# idempotent was gated on its commutators with the coordinates, each symmetrized projection on its Hermitian defect, and the
 # off-block residual took one SVD per coordinate, svd was 1033. While each
 # idempotent that passed the norm gate took one more SVD for its Q^2 = Q
 # gate, svd was 1154. While the commuting gate always measured the commutators
@@ -105,7 +112,8 @@ def _former_riesz_idempotent(T, z, spectrum):
 def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapack_counts):
     # on the 50 tuples of acceptance criterion 4, the ztrsen reorder of the
     # kept Schur form is the sorted Schur form bit for bit, and the ztrsyl
-    # idempotent agrees with the solve_sylvester one to roundoff
+    # idempotent agrees with the solve_sylvester one to roundoff; a spectrum
+    # of one cluster makes no reorder and its idempotent is I exactly
     reorders = []
     trsen = numerics._trsen
 
@@ -114,35 +122,45 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
         return reorders[-1]
 
     monkeypatch.setattr(numerics, "_trsen", recording)
-    idempotents = 0
+    idempotents = singles = 0
     decompositions = collections.Counter()
     for seed in range(50):
         T = _jordan_input(seed)[0]
         lapack_counts.clear()
         spec = spectral.jordan_decompose(T).spectrum
-        decompositions.update({k: lapack_counts[k] for k in ("schur", "trsen", "trsyl", "svd", "eigh")})
+        decompositions.update({k: lapack_counts[k] for k in ("schur", "trsen", "trsyl", "svd", "eigh", "inv")})
         for p in spec.points:
             reorders.clear()
             Q = spectral.riesz_idempotent(T, p, spec)
+            idempotents += 1
+            if spec.count == 1:
+                assert reorders == [] and np.array_equal(Q, np.eye(T.n)), seed
+                singles += 1
+                continue
             R, Z, sdim, Q_old = _former_riesz_idempotent(T, p, spec)
             ((R_new, Z_new, _, sdim_new, _, _, _),) = reorders
             assert np.array_equal(R_new, R) and np.array_equal(Z_new, Z), (seed, p)
             assert sdim_new == sdim
             err = numerics.operator_norm(Q - Q_old)
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
-            idempotents += 1
-    assert idempotents == 130
-    assert decompositions == {"schur": 53, "trsen": 248, "trsyl": 239, "svd": 489, "eigh": 50}
+    assert (idempotents, singles) == (130, 9)
+    assert decompositions == {"schur": 53, "trsen": 239, "trsyl": 239, "svd": 619, "eigh": 0, "inv": 50}
+
+
+def _jordan_recover_round(seed, rnd):
+    """The 50 designs of round rnd of the benchmark's jordan-recover
+    workload: the criterion-4 shapes, planted in order from one stream per
+    round."""
+    rng = np.random.default_rng([seed, 2, rnd])
+    for s in range(50):
+        d, sizes = _jordan_shape(np.random.default_rng(6100 + s))
+        mats, pts, _ = _planted_tuple(rng, d, sizes)
+        yield tuples.validate(mats), pts, sizes
 
 
 def _jordan_recover_design(seed, rnd, k):
-    """Design k of round rnd of the benchmark's jordan-recover workload: the
-    criterion-4 shapes, planted in order from one stream per round."""
-    rng = np.random.default_rng([seed, 2, rnd])
-    for s in range(k + 1):
-        d, sizes = _jordan_shape(np.random.default_rng(6100 + s))
-        mats, pts, _ = _planted_tuple(rng, d, sizes)
-    return tuples.validate(mats), pts, sizes
+    """Design k of round rnd of the benchmark's jordan-recover workload."""
+    return next(itertools.islice(_jordan_recover_round(seed, rnd), k, None))
 
 
 def test_jordan_certifies_planted_chains_of_length_five_and_six():
@@ -193,9 +211,93 @@ def _double_point_model(zs):
 _SIX_POINTS = [0.15, -0.15, 0.45, -0.45, 0.75, -0.75]
 
 
+def test_jordan_cond_matches_a_60_digit_oracle_on_the_six_point_model():
+    # cond of the stacked orthonormal bases of the six spectral subspaces,
+    # each spanned by the two eigenvectors of a double point (split about
+    # 7e-4 apart by the rounding of the model), at 60 digits; the
+    # symmetrized assembly read it to 8.5e-9 relative
+    T = _double_point_model(_SIX_POINTS).tuple
+    with mpmath.workdps(60):
+        (Z,) = T.matrices
+        vals, vecs = mpmath.eig(mpmath.matrix(Z.tolist()))
+        columns = []
+        for z in _SIX_POINTS:
+            near = [k for k in range(T.n) if abs(vals[k] - z) < 1e-2]
+            assert len(near) == 2, z
+            pair = mpmath.matrix([[vecs[r, k] for k in near] for r in range(T.n)])
+            basis, _ = mpmath.qr(pair, mode="skinny")
+            columns += [basis.column(0), basis.column(1)]
+        s = mpmath.svd_c(mpmath.matrix([[c[r] for c in columns] for r in range(T.n)]), compute_uv=False)
+        oracle = float(max(s) / min(s))
+    dec = spectral.jordan_decompose(T)
+    assert dec.cond == pytest.approx(oracle, rel=1e-11)
+
+
+def _certified_sweep():
+    """Criterion 4's tuples, one round of the benchmark's jordan-recover
+    designs (seed 3, round 3) and the certified double-point models."""
+    for seed in range(50):
+        yield _jordan_input(seed)[0]
+    for T, _, _ in _jordan_recover_round(3, 3):
+        yield T
+    for count in range(2, 9):
+        yield _double_point_model([1 - 2.0**-n for n in range(1, count + 1)]).tuple
+    yield _double_point_model(_SIX_POINTS).tuple
+
+
+def test_jordan_similarity_is_the_symmetrized_one_up_to_a_block_unitary():
+    # X = Omega X_oracle with Omega block diagonal unitary: the bases of
+    # each range differ by a unitary, and their errors are those of
+    # subspaces of the Q_i, about n u ||Q_i||, amplified by cond (measured
+    # at most 0.06 of the bound below, on a 4 x 4 tuple of cond 1.3)
+    for k, T in enumerate(_certified_sweep()):
+        dec = spectral.jordan_decompose(T)
+        spec = dec.spectrum
+        Qs = [spectral.riesz_idempotent(T, p, spec) for p in spec.points]
+        _, X_inv_oracle, cond_oracle = oracle_jordan_similarity(Qs, spec.multiplicities)
+        assert dec.cond == pytest.approx(cond_oracle, rel=1e-8), k
+        tol = 100 * T.n * np.finfo(float).eps * dec.cond * max(numerics.operator_norm(Q) for Q in Qs)
+        omega = dec.X @ X_inv_oracle
+        offsets = np.cumsum((0,) + spec.multiplicities)
+        for lo, hi in zip(offsets, offsets[1:]):
+            block = dec.X_inv[:, lo:hi]
+            assert numerics.operator_norm(block.conj().T @ block - np.eye(hi - lo)) <= 1e-12, k
+            unit = omega[lo:hi, lo:hi]
+            assert numerics.operator_norm(unit.conj().T @ unit - np.eye(hi - lo)) <= tol, k
+            omega[lo:hi, lo:hi] = 0.0
+        assert numerics.operator_norm(omega) <= tol, k
+
+
+def test_jordan_refuses_dependent_spectral_subspaces(monkeypatch):
+    # at radius 1e-6 the N = 3 double-point model splits into spurious
+    # singletons whose ranges are nearly dependent; 1/cond^2 of their
+    # stacked orthonormal bases is 2.04e-15, below PD_RTOL. The ladder is
+    # capped at that radius, so that refusal is the last failure
+    monkeypatch.setattr(spectral, "CLUSTER_TOL_CAP", 1e-6)
+    T = _double_point_model([1 - 2.0**-n for n in range(1, 4)]).tuple
+    with pytest.raises(
+        NumericalError,
+        match=r"last failure: spectral subspaces not safely independent: their stacked orthonormal "
+        r"bases have cond 2\.2\d\de\+07, and 1/cond\^2 = 2\.0\d\de-15 is at most 1e-12$",
+    ):
+        spectral.jordan_decompose(T)
+
+
+def test_jordan_refuses_an_inexact_inverse(monkeypatch):
+    # an inverse off by 1e-6 in each entry leaves X_inv X - I of norm 3e-6
+    inv = numerics.inv
+    monkeypatch.setattr(numerics, "inv", lambda a: inv(a) + 1e-6)
+    T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
+    with pytest.raises(
+        NumericalError, match=r"does not invert the stacked spectral bases \(defect 3\.000e-06 exceeds 3\.000e-08\)$"
+    ):
+        spectral.jordan_decompose(T)
+
+
 # cond and radius of the decomposition at the smallest of the radii 1e-6,
 # 1e-5, 1e-4, 1e-3 that certified it while a failed positive-definiteness
-# check of sum Q^* Q refused the input instead of widening the radius
+# check of sum Q^* Q (now the subspace-independence gate) refused the input
+# instead of widening the radius
 @pytest.mark.parametrize(
     "zs, radius, cond",
     [
@@ -211,7 +313,7 @@ _SIX_POINTS = [0.15, -0.15, 0.45, -0.45, 0.75, -0.75]
 def test_jordan_certifies_double_points_at_the_default_radius(zs, radius, cond):
     # the Schur diagonal spreads each double eigenvalue wider than 1e-6; the
     # spurious singletons pass the projector-norm gate and fail only the
-    # positive-definiteness of sum Q^* Q, which must widen the radius too
+    # subspace-independence gate, which must widen the radius too
     dec = spectral.jordan_decompose(_double_point_model(zs).tuple)
     assert dec.spectrum.multiplicities == (2,) * len(zs)
     assert dec.spectrum.cluster_tol == pytest.approx(radius)
@@ -340,12 +442,14 @@ def test_eigenvalue_accuracy_on_conjugated_tuples():
 
 
 # Exact numbers of dense LAPACK calls made by jordan_decompose on the
-# README example tuple. While the symmetrizer Y = S^(1/2) and its inverse
-# came from two eigensolves of S (sqrtm_psd and inv_sqrt), each behind the
-# two-SVD asymmetry check of hermitian_eig, the same call made svd 31,
-# eigh 2, eigvalsh 4, inv 0. While validate measured both defects of every
-# block and nilpotent part it wrapped, none of which is read, svd 29 and
-# eigvalsh 4. While each idempotent factored the combination again with a
+# README example tuple. While the similarity symmetrized the idempotents by
+# the square root of sum Q^* Q and took a pivoted QR per block, the same
+# call made svd 7, eigh 1, inv 0 (and qr 2). While the symmetrizer
+# Y = S^(1/2) and its inverse came from two eigensolves of S (sqrtm_psd and
+# inv_sqrt), each behind the two-SVD asymmetry check of hermitian_eig, the
+# same call made svd 31, eigh 2, eigvalsh 4, inv 0. While validate measured
+# both defects of every block and nilpotent part it wrapped, none of which
+# is read, svd 29 and eigvalsh 4. While each idempotent factored the combination again with a
 # sorted schur and solved its coupling with solve_sylvester (two more schur
 # calls each), the same call made schur 7, trsen 0, trsyl 0; svd was 26 then
 # too, its rank check going through np.linalg.svd. While each idempotent's
@@ -360,13 +464,22 @@ def test_jordan_decompose_lapack_calls(lapack_counts):
     T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
     lapack_counts.clear()
     spectral.jordan_decompose(T)
-    want = {"svd": 7, "eigh": 1, "eigvalsh": 0, "inv": 0, "schur": 1, "trsen": 2, "trsyl": 2}
+    want = {"svd": 9, "eigh": 0, "eigvalsh": 0, "inv": 1, "schur": 1, "trsen": 2, "trsyl": 2}
     assert {k: lapack_counts[k] for k in want} == want
 
 
-def test_jordan_decompose_makes_one_qr_per_block(lapack_counts):
+def test_jordan_decompose_makes_one_range_basis_per_block(monkeypatch, lapack_counts):
+    range_basis = numerics.range_basis
+    calls = []
+
+    def counted(a, rank):
+        calls.append(rank)
+        return range_basis(a, rank)
+
+    monkeypatch.setattr(numerics, "range_basis", counted)
     blocks = sum(len(spectral.jordan_decompose(_jordan_input(seed)[0]).blocks) for seed in range(10))
-    assert lapack_counts["qr"] == blocks
+    assert len(calls) == blocks
+    assert lapack_counts["inv"] == 10
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
