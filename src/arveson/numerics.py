@@ -13,10 +13,11 @@ much as the SVD on the few-row matrices certificates make by the thousand;
 so a stack entry equals the SVD of its matrix bit for bit
 (:func:`operator_norms`). The ``ztrsen`` (:func:`reorder_schur`) and
 ``ztrsyl`` (:func:`triangular_sylvester`) handles are bound here too, the one
-home of ``scipy.linalg.lapack``. Hermitian eigenvalues that a gate compares
+home of ``scipy.linalg.lapack``: the reorder gives the spectral subspaces of
+``spectral.jordan_decompose``, and the Sylvester solve serves only
+``spectral.riesz_idempotent``. Hermitian eigenvalues that a gate compares
 come from :func:`largest_eigenvalue`, Hermitian eigensolves from
-:func:`hermitian_part_eig`, and an orthonormal basis of a range whose rank
-is known, with no rank decision, from :func:`range_basis`.
+:func:`hermitian_part_eig`.
 """
 
 from __future__ import annotations
@@ -250,13 +251,6 @@ def orth_columns(a, rtol: float = RANK_RTOL) -> np.ndarray:
     a = as_cmatrix(a)
     u, s, _ = _svd(a, uv=True)
     return u[:, : _rank(s, rtol)]
-
-
-def range_basis(a, rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of ``a``, known to have rank
-    ``rank``: its first ``rank`` left singular vectors, with no rank
-    decision."""
-    return _svd(as_cmatrix(a), uv=True)[0][:, :rank]
 
 
 def subspace_distance(b1, b2) -> float:

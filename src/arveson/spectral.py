@@ -2,15 +2,17 @@
 
 The joint spectrum of a commuting tuple is read off a simultaneous Schur
 triangularization driven by one random real linear combination, and that
-one Schur form serves every Riesz idempotent: LAPACK ``ztrsen`` reorders it
-so the cluster leads, and ``ztrsyl`` solves the Sylvester equation for the
-coupling block on the two triangular diagonal blocks. A block
+one Schur form serves every spectral subspace: LAPACK ``ztrsen`` reorders
+it so a cluster's diagonal places lead, and the leading Schur vectors are
+an orthonormal basis of the cluster's spectral subspace. A block
 diagonalization factors the combination once: a wider clustering radius
 re-clusters the kept triangular diagonal, unless the combination no
 longer separates the clusters. The inverse of the block diagonalizing
-similarity stacks an orthonormal basis of each idempotent's range, so the
-conditioning of the output is exactly the conditioning forced by the
-angles between the spectral subspaces.
+similarity stacks those bases, so the conditioning of the output is
+exactly the conditioning forced by the angles between the spectral
+subspaces. The Riesz idempotent of a cluster, for callers that want the
+matrix, eliminates the coupling block of the same reordered form with one
+``ztrsyl`` Sylvester solve.
 """
 
 from __future__ import annotations
@@ -140,8 +142,11 @@ def _clustered(diagonal: np.ndarray, combo: tuple, schur: tuple, cluster_tol: fl
             for i in range(len(points))
             for j in range(i + 1, len(points))
         )
-        # the combination must keep distinct clusters distinct, or the
-        # ztrsyl solve of an idempotent's coupling block degenerates
+        # the combination must keep distinct clusters distinct: the leading
+        # Schur vectors of a reordered cluster span its invariant subspace
+        # only to about u ||A|| / sep(R11, R22) (Golub & Van Loan, Matrix
+        # Computations, section 7.2), and sep is at most the distance
+        # between the combined values of the cluster and the rest
         if sep_comb < 0.02 * sep_spec:
             raise NumericalError(
                 f"the combination does not separate the clusters at radius {cluster_tol:g}"
@@ -229,20 +234,9 @@ def riesz_idempotent(T: CommutingTuple, z, spectrum: JointSpectrum) -> np.ndarra
     ``ztrsyl`` residual, and with each T_j only as well as commuting is
     conditioned: on planted Jordan chains of length 5 and 6, Q commutes with
     the combination to 5e-15 and with a coordinate to about 3e-8, which a
-    fixed gate on [Q, T_j] refused. ``jordan_decompose`` certifies the
-    projections it assembles from its output gates instead. With X_inv the
-    stacked orthonormal range bases and X its computed inverse, let R_j be
-    the off-block part of X T_j X_inv and E_n the coordinate projection
-    onto block n, so P_n = X_inv E_n X. The inverse-defect gate bounds
-    ||F|| <= ``IDEMPOTENT_TOL`` * n for F = X_inv X - I. E_n commutes with
-    the block diagonal part of X T_j X_inv, and
-    X_inv X T_j X_inv X = (I + F) T_j (I + F), so
-    X_inv [E_n, R_j] X = [P_n, T_j] + P_n T_j F - F T_j P_n. With
-    kappa = ||X|| ||X_inv|| >= ||P_n||, up to the rounding of the products,
-    ||[P_n, T_j]|| <= 2 kappa (||R_j|| + ||T_j|| ||F||),
-    and the residual gate bounds ||R_j||. The raw Q never leaves
-    ``_decompose``, so nothing a decomposition returns depends on Q
-    commuting with the tuple.
+    fixed gate on [Q, T_j] refused. ``jordan_decompose`` makes no Q: the
+    range of Q is the span of the first m columns of Z', and ||Q|| is the
+    norm of the rows of X that belong to the cluster (see ``_decompose``).
     """
     i = spectrum.locate(z)
     n = T.n
@@ -286,30 +280,29 @@ def jordan_decompose(
     """Similarity X with X T_j X^{-1} block diagonal, one block per joint
     eigenvalue, each block a scalar plus a commuting nilpotent tuple.
 
-    X_inv stacks an orthonormal basis of the range of each Riesz idempotent
-    Q_i and X is its inverse. Other orthonormal bases change X only by a
-    block diagonal unitary, so the reported condition number is intrinsic
-    to the tuple, not to basis choices: it is the orthonormal-range witness
-    of Demmel, SIAM J. Numer. Anal. 20 (1983).
+    X_inv stacks an orthonormal basis of each spectral subspace, the range
+    of the Riesz idempotent Q_i, and X is its inverse. Other orthonormal
+    bases change X only by a block diagonal unitary, so the reported
+    condition number is intrinsic to the tuple, not to basis choices: it is
+    the orthonormal-range witness of Demmel, SIAM J. Numer. Anal. 20 (1983).
 
     The joint spectrum is computed once, at ``cluster_tol``. A radius below
     the diagonal scatter of a defective eigenvalue splits it into spurious
     singletons that look like close simple eigenvalues and fail some
-    certificate below (projector norm, gated as each Q_i is made, so a rung
-    stops at its first oversize one; sum Q_i = I, independence of the
-    spectral subspaces, inverse defect, off-block residual). The last two
-    gate the output X, X_inv and blocks directly; they imply that the
-    assembled projections X_inv E_n X commute with the tuple (the bound is
-    in ``riesz_idempotent``). A radius wide enough to join
+    certificate below (independence of the spectral subspaces, inverse
+    defect, off-block residual). These gate the output X, X_inv and blocks
+    directly; they imply that the assembled projections X_inv E_n X resolve
+    the identity, are bounded in norm and commute with the tuple (the
+    proofs are in ``_decompose``). A radius wide enough to join
     distinct eigenvalues leaves a cluster whose diagonal spreads a fair part
     of the way to the next one, beyond ``CLUSTER_SPREAD_RATIO``. Any failed
     certificate re-clusters the kept triangular diagonal at a tenfold
-    radius, up to ``CLUSTER_TOL_CAP``, reusing every idempotent whose Schur
+    radius, up to ``CLUSTER_TOL_CAP``, reusing every basis whose Schur
     diagonal places it left unchanged.
     A rung with no spectrum yet, or whose kept combination no longer
     separates its clusters, calls ``joint_eigenvalues`` at that radius.
     """
-    ct, spectrum, idempotents = cluster_tol, None, {}
+    ct, spectrum, bases = cluster_tol, None, {}
     while True:
         try:
             if spectrum is not None:
@@ -318,60 +311,71 @@ def jordan_decompose(
                 except NumericalError:
                     spectrum = None
             if spectrum is None:
-                spectrum, idempotents = joint_eigenvalues(T, cluster_tol=ct, seed=seed), {}
-            return _decompose(T, spectrum, idempotents)
+                spectrum, bases = joint_eigenvalues(T, cluster_tol=ct, seed=seed), {}
+            return _decompose(T, spectrum, bases)
         except NumericalError as exc:
             if ct >= CLUSTER_TOL_CAP:
                 raise NumericalError(
                     f"no clustering radius up to {CLUSTER_TOL_CAP:g} produced "
-                    f"certified spectral idempotents; last failure: {exc}"
+                    f"certified spectral subspaces; last failure: {exc}"
                 ) from exc
             ct = min(ct * 10.0, CLUSTER_TOL_CAP)
 
 
-def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) -> JordanDecomposition:
+def _decompose(T: CommutingTuple, spectrum: JointSpectrum, bases: dict) -> JordanDecomposition:
     """The decomposition on one clustering, every certificate raising
-    NumericalError. ``idempotents`` maps the diagonal places of a cluster to
-    the idempotent already computed for it on the same Schur form.
+    NumericalError. ``bases`` maps the diagonal places of a cluster to the
+    basis already taken for it from the same Schur form.
 
-    Only the range of each Q_i is read: V_i, its first m_i left singular
-    vectors, is an orthonormal basis of it, since Q_i has rank m_i (see
-    ``riesz_idempotent``), and X_inv = V = [V_1 ... V_b]. If the Q_i are
-    the spectral projections V E_i V^-1, then Q_i* Q_i = V^-* E_i V^-1, so
-    sum Q_i* Q_i = (V V*)^-1, whose eigenvalue ratio
-    lambda_min / lambda_max is 1/cond(V)^2. The subspace-independence gate
-    refuses 1/cond(V)^2 <= ``numerics.PD_RTOL``, read off one SVD of V
-    that also gives the reported cond, cond(X) = cond(V). X is the
-    computed inverse of V, and the inverse-defect gate measures the
-    F = X_inv X - I that the commuting bound in ``riesz_idempotent``
-    needs; the residual gate proves each range invariant under every T_j,
-    up to the off-block residual.
+    V_i is the first m_i columns of Z' from the ``ztrsen`` reorder
+    Z U Z* = Z' R Z'* that puts cluster i's places first. They span
+    range(Q_i), since Q_i = Z' [I Y; 0 0] Z'* (``riesz_idempotent``; Golub &
+    Van Loan, Matrix Computations, section 7.6); a single cluster keeps
+    V = I. X_inv = V = [V_1 ... V_b] and X is its computed inverse. The
+    subspace-independence gate refuses 1/cond(V)^2 <= ``numerics.PD_RTOL``,
+    read off one SVD of V that also gives the reported cond; since
+    sum Q_i* Q_i = (V V*)^-1, it is the test that this sum be safely
+    positive definite. The inverse-defect gate bounds
+    ||F|| <= ``IDEMPOTENT_TOL`` * n for F = X_inv X - I, and the residual
+    gate proves each range invariant under every T_j, up to the off-block
+    part R_j of X T_j X_inv.
+
+    Those gates imply three properties of the assembled projections
+    P_n = X_inv E_n X, E_n the coordinate projection onto block n, so none
+    is measured:
+    - Identity: sum_n P_n - I = X_inv X - I = F, within the inverse-defect
+      bound; ``idempotent_defect`` reports ||F||.
+    - Norm: ||P_n|| = ||X[block n, :]|| <= ||X|| <= cond(X_inv), as V_n
+      has orthonormal columns and so ||X_inv|| >= 1 (up to the rounding of
+      the inverse). The independence gate holds cond below 10^6, far below
+      ``PROJECTOR_NORM_GATE``.
+    - Commuting: E_n commutes with the block diagonal part of X T_j X_inv,
+      and X_inv X T_j X_inv X = (I + F) T_j (I + F), so
+      X_inv [E_n, R_j] X = [P_n, T_j] + P_n T_j F - F T_j P_n. With
+      kappa = ||X|| ||X_inv|| >= ||P_n||, up to the rounding of the
+      products, ||[P_n, T_j]|| <= 2 kappa (||R_j|| + ||T_j|| ||F||).
     """
     n = T.n
     I = np.eye(n, dtype=complex)
+    Z, U = spectrum.schur
     points = np.array(spectrum.points)
-    Qs = []
+    gaps = np.linalg.norm(points[:, None] - points, axis=2) + np.diag(np.full(spectrum.count, np.inf))
     for i, (p, places) in enumerate(zip(spectrum.points, spectrum.places)):
         spread = np.linalg.norm(spectrum.diagonal[list(places)] - points[i], axis=1).max(initial=0.0)
-        gap = min((np.linalg.norm(q - points[i]) for j, q in enumerate(points) if j != i), default=np.inf)
+        gap = gaps[i].min()
         if spread > CLUSTER_SPREAD_RATIO * gap:
             raise NumericalError(
                 f"the cluster at {p} spreads {spread:.3e}, more than "
                 f"{CLUSTER_SPREAD_RATIO:g} of the distance {gap:.3e} to the next "
                 f"cluster; it may join distinct eigenvalues"
             )
-        if places not in idempotents:
-            idempotents[places] = riesz_idempotent(T, p, spectrum)
-        Qs.append(idempotents[places])
-    # sum Q_i = I is a polynomial identity, so the defect is pure
-    # rounding and must be small in absolute terms
-    defect = numerics.operator_norm(sum(Qs) - I)
-    if defect > IDEMPOTENT_TOL * n:
-        raise NumericalError(
-            f"spectral idempotents do not resolve the identity "
-            f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
-        )
-    X_inv = np.hstack([numerics.range_basis(Q, m) for Q, m in zip(Qs, spectrum.multiplicities)])
+    for places in spectrum.places:
+        if spectrum.count == 1:
+            bases[places] = I
+        elif places not in bases:
+            select = np.bincount(places, minlength=n) > 0
+            bases[places] = numerics.reorder_schur(select, U, Z)[1][:, : len(places)]
+    X_inv = np.hstack([bases[places] for places in spectrum.places])
     cond = numerics.cond(X_inv)
     if cond**-2 <= numerics.PD_RTOL:
         raise NumericalError(
@@ -380,11 +384,11 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, idempotents: dict) ->
             f"{cond**-2:.3e} is at most {numerics.PD_RTOL:g}"
         )
     X = numerics.inv(X_inv)
-    inverse = numerics.operator_norm(X_inv @ X - I)
-    if inverse > IDEMPOTENT_TOL * n:
+    defect = numerics.operator_norm(X_inv @ X - I)
+    if defect > IDEMPOTENT_TOL * n:
         raise NumericalError(
             f"the similarity does not invert the stacked spectral bases "
-            f"(defect {inverse:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
+            f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
         )
     scale = max(1.0, T.scale())
     transformed = np.array([X @ Tj @ X_inv for Tj in T.matrices])

@@ -198,23 +198,6 @@ def test_rank_decisions_match_the_former_copies():
         assert np.array_equal(numerics.orth_columns(a), _oracle_orth_columns(a))
 
 
-def test_range_basis_is_orth_columns_without_the_rank_decision():
-    # at a known rank, the same leading left singular vectors bit for bit;
-    # an ambiguous gap that orth_columns refuses is not range_basis's to judge
-    rng = np.random.default_rng(13)
-    for trial in range(20):
-        m, n = (int(x) for x in rng.integers(1, 9, size=2))
-        r = int(rng.integers(1, min(m, n) + 1))
-        a = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ (
-            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-        )
-        assert np.array_equal(numerics.range_basis(a, r), numerics.orth_columns(a)), trial
-    a = np.diag([1.0, 1e-3, 1e-8])
-    with pytest.raises(NumericalError, match="ambiguous rank"):
-        numerics.orth_columns(a, rtol=1e-5)
-    assert_allclose(numerics.range_basis(a, 2), np.eye(3)[:, :2], atol=0)
-
-
 # -- SVDs through the LAPACK gufuncs, pinned against numpy ---------------
 
 

@@ -92,11 +92,15 @@ def _former_riesz_idempotent(T, z, spectrum):
     return R, Z, sdim, Z @ P @ Z.conj().T
 
 
-# The 50 decompositions below make schur 53, trsen 239, trsyl 239, svd 619,
-# eigh 0, inv 50 calls. While the similarity symmetrized the idempotents by
-# the square root of sum Q^* Q (one eigh) and took a pivoted QR per block,
-# its unitary gate and cond(X) one SVD each, they made svd 489, eigh 50,
-# inv 0 (and qr 130); while the single-cluster spectra of 9 of them were
+# The 50 decompositions below make schur 53, trsen 524, trsyl 0, svd 318,
+# eigh 0, inv 50 calls. While each block's basis was the first m left
+# singular vectors of its idempotent, and the idempotents were gated on
+# their norms and on resolving the identity, they made trsen 239, trsyl
+# 239, svd 619: a rung that fails now reorders every cluster before the
+# independence gate refuses it. While the similarity symmetrized the
+# idempotents by the square root of sum Q^* Q (one eigh) and took a pivoted
+# QR per block, its unitary gate and cond(X) one SVD each, they made svd
+# 489, eigh 50, inv 0 (and qr 130); while the single-cluster spectra of 9 of them were
 # reordered before the identity was returned, trsen was 248. While each
 # idempotent was gated on its commutators with the coordinates, each symmetrized projection on its Hermitian defect, and the
 # off-block residual took one SVD per coordinate, svd was 1033. While each
@@ -144,7 +148,7 @@ def test_riesz_idempotent_matches_the_former_sorted_schur_path(monkeypatch, lapa
             err = numerics.operator_norm(Q - Q_old)
             assert err <= 1e-10 * numerics.operator_norm(Q), (seed, p, err)
     assert (idempotents, singles) == (130, 9)
-    assert decompositions == {"schur": 53, "trsen": 239, "trsyl": 239, "svd": 619, "eigh": 0, "inv": 50}
+    assert decompositions == {"schur": 53, "trsen": 524, "trsyl": 0, "svd": 318, "eigh": 0, "inv": 50}
 
 
 def _jordan_recover_round(seed, rnd):
@@ -181,21 +185,26 @@ def test_jordan_certifies_planted_chains_of_length_five_and_six():
 
 
 def test_jordan_refuses_idempotents_that_do_not_commute(monkeypatch):
-    # S Q S^-1 is idempotent of rank m, and the conjugates still resolve the
-    # identity, but their ranges are not invariant: the output gates, with
-    # no commutator gate, must refuse them
+    # the basis of the block at diagonal place 0 becomes S V, which spans
+    # the range of the idempotent S Q S^-1 of rank m: the bases stay
+    # independent and X still inverts them, but that range is not
+    # invariant, and the output gates, with no commutator gate, must refuse
+    # it. While the bases were the ranges of the idempotents, each was
+    # replaced by S Q S^-1 instead
     T = jordan_block_tuple([(0.3, -0.2), (-0.4, 0.25)], [2, 2], seed=2)
     rng = np.random.default_rng(5)
     S = np.eye(T.n) + 1e-3 * (rng.standard_normal((T.n, T.n)) + 1j * rng.standard_normal((T.n, T.n)))
-    S_inv = np.linalg.inv(S)
-    riesz = spectral.riesz_idempotent
+    reorder = numerics.reorder_schur
     calls = []
 
-    def conjugated(*args):
-        calls.append(args)
-        return S @ riesz(*args) @ S_inv
+    def conjugated(select, U, Z):
+        R, Zs = reorder(select, U, Z)
+        if select[0]:
+            calls.append(select)
+            return R, S @ Zs
+        return R, Zs
 
-    monkeypatch.setattr(spectral, "riesz_idempotent", conjugated)
+    monkeypatch.setattr(numerics, "reorder_schur", conjugated)
     with pytest.raises(NumericalError, match="off-block residual"):
         spectral.jordan_decompose(T)
     assert calls
@@ -266,6 +275,24 @@ def test_jordan_similarity_is_the_symmetrized_one_up_to_a_block_unitary():
             assert numerics.operator_norm(unit.conj().T @ unit - np.eye(hi - lo)) <= tol, k
             omega[lo:hi, lo:hi] = 0.0
         assert numerics.operator_norm(omega) <= tol, k
+
+
+def test_jordan_decomposition_agrees_with_the_riesz_idempotents():
+    # the decomposition forms no idempotent: block n of X_inv spans the
+    # range of Q_n, the rows of X in block n have the norm of Q_n (the lower
+    # end of the block-similarity bracket, max_n ||Q_n||, without any Q),
+    # and the identity defect of the assembled projections is the inverse
+    # defect (measured: distance 6.8e-15, norms 2.4e-10 relative)
+    for k, T in enumerate(_certified_sweep()):
+        dec = spectral.jordan_decompose(T)
+        spec = dec.spectrum
+        offsets = np.cumsum((0,) + spec.multiplicities)
+        for p, lo, hi in zip(spec.points, offsets, offsets[1:]):
+            Q = spectral.riesz_idempotent(T, p, spec)
+            left = np.linalg.svd(Q)[0][:, : hi - lo]
+            assert numerics.subspace_distance(left, dec.X_inv[:, lo:hi]) <= 1e-12, (k, p)
+            assert numerics.operator_norm(dec.X[lo:hi]) == pytest.approx(numerics.operator_norm(Q), rel=1e-8), (k, p)
+        assert dec.idempotent_defect == numerics.operator_norm(dec.X_inv @ dec.X - np.eye(T.n)), k
 
 
 def test_jordan_refuses_dependent_spectral_subspaces(monkeypatch):
@@ -442,7 +469,10 @@ def test_eigenvalue_accuracy_on_conjugated_tuples():
 
 
 # Exact numbers of dense LAPACK calls made by jordan_decompose on the
-# README example tuple. While the similarity symmetrized the idempotents by
+# README example tuple. While each block's basis was read off its
+# idempotent, made with a ztrsyl solve and gated on its norm, and the
+# idempotents were gated on resolving the identity, the same call made
+# svd 9, trsyl 2. While the similarity symmetrized the idempotents by
 # the square root of sum Q^* Q and took a pivoted QR per block, the same
 # call made svd 7, eigh 1, inv 0 (and qr 2). While the symmetrizer
 # Y = S^(1/2) and its inverse came from two eigensolves of S (sqrtm_psd and
@@ -464,21 +494,40 @@ def test_jordan_decompose_lapack_calls(lapack_counts):
     T = tuples.validate([np.diag([0.1, 0.5, 0.1]), np.diag([0.2, -0.3, 0.2])])
     lapack_counts.clear()
     spectral.jordan_decompose(T)
-    want = {"svd": 9, "eigh": 0, "eigvalsh": 0, "inv": 1, "schur": 1, "trsen": 2, "trsyl": 2}
+    want = {"svd": 4, "eigh": 0, "eigvalsh": 0, "inv": 1, "schur": 1, "trsen": 2, "trsyl": 0}
     assert {k: lapack_counts[k] for k in want} == want
 
 
 def test_jordan_decompose_makes_one_range_basis_per_block(monkeypatch, lapack_counts):
-    range_basis = numerics.range_basis
-    calls = []
+    # each rung reorders the kept Schur form once for each cluster of a
+    # multi-cluster spectrum that it has no basis for yet, putting that
+    # cluster's places first; a single cluster keeps I and reorders
+    # nothing. While each basis was read off an idempotent, the test
+    # counted one numerics.range_basis call per block
+    reorder, decompose = numerics.reorder_schur, spectral._decompose
+    selected, counts = [], collections.Counter()
 
-    def counted(a, rank):
-        calls.append(rank)
-        return range_basis(a, rank)
+    def recording(select, U, Z):
+        selected.append(tuple(np.flatnonzero(select)))
+        return reorder(select, U, Z)
 
-    monkeypatch.setattr(numerics, "range_basis", counted)
-    blocks = sum(len(spectral.jordan_decompose(_jordan_input(seed)[0]).blocks) for seed in range(10))
-    assert len(calls) == blocks
+    def rung(T, spectrum, bases):
+        selected.clear()
+        new = [places for places in spectrum.places if places not in bases] if spectrum.count > 1 else []
+        try:
+            dec = decompose(T, spectrum, bases)
+        except NumericalError:
+            assert selected == new[: len(selected)]
+            raise
+        assert selected == new
+        counts[spectrum.count > 1] += 1
+        return dec
+
+    monkeypatch.setattr(numerics, "reorder_schur", recording)
+    monkeypatch.setattr(spectral, "_decompose", rung)
+    for seed in range(10):
+        spectral.jordan_decompose(_jordan_input(seed)[0])
+    assert counts == {True: 7, False: 3}
     assert lapack_counts["inv"] == 10
 
 
