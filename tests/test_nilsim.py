@@ -359,6 +359,26 @@ def test_lemma_checks_agrees_with_the_sampled_oracle():
     assert len(seen) == 5
 
 
+# the perturbed inputs on which same_length_orthogonality runs at epsilon
+# 0.1; at epsilon 0 it runs on none of them
+_ORTHOGONALITY_RUNS = {9, 12, 14, 15, 17, 20, 22, 23, 25, 30, 31, 36, 38, 39}
+
+
+def test_lemma_checks_runs_the_pinned_sections():
+    for seed in range(40):
+        N, xi, _ = _perturbed_input(seed)
+        for epsilon in (0.0, 0.1):
+            rep = nilsim.lemma_checks(N, xi, epsilon)
+            assert rep.ok, (seed, epsilon)
+            ran = {s.name for s in rep.sections if s.ran}
+            want = {"same_length_lower_bound", "two_sided_equivalence"}
+            if seed == 17 and epsilon == 0.0:
+                want.discard("same_length_lower_bound")
+            if epsilon and seed in _ORTHOGONALITY_RUNS:
+                want.add("same_length_orthogonality")
+            assert ran == want, (seed, epsilon)
+
+
 @pytest.mark.parametrize("s", [0.5, 0.8])
 def test_lemma_checks_reads_the_orbit_gram_eigenvalues_of_a_scaled_staircase(s, lapack_counts):
     # the scaled model has the diagonal weighted orbit Gram diag(s^(2|a|)),
