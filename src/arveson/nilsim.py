@@ -592,7 +592,10 @@ def lemma_checks(
     at least 1 - epsilon - (|S| - 1)(epsilon + w_l). For a unit c the
     failure (1 - epsilon |S|) - |h|^2 is therefore at most
     (|S| - 1) w_l <= (|Q| - 1) max(w_l, 0), and the section reports the
-    largest of these bounds over the levels; a single index is exact.
+    largest of these bounds over the levels; a single index is exact. Level
+    0 is xi alone, which ``_require_unit`` made a unit vector, so it
+    qualifies at every epsilon >= 0, whatever the last bit of its computed
+    norm, and the section always runs.
 
     ``two_sided_equivalence`` is lower |c|^2 <= |h|^2 <= (L + 1) |c|^2
     over the support Xi of ``check_hypotheses`` (read for the caller's
@@ -614,15 +617,16 @@ def lemma_checks(
 
     # {a: sqrt(w_a) T^a xi}, one stacked matvec per degree below n
     orbit = {}
-    orthogonality = lower_bound = -np.inf
+    orthogonality, lower_bound = -np.inf, 0.0
     for ell, (keys, stack) in zip(range(T.n), tuples._levels(T, unit[:, None])):
         table = tuples._weight_table(T.d, ell)
         weights = np.array([table[a] for a in keys], dtype=float)
         V = stack[:, :, 0]
         H = V * np.sqrt(weights)[:, None]
         orbit.update(zip(keys, H))
-        # w_a |T^a xi|^2 with the vector norm of T^a xi itself: on level 0
-        # (xi alone) the test is exactly |xi|^2 >= 1 - epsilon
+        if ell == 0:
+            continue  # xi alone: a single index, which qualifies
+        # w_a |T^a xi|^2 with the vector norm of T^a xi itself
         Hq = H[weights * np.array([np.linalg.norm(v) for v in V]) ** 2 >= 1.0 - epsilon]
         k = len(Hq)
         if k > 1:
@@ -630,11 +634,9 @@ def lemma_checks(
             w = float(np.abs(G[~np.eye(k, dtype=bool)]).max()) - epsilon
             orthogonality = max(orthogonality, w)
             lower_bound = max(lower_bound, (k - 1) * max(w, 0.0))
-        elif k == 1:
-            lower_bound = max(lower_bound, 0.0)
     sections = (
         _section("same_length_orthogonality", orthogonality, LEMMA_TOL, "no qualifying pair at this epsilon"),
-        _section("same_length_lower_bound", lower_bound, LEMMA_TOL, "no qualifying index at this epsilon"),
+        LemmaSection("same_length_lower_bound", True, lower_bound, lower_bound <= LEMMA_TOL),
     )
 
     try:

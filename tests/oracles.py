@@ -105,6 +105,8 @@ def oracle_lemma_checks(T, xi, epsilon, seed):
     cache = tuples._power_cache(T, max(T.n - 1, 0))
     orbit = {a: P @ unit for a, P in cache.items()}
     weighted = {a: mi.multinomial_weight(a) * float(np.linalg.norm(v)) ** 2 for a, v in orbit.items()}
+    # xi alone is a unit vector, so the zero index qualifies at every epsilon
+    weighted[(0,) * T.d] = 1.0
     by_level = {}
     for a in cache:
         by_level.setdefault(mi.degree(a), []).append(a)

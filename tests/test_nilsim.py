@@ -344,8 +344,9 @@ def _lemma_sweep():
 
 def test_lemma_checks_agrees_with_the_sampled_oracle():
     # each exact section runs and passes where the sampled one does; the
-    # sweep reaches both outcomes of ran in the same-length sections, and
-    # the two-sided section skips only on the inputs of the test below
+    # sweep reaches both outcomes of ran in same_length_orthogonality,
+    # same_length_lower_bound always runs (level 0 qualifies), and the
+    # two-sided section skips only on the inputs of the test below
     cases = _lemma_sweep()
     assert len(cases) == 363
     seen = set()
@@ -356,11 +357,14 @@ def test_lemma_checks_agrees_with_the_sampled_oracle():
         for a, b in zip(got.sections, want.sections):
             assert (a.ran, a.passed, a.note) == (b.ran, b.passed, b.note), (k, a, b)
             seen.add((a.name, a.ran))
-    assert len(seen) == 5
+    assert len(seen) == 4
+    assert ("same_length_lower_bound", False) not in seen
 
 
 # the perturbed inputs on which same_length_orthogonality runs at epsilon
-# 0.1; at epsilon 0 it runs on none of them
+# 0.1; at epsilon 0 it runs on none of them. same_length_lower_bound runs on
+# every input; while level 0 qualified by |xi|^2 >= 1 - epsilon in floating
+# point, it was skipped on seed 17 at epsilon 0
 _ORTHOGONALITY_RUNS = {9, 12, 14, 15, 17, 20, 22, 23, 25, 30, 31, 36, 38, 39}
 
 
@@ -372,8 +376,6 @@ def test_lemma_checks_runs_the_pinned_sections():
             assert rep.ok, (seed, epsilon)
             ran = {s.name for s in rep.sections if s.ran}
             want = {"same_length_lower_bound", "two_sided_equivalence"}
-            if seed == 17 and epsilon == 0.0:
-                want.discard("same_length_lower_bound")
             if epsilon and seed in _ORTHOGONALITY_RUNS:
                 want.add("same_length_orthogonality")
             assert ran == want, (seed, epsilon)
