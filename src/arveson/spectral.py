@@ -330,8 +330,10 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, bases: dict) -> Jorda
     V_i is the first m_i columns of Z' from the ``ztrsen`` reorder
     Z U Z* = Z' R Z'* that puts cluster i's places first. They span
     range(Q_i), since Q_i = Z' [I Y; 0 0] Z'* (``riesz_idempotent``; Golub &
-    Van Loan, Matrix Computations, section 7.6); a single cluster keeps
-    V = I. X_inv = V = [V_1 ... V_b] and X is its computed inverse. The
+    Van Loan, Matrix Computations, section 7.6). X_inv = V = [V_1 ... V_b]
+    and X is its computed inverse. A single cluster takes X = X_inv = I,
+    which passes the gates below exactly (cond 1, inverse defect 0, no
+    off-block part), so it measures none of them. The
     subspace-independence gate refuses 1/cond(V)^2 <= ``numerics.PD_RTOL``,
     read off one SVD of V that also gives the reported cond; since
     sum Q_i* Q_i = (V V*)^-1, it is the test that this sum be safely
@@ -369,42 +371,47 @@ def _decompose(T: CommutingTuple, spectrum: JointSpectrum, bases: dict) -> Jorda
                 f"{CLUSTER_SPREAD_RATIO:g} of the distance {gap:.3e} to the next "
                 f"cluster; it may join distinct eigenvalues"
             )
-    for places in spectrum.places:
-        if spectrum.count == 1:
-            bases[places] = I
-        elif places not in bases:
-            select = np.bincount(places, minlength=n) > 0
-            bases[places] = numerics.reorder_schur(select, U, Z)[1][:, : len(places)]
-    X_inv = np.hstack([bases[places] for places in spectrum.places])
-    cond = numerics.cond(X_inv)
-    if cond**-2 <= numerics.PD_RTOL:
-        raise NumericalError(
-            f"spectral subspaces not safely independent: their stacked "
-            f"orthonormal bases have cond {cond:.3e}, and 1/cond^2 = "
-            f"{cond**-2:.3e} is at most {numerics.PD_RTOL:g}"
-        )
-    X = numerics.inv(X_inv)
-    defect = numerics.operator_norm(X_inv @ X - I)
-    if defect > IDEMPOTENT_TOL * n:
-        raise NumericalError(
-            f"the similarity does not invert the stacked spectral bases "
-            f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
-        )
-    scale = max(1.0, T.scale())
+    single = spectrum.count == 1
+    if single:
+        # X = X_inv = I: cond 1, no inverse defect and no off-block part
+        X = X_inv = I
+        cond, defect, residual = 1.0, 0.0, 0.0
+    else:
+        for places in spectrum.places:
+            if places not in bases:
+                select = np.bincount(places, minlength=n) > 0
+                bases[places] = numerics.reorder_schur(select, U, Z)[1][:, : len(places)]
+        X_inv = np.hstack([bases[places] for places in spectrum.places])
+        cond = numerics.cond(X_inv)
+        if cond**-2 <= numerics.PD_RTOL:
+            raise NumericalError(
+                f"spectral subspaces not safely independent: their stacked "
+                f"orthonormal bases have cond {cond:.3e}, and 1/cond^2 = "
+                f"{cond**-2:.3e} is at most {numerics.PD_RTOL:g}"
+            )
+        X = numerics.inv(X_inv)
+        defect = numerics.operator_norm(X_inv @ X - I)
+        if defect > IDEMPOTENT_TOL * n:
+            raise NumericalError(
+                f"the similarity does not invert the stacked spectral bases "
+                f"(defect {defect:.3e} exceeds {IDEMPOTENT_TOL * n:.3e})"
+            )
     transformed = np.array([X @ Tj @ X_inv for Tj in T.matrices])
     offsets = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(spectrum.count):
-        lo, hi = offsets[i], offsets[i + 1]
-        mask[lo:hi, lo:hi] = True
-    off = transformed.copy()
-    off[:, mask] = 0.0
-    residual = float(numerics.operator_norms(off).max())
-    if residual > BLOCK_RESIDUAL_RTOL * scale:
-        raise NumericalError(
-            f"off-block residual {residual:.3e} exceeds "
-            f"{BLOCK_RESIDUAL_RTOL * scale:.3e}"
-        )
+    if not single:
+        mask = np.zeros((n, n), dtype=bool)
+        for i in range(spectrum.count):
+            lo, hi = offsets[i], offsets[i + 1]
+            mask[lo:hi, lo:hi] = True
+        off = transformed.copy()
+        off[:, mask] = 0.0
+        residual = float(numerics.operator_norms(off).max())
+        scale = max(1.0, T.scale())
+        if residual > BLOCK_RESIDUAL_RTOL * scale:
+            raise NumericalError(
+                f"off-block residual {residual:.3e} exceeds "
+                f"{BLOCK_RESIDUAL_RTOL * scale:.3e}"
+            )
     blocks = []
     nilpotents = []
     for i, (p, m) in enumerate(zip(spectrum.points, spectrum.multiplicities)):
