@@ -240,6 +240,9 @@ def _cmd_nilsim(args):
         "gauge_norm_max": nec.gauge_norm_max,
         "gauge_commute_defect": nec.gauge_commute_defect,
         "gauge_fix_defect": nec.gauge_fix_defect,
+        "gauge_norm_bound": nec.gauge_norm_bound,
+        "gauge_commute_bound": nec.gauge_commute_bound,
+        "gauge_decided_by": nec.gauge_decided_by,
     }
     return ser.report_envelope("nilsim", result, tolerances={"tol": args.tol})
 

@@ -15,7 +15,9 @@ supremum (Bernstein's inequality on the grid, see ``NilsimHypotheses``).
 
 Necessity runs the other way: any intertwiner produces a distinguished
 cyclic vector, gauge operators with norm at most cond(X), and a floor of
-1/cond(X)^2 on every weighted orbit norm.
+1/cond(X)^2 on every weighted orbit norm. ``necessity_check`` decides the
+gauge norm and the conjugation defect for every t from proved bounds, and
+reads the sampled gauges only where a bound cannot decide.
 
 The orbit inequalities behind the theorem are decided by ``lemma_checks``
 for every coefficient vector, from weighted orbit Grams: nothing is sampled.
@@ -447,8 +449,144 @@ def _gauge_stack(degrees: list) -> np.ndarray:
     return W
 
 
+@dataclass(frozen=True, eq=False)
+class _GaugeSamples:
+    """The transported gauges Y_t = X_inv W_t X at the sample points t_k =
+    2 pi k / ``NECESSITY_GAUGE_SAMPLES``, with Y_inv the stack of
+    X_inv W_t^* X, and their two sampled values, each measured on first read
+    by one stacked SVD."""
+
+    X: np.ndarray
+    X_inv: np.ndarray
+    W: np.ndarray
+    Ns: np.ndarray
+    Y_inv: np.ndarray
+
+    @functools.cached_property
+    def Y(self) -> np.ndarray:
+        return self.X_inv @ self.W @ self.X
+
+    @functools.cached_property
+    def norm_max(self) -> float:
+        """The largest ||Y_t||."""
+        return float(numerics.operator_norms(self.Y).max())
+
+    @functools.cached_property
+    def commute_defect(self) -> float:
+        """The largest ||Y_t N_j Y_inv_t - e^{it} N_j||, over t and j."""
+        Ns = self.Ns
+        phases = _phases(NECESSITY_GAUGE_SAMPLES, 1)[:, 1]
+        D = self.Y[:, None] @ Ns[None] @ self.Y_inv[:, None] - phases[:, None, None, None] * Ns[None]
+        return float(numerics.operator_norms(D.reshape(-1, *Ns.shape[1:])).max())
+
+
+def _gauge_bounds(X, X_inv, norm_X: float, norm_X_inv: float, cond: float, resid: float) -> tuple:
+    """(G, C): proved bounds, for every real t, on ||Y_t|| and on
+    max_j ||Y_t N_j Y'_t - e^{it} N_j||, with Y_t = X_inv W_t X,
+    Y'_t = X_inv W_t^* X and W_t the model gauge, which bound the sampled
+    values of ``necessity_check`` as computed as well. Both are inf when
+    the rounding room theta below exceeds 1/4.
+
+    Exact identities. Let E = X_inv X - I and E' = X X_inv - I, so that
+    X_inv = (I + E) X^-1, and R_j = X N_j - Z_j X. W_t is diagonal and
+    unitary, and the model is graded, so W_t Z_j W_t^* = e^{it} Z_j. Then
+    ||Y_t|| <= ||X_inv|| ||X|| <= (1 + ||E||) ||X^-1|| ||X||, and
+    X N_j X_inv = Z_j (I + E') + R_j X_inv, X_inv Z_j X = N_j + E N_j - X_inv R_j
+    give
+
+        Y_t N_j Y'_t - e^{it} N_j = e^{it} (E N_j - X_inv R_j)
+            + X_inv W_t Z_j E' W_t^* X + X_inv W_t R_j X_inv W_t^* X.
+
+    Z_j is a weighted partial permutation whose entries are square roots of
+    correctly rounded quotients at most 1, so ||Z_j|| <= 1, and
+    N_j = X^-1 (Z_j X + R_j) gives ||N_j|| <= ||X^-1|| (||X|| + ||R_j||).
+
+    Rounding. With u the unit roundoff and delta = 16 n^3 u, the room of
+    ``tuples.CommutingTuple``: a computed product of n x n matrices is
+    within n gamma_(n+2) ||A|| ||B|| <= delta ||A|| ||B|| of AB in the
+    2-norm (|fl(AB) - AB| <= gamma_(n+2) |A| |B| for complex data, and
+    || |A| ||_2 <= ||A||_F <= sqrt(n) ||A||_2; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sections 3.5-3.6), a computed sum
+    or difference within delta of its norm, a computed Frobenius norm
+    within the relative delta, and each computed singular value within
+    delta ||A|| of the exact one (backward stability and Weyl's
+    inequality). The sampled phases are e^{i l t} for the computed t, each
+    within the relative 8 n u <= delta / 2 (the rounded product l t and the
+    rounded cos and sin).
+
+    With a = ``norm_X``, b = ``norm_X_inv`` (from one SVD of X),
+    c = ``cond``, r = ``resid``, e and e' the computed Frobenius norms of the
+    computed E and E', and h = 1 + theta with theta = 4 delta (1 + c) <= 1/4:
+    - ||X|| <= a / (1 - delta) <= a h, and ||X^-1|| = 1/s_min(X) <= b h,
+      since s_min(X) >= s_min - delta ||X|| with s_min the computed one;
+      so kappa = ||X|| ||X^-1|| <= K = c h^3.
+    - ||E|| <= e (1 + delta)^2 + delta ||X_inv|| ||X|| and
+      ||X_inv|| ||X|| <= (1 + ||E||) kappa, so ||E|| <= eps = (e + delta K) h^2
+      (delta K <= theta / 2); likewise ||E'|| <= eps' = (e' + delta K) h^2.
+      Then ||X_inv|| ||X|| <= y = (1 + eps) K.
+    - The computed R_j is within delta ||X|| (||N_j|| + 1) + 2 delta r of R_j,
+      so with the bound on ||N_j|| above, ||N_j|| <= m = (K + b h r) h and
+      ||R_j|| <= rho = r h + delta a h (m + 1).
+
+    Gauge. ||Y_t|| <= y for every t. A computed sample is within 3 delta y
+    of the exact Y_t of its computed t (two products, the phases), and its
+    computed norm at most (1 + delta) times its norm, so
+
+        G = y h^2 >= max(||Y_t||, sampled norm).
+
+    Commutator. The identity bounds the defect for every t by
+
+        D = eps m + (1 + eps) b h rho + (1 + eps) eps' K + (1 + eps)^2 K b h rho.
+
+    A computed sample differs from it by at most 10 delta (1 + y^2) m: 6 delta
+    y^2 m from the computed Y_t and Y'_t (within 3 delta y each, with
+    ||Y_t N_j|| <= y m), 2 delta y^2 m from the two products of the sample,
+    2 delta m from the rounded phase and its product with N_j, and
+    delta (1 + y^2) m from the subtraction; the terms of order delta^2 fit
+    in the coefficients, each rounded up. Its computed norm is at most
+    (1 + delta) times its norm, so
+
+        C = (D + 10 delta (1 + y^2) m) h^2 >= max(defect, sampled defect).
+
+    The last factor h in G and C covers the rounding of their own
+    evaluation: a few dozen operations on non-negative numbers, each within
+    the relative u, against theta > 7 delta >= 112 u (c >= 1 up to
+    rounding). So a computed bound within a gate's computed threshold proves
+    that every sampled value lies within it too.
+    """
+    n = len(X)
+    delta = 16 * n**3 * tuples._UNIT_ROUNDOFF
+    theta = 4.0 * delta * (1.0 + cond)
+    if not theta <= 0.25:  # refuses a non-finite cond as well
+        return np.inf, np.inf
+    I = np.eye(n)
+    e = float(np.linalg.norm(X_inv @ X - I))
+    e_ = float(np.linalg.norm(X @ X_inv - I))
+    h = 1.0 + theta
+    K = cond * h**3
+    eps = (e + delta * K) * h**2
+    eps_ = (e_ + delta * K) * h**2
+    y = (1.0 + eps) * K
+    bh = norm_X_inv * h
+    m = (K + bh * resid) * h
+    rho = resid * h + delta * norm_X * h * (m + 1.0)
+    D = eps * m + (1.0 + eps) * bh * rho + (1.0 + eps) * eps_ * K + (1.0 + eps) ** 2 * K * bh * rho
+    return y * h**2, (D + 10.0 * delta * (1.0 + y * y) * m) * h**2
+
+
 @dataclass(frozen=True)
 class NecessityReport:
+    """The outcome of ``necessity_check``.
+
+    ``gauge_norm_bound`` and ``gauge_commute_bound`` are the proved bounds
+    of ``_gauge_bounds``: they hold for every t. ``gauge_decided_by`` is
+    "proof" when they decide the gauge-norm and commutator gates, and
+    "samples" when the gates read the sampled values instead.
+    ``gauge_norm_max`` and ``gauge_commute_defect`` are the largest values
+    at the ``NECESSITY_GAUGE_SAMPLES`` sample points, measured on first read
+    (one stacked SVD each) unless the samples already decided.
+    """
+
     ok: bool
     cond: float
     intertwine_residual: float
@@ -457,9 +595,19 @@ class NecessityReport:
     worst_orbit_margin: float
     per_alpha: tuple
     gauge_ok: bool
-    gauge_norm_max: float
-    gauge_commute_defect: float
     gauge_fix_defect: float
+    gauge_norm_bound: float
+    gauge_commute_bound: float
+    gauge_decided_by: str
+    _samples: _GaugeSamples = field(repr=False, compare=False)
+
+    @property
+    def gauge_norm_max(self) -> float:
+        return self._samples.norm_max
+
+    @property
+    def gauge_commute_defect(self) -> float:
+        return self._samples.commute_defect
 
 
 def necessity_check(
@@ -474,6 +622,13 @@ def necessity_check(
     gauge Y_t = X^{-1} W_t X has norm at most cond(X), conjugates N to
     e^{it} N while fixing xi, and every surviving weighted orbit norm is
     at least 1 / cond(X)^2.
+
+    The gauge norm and the conjugation defect are decided for every t by
+    the bounds of ``_gauge_bounds``, read off the residual, the norms of X
+    and two products; only when a bound misses its gate do the gates read
+    the ``NECESSITY_GAUGE_SAMPLES`` sampled gauges instead. A bound bounds
+    the sampled value too, so the gates decide as the samples would. The
+    fixed-vector defect ||Y'_t xi - xi|| is always measured at the samples.
     """
     model = _model_on(N, generators)
     X = numerics.as_cmatrix(X)
@@ -510,20 +665,18 @@ def necessity_check(
         worst = min(worst, val - floor)
     orbit_ok = worst >= -NECESSITY_TOL
 
-    # every sample at once: one SVD call for the gauges Y_t, one for the
-    # commutator defects Y_t N_j Y_t^-1 - e^{it} N_j
-    ts = [2.0 * np.pi * k / NECESSITY_GAUGE_SAMPLES for k in range(NECESSITY_GAUGE_SAMPLES)]
     W = _gauge_stack(degrees)
-    Y = X_inv @ W @ X
     Y_inv = X_inv @ np.swapaxes(W.conj(), -1, -2) @ X
-    gauge_norm = float(numerics.operator_norms(Y).max())
-    phases = np.array([cmath.exp(1j * t) for t in ts])
-    D = Y[:, None] @ Ns[None] @ Y_inv[:, None] - phases[:, None, None, None] * Ns[None]
-    commute = float(numerics.operator_norms(D.reshape(-1, N.n, N.n)).max())
     fix = max(float(np.linalg.norm(Yi @ xi - xi)) for Yi in Y_inv)
+    samples = _GaugeSamples(X, X_inv, W, Ns, Y_inv)
+    norm_bound, commute_bound = _gauge_bounds(X, X_inv, norm_X, norm_X_inv, cond, resid)
+
+    def gates(norm, commute):
+        return norm <= cond * (1.0 + NECESSITY_TOL) and _within(commute, NECESSITY_TOL, max(1.0, cond), N)
+
+    proved = gates(norm_bound, commute_bound)
     gauge_ok = (
-        gauge_norm <= cond * (1.0 + NECESSITY_TOL)
-        and _within(commute, NECESSITY_TOL, max(1.0, cond), N)
+        (proved or gates(samples.norm_max, samples.commute_defect))
         and fix <= NECESSITY_TOL * max(1.0, cond)
     )
     return NecessityReport(
@@ -535,9 +688,11 @@ def necessity_check(
         worst_orbit_margin=float(worst),
         per_alpha=tuple(per_alpha),
         gauge_ok=bool(gauge_ok),
-        gauge_norm_max=gauge_norm,
-        gauge_commute_defect=commute,
         gauge_fix_defect=fix,
+        gauge_norm_bound=norm_bound,
+        gauge_commute_bound=commute_bound,
+        gauge_decided_by="proof" if proved else "samples",
+        _samples=samples,
     )
 
 

@@ -265,7 +265,12 @@ def test_nilsim_certificate(tuple_file, ideal_file, tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["bounds_hold"] is True
-    assert rep["result"]["necessity"]["ok"] is True
+    nec = rep["result"]["necessity"]
+    assert nec["ok"] is True
+    # the proved bounds decide, and they bound the sampled values
+    assert nec["gauge_decided_by"] == "proof"
+    assert nec["gauge_norm_max"] <= nec["gauge_norm_bound"] <= nec["cond"] * (1 + 1e-8)
+    assert nec["gauge_commute_defect"] <= nec["gauge_commute_bound"]
     assert rep["result"]["gamma"] <= rep["result"]["gamma_upper"]
     assert rep["result"]["bound_X"] <= rep["result"]["bound_X_certified"]
 

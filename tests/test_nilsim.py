@@ -2,11 +2,12 @@ import cmath
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
@@ -779,7 +780,7 @@ def _oracle_necessity(N, X, generators):
         and commute <= tol * scale * max(1.0, cond)
         and fix <= tol * max(1.0, cond)
     )
-    return nilsim.NecessityReport(
+    return types.SimpleNamespace(
         ok=bool(orbit_ok and gauge_ok),
         cond=cond,
         intertwine_residual=resid,
@@ -795,17 +796,94 @@ def _oracle_necessity(N, X, generators):
 
 
 def test_necessity_check_matches_the_per_sample_loop():
+    # every value the oracle computes, the two sampled values read lazily
+    # included; the report adds only the proved bounds and which check decided
+    added = {"gauge_norm_bound", "gauge_commute_bound", "gauge_decided_by", "_samples"}
+    lazy = {"gauge_norm_max", "gauge_commute_defect"}
+    fields = {f.name for f in dataclasses.fields(nilsim.NecessityReport)}
     for seed in range(20):
         N, xi, gens = _perturbed_input(seed)
         X = nilsim.build_similarity(N, xi, gens).X
         got = nilsim.necessity_check(N, X, gens)
-        want = _oracle_necessity(N, X, gens)
-        for f in dataclasses.fields(nilsim.NecessityReport):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), (seed, f.name)
-            else:
-                assert a == b, (seed, f.name)
+        assert set(vars(_oracle_necessity(N, X, gens))) == fields - added | lazy
+        assert got.gauge_decided_by == "proof"
+        _assert_matches_the_oracle(got, N, X, gens, seed)
+
+
+def _assert_matches_the_oracle(got, N, X, gens, where):
+    for name, b in vars(_oracle_necessity(N, X, gens)).items():
+        a = getattr(got, name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), (where, name)
+        else:
+            assert a == b, (where, name)
+
+
+@functools.lru_cache(maxsize=None)
+def _necessity_input(seed, twisted):
+    # a certified intertwiner X, or X (I + N_1 / 2): any X C with C an
+    # invertible polynomial in N intertwines as well, with a gauge that is
+    # not the model's
+    N, xi, gens = _perturbed_input(seed)
+    X = nilsim.build_similarity(N, xi, gens).X
+    if twisted:
+        X = X @ (np.eye(N.n) + 0.5 * N.matrices[0])
+    return N, X, gens, nilsim.necessity_check(N, X, gens)
+
+
+@given(st.integers(0, 39), st.booleans(), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_necessity_bounds_hold_between_the_samples(seed, twisted, t):
+    # the proved bounds hold for every t, not only on the sample grid
+    k = t * nilsim.NECESSITY_GAUGE_SAMPLES / (2.0 * math.pi)
+    assume(abs(k - round(k)) > 1e-3)
+    N, X, gens, rep = _necessity_input(seed, twisted)
+    assert rep.gauge_decided_by == "proof"
+    X_inv = numerics.inv(X)
+    W = models.gauge_unitary(models.monomial_model(gens, N.d), t)
+    Y, Y_inv = X_inv @ W @ X, X_inv @ W.conj().T @ X
+    assert numerics.operator_norm(Y) <= rep.gauge_norm_bound
+    for Nj in N.matrices:
+        assert numerics.operator_norm(Y @ Nj @ Y_inv - cmath.exp(1j * t) * Nj) <= rep.gauge_commute_bound
+
+
+@pytest.mark.parametrize("s", [0.03, 0.01])
+def test_necessity_check_falls_back_to_the_samples(s, lapack_counts):
+    # N = s Z on <x^3> with X = diag(s^-deg), cond 1/s^2: the commutator
+    # bound, of order n^3 u cond^3, misses its gate, so the sampled gauges
+    # decide in the call, as the per-sample oracle does
+    m = models.monomial_model([(3,)], 1)
+    N = tuples.validate([s * Z for Z in m.tuple.matrices])
+    X = np.diag([s ** -mi.degree(b) for b in m.basis_indices])
+    N.scale()  # the gates' fallback reads it; measured here, not counted
+    lapack_counts.clear()
+    rep = nilsim.necessity_check(N, X, [(3,)])
+    assert rep.gauge_decided_by == "samples"
+    assert rep.gauge_commute_bound > nilsim.NECESSITY_TOL * rep.cond
+    assert rep.ok and rep.gauge_ok
+    # ||X||, the residuals and the two sampled values
+    assert lapack_counts["svd"] == 4
+    lapack_counts.clear()
+    rep.gauge_norm_max, rep.gauge_commute_defect
+    assert lapack_counts["svd"] == 0
+    _assert_matches_the_oracle(rep, N, X, [(3,)], s)
+
+
+# Exact numbers of dense LAPACK calls made by necessity_check where its
+# bounds decide. While the gates always read the sampled gauges, one stacked
+# SVD for their norms and one for their commutators, it made svd 4.
+def test_necessity_check_lapack_calls(lapack_counts):
+    for seed in (0, 9):
+        N, X, gens, _ = _necessity_input(seed, False)
+        lapack_counts.clear()
+        rep = nilsim.necessity_check(N, X, gens)
+        assert rep.gauge_decided_by == "proof"
+        want = {"svd": 2, "eigh": 0, "eigvalsh": 0, "inv": 1}
+        assert {k: lapack_counts[k] for k in want} == want
+        # each sampled value is one stacked SVD, measured on first read only
+        for name in ("gauge_norm_max", "gauge_commute_defect"):
+            lapack_counts.clear()
+            assert getattr(rep, name) == getattr(rep, name)
+            assert lapack_counts["svd"] == 1
 
 
 def test_build_similarity_uses_the_hypotheses_xi_as_is():

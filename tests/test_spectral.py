@@ -557,3 +557,21 @@ def test_a_single_cluster_is_decomposed_by_the_identity(lapack_counts):
             (block,) = got.blocks
             assert all(np.array_equal(B, Tj) for B, Tj in zip(block.matrices, T.matrices))
     assert singles == 12
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+def test_idempotents_of_a_near_defective_pair_are_idempotent_of_rank_m(delta):
+    # eigenvalues 0 and delta of [[0, 1], [0, delta]] in a random unitary
+    # basis: each Riesz idempotent has norm about 1/delta, up to 1e7, and
+    # Q = Z' [I Y; 0 0] Z'* keeps Q^2 = Q and rank m within rounding
+    rng = np.random.default_rng(7)
+    W, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    T = tuples.validate([W @ np.array([[0.0, 1.0], [0.0, delta]]) @ W.conj().T])
+    spec = spectral.joint_eigenvalues(T, cluster_tol=delta / 10)
+    assert spec.multiplicities == (1, 1)
+    for p, m in zip(spec.points, spec.multiplicities):
+        Q = spectral.riesz_idempotent(T, p, spec)
+        s = np.linalg.svd(Q, compute_uv=False)
+        assert 0.5 / delta < s[0] < 2.0 / delta
+        assert np.linalg.norm(Q @ Q - Q, 2) <= spectral.IDEMPOTENT_TOL * s[0] ** 2
+        assert int((s > 0.5).sum()) == m
