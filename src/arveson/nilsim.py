@@ -507,7 +507,7 @@ def _gauge_bounds(X, X_inv, norm_X: float, norm_X_inv: float, cond: float, resid
     2-norm (|fl(AB) - AB| <= gamma_(n+2) |A| |B| for complex data, and
     || |A| ||_2 <= ||A||_F <= sqrt(n) ||A||_2; Higham, *Accuracy and
     Stability of Numerical Algorithms*, sections 3.5-3.6), a computed sum
-    or difference within delta of its norm, a computed Frobenius norm
+    or difference within delta times its norm, a computed Frobenius norm
     within the relative delta, and each computed singular value within
     delta ||A|| of the exact one (backward stability and Weyl's
     inequality). The sampled phases are e^{i l t} for the computed t, each
