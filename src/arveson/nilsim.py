@@ -117,11 +117,19 @@ def _layer_gauge(B: np.ndarray, labels: tuple, B_inv: np.ndarray, t: float) -> n
     return (B * phases) @ B_inv
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector with the arithmetic of
+    ``np.linalg.norm`` (the dots of its real and imaginary parts), without
+    its dispatch, which costs twice the dots on the short vectors here."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _require_unit(xi, n: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.size != n:
         raise InputError(f"vector has size {xi.size}, expected {n}")
-    nrm = float(np.linalg.norm(xi))
+    nrm = _norm(xi)
     if not abs(nrm - 1.0) <= 1e-9:  # refuses a non-finite norm as well
         raise InputError(f"cyclic vector must be a unit vector, got norm {nrm:.6g}")
     return xi / nrm
@@ -210,7 +218,7 @@ def check_hypotheses(
             if fro <= tol or (fro <= tol * root_n and numerics.operator_norm(stack[i]) <= tol):
                 continue
             support.append(keys[i])
-            eps = max(eps, 1.0 - weights[keys[i]] * float(np.linalg.norm(vecs[i])) ** 2)
+            eps = max(eps, 1.0 - weights[keys[i]] * _norm(vecs[i]) ** 2)
     eps = max(eps, 0.0)
     L = max(mi.degree(a) for a in support)
 
@@ -447,14 +455,6 @@ def _gauge_stack(degrees: list) -> np.ndarray:
     W = np.zeros((NECESSITY_GAUGE_SAMPLES, n * n), dtype=complex)
     W[:, :: n + 1] = _phases(NECESSITY_GAUGE_SAMPLES, degrees[-1])[:, degrees]
     return W.reshape(-1, n, n)
-
-
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a complex vector with the arithmetic of
-    ``np.linalg.norm`` (the dots of its real and imaginary parts), without
-    its dispatch, which costs twice the dots on the short vectors here."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 @dataclass(frozen=True, eq=False)

@@ -795,28 +795,28 @@ def _oracle_necessity(N, X, generators):
     )
 
 
-def test_necessity_check_matches_the_per_sample_loop():
+def _assert_matches_the_oracle(got, N, X, gens, where):
     # every value the oracle computes, the two sampled values read lazily
     # included; the report adds only the proved bounds and which check decided
+    want = vars(_oracle_necessity(N, X, gens))
     added = {"gauge_norm_bound", "gauge_commute_bound", "gauge_decided_by", "_samples"}
     lazy = {"gauge_norm_max", "gauge_commute_defect"}
-    fields = {f.name for f in dataclasses.fields(nilsim.NecessityReport)}
-    for seed in range(20):
-        N, xi, gens = _perturbed_input(seed)
-        X = nilsim.build_similarity(N, xi, gens).X
-        got = nilsim.necessity_check(N, X, gens)
-        assert set(vars(_oracle_necessity(N, X, gens))) == fields - added | lazy
-        assert got.gauge_decided_by == "proof"
-        _assert_matches_the_oracle(got, N, X, gens, seed)
-
-
-def _assert_matches_the_oracle(got, N, X, gens, where):
-    for name, b in vars(_oracle_necessity(N, X, gens)).items():
+    assert set(want) == {f.name for f in dataclasses.fields(got)} - added | lazy
+    for name, b in want.items():
         a = getattr(got, name)
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b), (where, name)
         else:
             assert a == b, (where, name)
+
+
+def test_necessity_check_matches_the_per_sample_loop():
+    for seed in range(20):
+        N, xi, gens = _perturbed_input(seed)
+        X = nilsim.build_similarity(N, xi, gens).X
+        got = nilsim.necessity_check(N, X, gens)
+        assert got.gauge_decided_by == "proof"
+        _assert_matches_the_oracle(got, N, X, gens, seed)
 
 
 @functools.lru_cache(maxsize=None)
