@@ -55,8 +55,11 @@ class NilsimHypotheses:
     gamma is the norm of the layer gauge Y_t = B diag(e^{i l t}) B^-1
     maximized over the ``GAMMA_GRID`` points t_k = 2 pi k / M (M =
     ``GAMMA_GRID``), available only when the homogeneous layers span
-    directly; with orthonormal layers it is exactly 1. A grid maximum is an
-    estimate from below of the supremum gamma* = sup_t ||Y_t||.
+    directly; with orthonormal layers it is exactly 1. The gauges of
+    (pi, 2pi) whose norm a proved bound puts below the maximum over [0, pi]
+    are not factored (``_grid_gamma``), which leaves the maximum unchanged
+    to the last bit. A grid maximum is an estimate from below of the
+    supremum gamma* = sup_t ||Y_t||.
 
     ``gamma_upper`` is a proved upper bound on gamma*. Fix unit vectors u,
     v and let Lmax be the top layer label. f(t) = u^* Y_t v is a
@@ -91,7 +94,8 @@ class NilsimHypotheses:
     _layer_labels: tuple = field(default=(), repr=False)
     _layer_basis_inv: np.ndarray | None = field(default=None, repr=False)
     # {alpha: N^alpha xi} over the degrees up to the first one at which every
-    # power vanishes identically
+    # power vanishes identically, or below the first one proved to bound
+    # every deeper power by tol (``check_hypotheses``)
     _orbit: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -164,6 +168,134 @@ def _phases(samples: int, top: int) -> np.ndarray:
     return table
 
 
+def _proved_dead(top: float, S: float, n: int, ell: int, floor: float) -> bool:
+    """Whether every power of degree ell + 1 .. n that the walk of
+    ``check_hypotheses`` would compute (``tuples._levels`` up to degree
+    n - 1, then each N_j N_j^(n-1) of ``_require_nilpotent``) is proved to
+    have computed Frobenius norm at most ``floor``, given that the computed
+    Frobenius norms of degree ell are at most ``top`` and
+    S = max(1, max_j fl(||N_j||_F)).
+
+    Proof. Let u be the unit roundoff and delta = 16 n^3 u the room of
+    ``tuples.CommutingTuple``. A computed Frobenius norm is within the
+    relative (n^2 + 2) u <= delta of the exact one, up to the squares and
+    sums that underflow, which move the sum of squares by at most
+    n^2 2^-1073 in all and so the norm by at most n 2^-536. Hence
+    ||N_j||_2 <= ||N_j||_F <= (1 + delta) S, and each computed power of
+    degree ell has ||P||_F <= (1 + delta)(top + n 2^-536). A power of
+    degree m + 1 is computed as fl(N_j P) from a computed P of degree m,
+    with |fl(N_j P) - N_j P| <= 2 gamma_(n+2) |N_j| |P| <= delta |N_j| |P|
+    entrywise for complex data (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.6), and || |N_j| |P| ||_F <=
+    ||N_j||_F ||P||_F, so ||fl(N_j P)||_F <= (1 + delta)^2 S ||P||_F. By
+    induction a computed power of degree ell + k has Frobenius norm at most
+    (1 + delta)^(2k + 1) (top + n 2^-536) S^k, and computed Frobenius norm at
+    most (1 + delta)^(2k + 2) (top + n 2^-535) S^k, which for S >= 1 and
+    k <= n - ell is at most (1 + delta)^(2n + 2) (top + n 2^-535) S^(n - ell).
+    The test value is 2 (top + n 2^-535) S^(n - ell) rounded by at most
+    n + 1 operations, so it is at least (1 - u)^(n + 1) times its exact
+    value. When (2n + 2) delta <= 1/2, (1 + delta)^(2n + 2) <= e^(1/2) <
+    1.65 <= 2 (1 - u)^(n + 1), so a test value at most ``floor`` bounds
+    every one of those computed norms by ``floor``. The check costs one
+    product per degree left; a product that overflows decides nothing.
+    """
+    if (2 * n + 2) * 16 * n**3 * tuples._UNIT_ROUNDOFF > 0.5:
+        return False
+    return 2.0 * (top + n * 2.0**-535) * math.prod([S] * (n - ell)) <= floor
+
+
+def _grid_gamma(B: np.ndarray, B_inv: np.ndarray, labels: tuple) -> float:
+    """max_k fl(||W_k||) over the M = ``GAMMA_GRID`` computed gauges
+    W_k = fl(fl(B P_k) B_inv), P_k = diag(e^{i l t_k}) the computed phases
+    of t_k = 2 pi k / M, bit for bit, from one stacked SVD of W_0 .. W_(M/2)
+    (t in [0, pi]) and one more of only the W_k' (k' > M/2) that
+    ``_paired_below`` cannot put under g, the computed maximum of the first
+    half. Every gauge whose computed norm reaches g is factored, so the
+    maximum is over a subset that holds the maximizer: the same float as
+    over all M.
+    """
+    half = GAMMA_GRID // 2
+    phases = _phases(GAMMA_GRID, labels[-1])[:, list(labels)]
+    W = (B[None] * phases[:, None, :]) @ B_inv
+    s = numerics.singular_values(W[: half + 1])
+    gamma = float(s[:, 0].max())
+    rest = np.flatnonzero(~_paired_below(B, B_inv, s, gamma)) + half + 1
+    if rest.size:
+        gamma = max(gamma, float(numerics.operator_norms(W[rest]).max()))
+    return gamma
+
+
+def _paired_below(B: np.ndarray, B_inv: np.ndarray, s: np.ndarray, g: float) -> np.ndarray:
+    """For k' = M/2 + 1 .. M - 1 (M = ``GAMMA_GRID``), whether the computed
+    norm of the gauge W_k' of ``_grid_gamma`` is proved to be below g, from
+    ``s``, the computed singular values of W_0 .. W_(M/2). A NaN proves
+    nothing.
+
+    Pairing. t -> Y_t = B diag(e^{i l t}) B^-1 is a group action and
+    t_(M-k) = -t_k modulo 2 pi, so ||Y_(t_k')|| = 1/s_min(Y_(t_p)) with
+    p = M - k'. For the computed factors let V_k = B P_k B_inv exactly,
+    E = B_inv B - I, E' = B B_inv - I and Phi = P_k' P_p - I, so that
+
+        V_k' V_p = I + F,   F = E' + B Phi B_inv + B P_k' E P_p B_inv,
+
+    and ||V_k'|| <= (1 + ||F||) / s_min(V_p) wherever s_min(V_p) > 0.
+
+    Rounding. The gauges are formed only for n >= 2 (a 1 x 1 layer basis
+    is a unit vector), so delta = 16 n^3 u >= 128 u, with u the unit
+    roundoff; delta is the room of ``tuples.CommutingTuple``, used as in
+    ``_gauge_bounds``: a computed product of n x n matrices is within
+    delta ||A|| ||B|| of AB, a computed Frobenius norm within the relative
+    delta (underflow moves it by far less than delta^2), and each computed
+    singular value of A within delta ||A|| of the exact one. t_k =
+    fl(fl(2 fl(pi) k) / M) is within the relative 2u of 2 pi k / M, the
+    angle fl(l t_k) within 19 n u of 2 pi l k / M (l <= n - 1), and
+    cmath.exp returns its cosine and sine, each within an ulp: every
+    computed phase is within 22 n u of e^{2 pi i l k / M}, so |p| <= 1 + delta
+    and |Phi_ll| <= 45 n u <= delta. With the computed Frobenius norms b of
+    B, b' of B_inv, e of the computed E and e' of the computed E', and
+    h = 1 + delta:
+    - kappa = b b' h >= ||B||_F ||B_inv||_F >= ||B|| ||B_inv||;
+    - ||E|| <= eps = (e + delta kappa) h^2, ||E'|| <= eps' likewise (the
+      product within delta kappa, the difference and its norm within the
+      relative u and delta);
+    - ||F|| <= f = eps' + delta kappa + h^2 kappa eps;
+    - ||W_k - V_k|| <= eta = 2 delta kappa: fl(B P_k) is within the
+      relative 3u of B P_k entrywise, and the product adds
+      delta ||fl(B P_k)|| ||B_inv||;
+    - with s_p and S_p the computed extreme singular values of W_p,
+      ||W_p|| <= S_p / (1 - delta), so
+      s_min(V_p) >= d = s_p - delta S_p / (1 - delta) - eta;
+    - for d > 0 the computed ||W_k'|| is at most
+      h (||V_k'|| + eta) <= h ((1 + f) / d + eta).
+
+    So fl(||W_k'||) < g whenever d > 0 and 1 + f < d q with
+    q = g / h - eta. The test takes den = fl(s_p - 2 (delta S_p + eta)),
+    at most d when positive (its subtrahend exceeds the exact one by more
+    than 0.9 delta S_p >= u s_p, the rounding of the difference), and
+    q_c = fl(g (1 - 2 delta) - 2 eta), at most q when positive, and passes
+    when q_c > 0 and fl(den q_c) > fl((1 + f) h) for the computed f. Then
+    den > 0, fl(den q_c) <= (1 + u) d q, and the factor h >= 1 + 128 u
+    covers the rounding of (1 + f) h, a dozen operations on non-negative
+    numbers each within the relative u: d q > 1 + f.
+    """
+    n = len(B)
+    delta = 16 * n**3 * tuples._UNIT_ROUNDOFF
+    h = 1.0 + delta
+    I = np.eye(n)
+    kappa = _norm(B.ravel()) * _norm(B_inv.ravel()) * h
+    eps = (_norm((B_inv @ B - I).ravel()) + delta * kappa) * h * h
+    eps_ = (_norm((B @ B_inv - I).ravel()) + delta * kappa) * h * h
+    f = eps_ + delta * kappa + h * h * kappa * eps
+    eta = 2.0 * delta * kappa
+    q = g * (1.0 - 2.0 * delta) - 2.0 * eta
+    # the partners M - k' of k' = M/2 + 1 .. M - 1 are M/2 - 1 .. 1
+    pair = s[GAMMA_GRID // 2 - 1 : 0 : -1]
+    if not q > 0.0:
+        return np.zeros(len(pair), dtype=bool)
+    den = pair[:, -1] - 2.0 * (delta * pair[:, 0] + eta)
+    return den * q > (1.0 + f) * h
+
+
 def check_hypotheses(
     N: tuples.CommutingTuple,
     xi,
@@ -173,24 +305,53 @@ def check_hypotheses(
 
     The powers N^alpha come one degree at a time from ``tuples._levels``,
     as one stack per degree over the degrees 0..n-1, walked right after the
-    commuting gate. If every power of some degree vanishes identically, so
-    does every N_j^n, and the nilpotency gate is read from the walk; otherwise
-    ``_require_nilpotent`` takes each N_j^n as N_j times the N_j^(n-1) of the
-    walk's last degree. The orbit vectors N^alpha xi are kept for the
-    correspondence. gamma is the largest gauge norm on a grid over
-    [0, 2pi) (one stacked SVD), and gamma_upper the bound that grid
-    certifies (see ``NilsimHypotheses``); for orthonormal layers gamma is
-    exactly 1. When the layers fail to span directly the gauge is reported
-    as unavailable, not estimated.
+    commuting gate, with the Frobenius norms of each degree, which the
+    support reads as well. The walk ends early in two ways:
+    - at a degree whose powers all vanish identically (kept, as zeros): so
+      do all deeper powers and every N_j^n;
+    - at the first degree ell whose computed Frobenius norms are all at
+      most tol and for which ``_proved_dead`` proves that every deeper
+      computed power, each N_j^n of the nilpotency gate included, has
+      computed Frobenius norm at most min(tol, ``NILPOTENT_RTOL``) (degree
+      ell is not kept). No such power could enter the support, whose rule
+      skips a Frobenius norm at most tol, or fail the nilpotency gate, whose
+      threshold is at least ``NILPOTENT_RTOL``; so the support, epsilon and
+      the verdict are those of the walk over every degree below n.
+    The bound S of that proof is formed only at a degree whose norms are
+    all at most tol, so a walk that dies exactly, as on every exact model,
+    pays nothing for it. Only a walk alive at degree n - 1 runs
+    ``_require_nilpotent``, which takes each N_j^n as N_j times the
+    N_j^(n-1) of that degree.
+
+    The orbit vectors N^alpha xi of the kept degrees are kept for the
+    correspondence. A stopping degree lies past L, since degree L holds a
+    support power, whose Frobenius norm exceeds tol; a model basis index at
+    or past it gets a zero column in the correspondence, as one past a
+    vanishing degree does.
+
+    gamma is the largest gauge norm on a grid over [0, 2pi): one stacked
+    SVD over [0, pi] and one over the gauges of (pi, 2pi) that the pairing
+    Y_(-t) = Y_t^-1 cannot bound below the first maximum (``_grid_gamma``),
+    and gamma_upper the bound that grid certifies (see
+    ``NilsimHypotheses``); for orthonormal layers gamma is exactly 1. When
+    the layers fail to span directly the gauge is reported as unavailable,
+    not estimated.
     """
     N.require_commuting(tol)
-    levels = []
-    for _, level in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
-        levels.append(level)
-        if not level[1].any():
+    levels = []  # (keys, stack, Frobenius norms) per degree
+    S = None
+    for ell, (keys, stack) in zip(range(N.n), tuples._levels(N, np.eye(N.n, dtype=complex))):
+        fros = np.linalg.norm(stack, axis=(1, 2)).tolist()
+        if not stack.any():
+            levels.append((keys, stack, fros))
             break  # all deeper powers are products with these and vanish too
+        if all(f <= tol for f in fros):
+            S = S or tuples._frobenius_bound(N)
+            if _proved_dead(max(fros), S, N.n, ell, min(tol, NILPOTENT_RTOL)):
+                break  # every deeper computed power is below tol (docstring)
+        levels.append((keys, stack, fros))
     else:
-        _require_nilpotent(N, levels[-1])
+        _require_nilpotent(N, levels[-1][:2])
     if not N.is_row_contraction(tol):
         raise ValidationError(
             f"row contraction defect {N.row_defect:.3e} exceeds tolerance"
@@ -207,13 +368,12 @@ def check_hypotheses(
     orbit = {}
     eps = 0.0
     root_n = math.sqrt(N.n)
-    for ell, (keys, stack) in enumerate(levels):
+    for ell, (keys, stack, fros) in enumerate(levels):
         vecs = stack @ xi
         orbit.update(zip(keys, vecs))
         weights = tuples._weight_table(N.d, ell)
         # Frobenius norms, only compared with tol: they dominate the
         # spectral norms
-        fros = np.linalg.norm(stack, axis=(1, 2)).tolist()
         for i, fro in enumerate(fros):
             if fro <= tol or (fro <= tol * root_n and numerics.operator_norm(stack[i]) <= tol):
                 continue
@@ -243,9 +403,7 @@ def check_hypotheses(
             B_inv = layer_basis.conj().T
         else:
             B_inv = numerics.inv(layer_basis)
-            phases = _phases(GAMMA_GRID, labels[-1])[:, list(labels)]
-            W = (layer_basis[None] * phases[:, None, :]) @ B_inv
-            gamma = float(numerics.operator_norms(W).max())
+            gamma = _grid_gamma(layer_basis, B_inv, labels)
             # between grid points the gauge norm moves by at most
             # (pi / M)(Lmax / 2) gamma* (Bernstein); the labels end at Lmax
             drift = np.pi * labels[-1] / (2.0 * GAMMA_GRID)

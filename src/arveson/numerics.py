@@ -11,11 +11,11 @@ Every SVD (:func:`_svd`), of one matrix or of a stack, calls the LAPACK
 gufuncs that ``np.linalg.svd`` calls, without its dispatch, which costs as
 much as the SVD on the few-row matrices certificates make by the thousand;
 so a stack entry equals the SVD of its matrix bit for bit
-(:func:`operator_norms`). The ``ztrsen`` (:func:`reorder_schur`) and
-``ztrsyl`` (:func:`triangular_sylvester`) handles are bound here too, the one
-home of ``scipy.linalg.lapack``: the reorder gives the spectral subspaces of
-``spectral.jordan_decompose``, and the Sylvester solve serves only
-``spectral.riesz_idempotent``. Hermitian eigenvalues that a gate compares
+(:func:`singular_values`, :func:`operator_norms`). The ``ztrsen``
+(:func:`reorder_schur`) and ``ztrsyl`` (:func:`triangular_sylvester`)
+handles are bound here too, the one home of ``scipy.linalg.lapack``: the
+reorder gives the spectral subspaces of ``spectral.jordan_decompose``, and
+the Sylvester solve serves only ``spectral.riesz_idempotent``. Hermitian eigenvalues that a gate compares
 come from :func:`largest_eigenvalue`, Hermitian eigensolves from
 :func:`hermitian_part_eig`.
 """
@@ -88,11 +88,18 @@ def operator_norm(a) -> float:
     return float(_svd(a)[0])
 
 
+def singular_values(stack) -> np.ndarray:
+    """The singular values (descending, one row per matrix) of each matrix
+    of a nonempty k x m x n stack, from one stacked SVD; row i equals the
+    values of ``stack[i]`` alone bit for bit."""
+    return _svd(np.asarray(stack, dtype=complex))
+
+
 def operator_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a nonempty k x m x n stack,
     from one stacked SVD; entry i equals ``operator_norm(stack[i])`` bit for
     bit."""
-    return _svd(np.asarray(stack, dtype=complex))[:, 0]
+    return singular_values(stack)[:, 0]
 
 
 def _hermitian_part(a) -> np.ndarray:

@@ -90,7 +90,14 @@ class CommutingTuple:
     @functools.cached_property
     def row_defect(self) -> float:
         """How far ||sum T_j T_j^*|| exceeds 1 (0 for a row contraction)."""
-        return max(0.0, numerics.largest_eigenvalue(self._gram()) - 1.0)
+        return _row_defect(self._gram())
+
+    @functools.cached_property
+    def _commutator_fro(self) -> float:
+        """Largest computed Frobenius norm of a commutator, which the
+        commuting screen compares: 0 for d = 1, inf when one is NaN."""
+        squares = (float(np.vdot(C, C).real) for C in self._commutators())
+        return math.sqrt(max((s if s == s else math.inf for s in squares), default=0.0))
 
     @functools.cached_property
     def norms(self) -> tuple:
@@ -112,11 +119,16 @@ class CommutingTuple:
         computed top eigenvalue is then at most (1 + tol/2)(1 + delta), and
         the defect fl(lambda - 1) at most tol/2 + (1 + tol/2) delta <= tol,
         with delta <= 16 n^3 u the total rounding of the class docstring.
+        A screen that cannot decide hands its G to the eigensolve, which
+        stores ``row_defect``: G is formed once.
         """
         if "row_defect" not in self.__dict__ and self._screens(tol):
-            a = np.abs(self._gram())
+            G = self._gram()
+            a = np.abs(G)
             if max(np.add.reduce(a, 0).max(), np.add.reduce(a, 1).max()) <= 1.0 + tol / 2:
                 return True
+            # the measurement reads this G, as a cached_property would store it
+            self.__dict__["row_defect"] = _row_defect(G)
         return self.row_defect <= tol
 
     def require_commuting(self, tol: float = numerics.DEFAULT_TOL) -> None:
@@ -130,9 +142,11 @@ class CommutingTuple:
         so neither the defect nor the norms are measured. Squares that
         underflow move the computed sum of squares by at most n^2 2^-1074 in
         all, far below (tol/2)^2 >= (16 n^3 u)^2, so they do not disturb it.
+        The largest computed Frobenius norm is cached on the tuple, like
+        ``norms``, so a tuple gated again forms no commutator.
         """
         if "commutator_defect" not in self.__dict__ and self._screens(tol):
-            if all(math.sqrt(np.vdot(C, C).real) <= tol / 2 for C in self._commutators()):
+            if self._commutator_fro <= tol / 2:
                 return
         bound = tol * max(1.0, self.scale()) ** 2
         if self.commutator_defect > bound:
@@ -147,6 +161,16 @@ class CommutingTuple:
             f"commutator_defect={self.commutator_defect:.2e}, "
             f"row_defect={self.row_defect:.2e})"
         )
+
+
+def _row_defect(G: np.ndarray) -> float:
+    return max(0.0, numerics.largest_eigenvalue(G) - 1.0)
+
+
+def _frobenius_bound(T: CommutingTuple) -> float:
+    """max(1, max_j fl(||T_j||_F)), a bound on every ||T_j||_2 up to the
+    rounding room of ``CommutingTuple``, without a factorization."""
+    return max(1.0, math.sqrt(max(np.vdot(M, M).real for M in T.matrices)))
 
 
 def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
@@ -261,7 +285,7 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     all_cols = []
     a = 1e-13 * float(np.linalg.norm(xi))
     # the screen of the docstring, unless the norms are measured already
-    S = None if "norms" in T.__dict__ else max(1.0, math.sqrt(max(np.vdot(M, M).real for M in T.matrices)))
+    S = None if "norms" in T.__dict__ else _frobenius_bound(T)
     reach = 0.5 / ((16 * T.n**3 + 2) * _UNIT_ROUNDOFF)
     P = 1.0
     # the dead-layer break below means nothing past the first dead layer is

@@ -1,13 +1,16 @@
 import cmath
 import dataclasses
 import functools
+import importlib.util
 import math
+import pathlib
+import sys
 import types
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import models, multiindex as mi, nilsim, numerics, repro, tuples
@@ -17,6 +20,7 @@ from test_acceptance import _downset_family, _lemma_draws, _perturbed_input, _st
 from test_tuples import _oracle_power_cache
 
 SQUARE = [(2, 0), (1, 1), (0, 2)]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def square_model():
@@ -719,9 +723,23 @@ def test_lemma_checks_reads_the_hypotheses_of_the_callers_vector(monkeypatch):
     assert moved > 0
 
 
+def _walk_end(N, cache, tol=1e-9):
+    # the last degree the walk keeps: the first whose powers all vanish, or
+    # the one before the first whose norms, grown by S = max(1, ||N_j||_F)
+    # per degree left, stay below tol / 2
+    S = max(1.0, max(float(np.linalg.norm(M)) for M in N.matrices))
+    for ell in range(N.n):
+        fros = [float(np.linalg.norm(cache[a])) for a in mi._homogeneous(N.d, ell)]
+        if not any(fros):
+            return ell
+        if 2.0 * max(fros) * S ** (N.n - ell) <= tol:
+            return ell - 1
+    return N.n - 1
+
+
 def test_check_hypotheses_orbit_matches_per_index_products():
     # the orbit N^alpha xi kept for the correspondence, against one product
-    # per index, over the degrees the walk reaches
+    # per index, over the degrees the walk keeps
     cases = [_perturbed_input(seed)[:2] for seed in range(10)]
     for gens, d in (([(3, 0), (0, 2)], 2), (SQUARE, 2), ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 3)):
         m = models.monomial_model(gens, d)
@@ -729,8 +747,7 @@ def test_check_hypotheses_orbit_matches_per_index_products():
     for N, xi in cases:
         h = nilsim.check_hypotheses(N, xi)
         cache = _oracle_power_cache(N, N.n - 1)
-        dead = [ell for ell in range(N.n) if not any(cache[a].any() for a in mi._homogeneous(N.d, ell))]
-        top = min(dead, default=N.n - 1)
+        top = _walk_end(N, cache)
         want = {a: cache[a] @ h.xi for a in cache if mi.degree(a) <= top}
         assert list(h._orbit) == list(want)
         assert all(np.array_equal(h._orbit[a], want[a]) for a in want)
@@ -930,3 +947,159 @@ def test_build_similarity_grid_branch_lapack_calls(lapack_counts):
 def test_within_decides_as_the_measured_gate(value, tol, factor, scale):
     N = tuples.validate([scale * np.eye(2, dtype=complex)])
     assert nilsim._within(value, tol, factor, N) == (value <= tol * max(1.0, N.scale()) * factor)
+
+
+def _conjugated_inputs():
+    return [_perturbed_input(seed) for seed in range(8, 40)]
+
+
+def test_walk_stops_after_the_top_degree_of_a_conjugated_tuple(monkeypatch):
+    # the powers past degree L of a conjugated staircase are roundoff; when
+    # degree L + 1 is below n, the walk computes it, proves every deeper
+    # power below tol and stops, without the nilpotency gate on N_j^n
+    inputs = _conjugated_inputs()
+    reached, gates = [], []
+
+    def levels(T, start, _orig=tuples._levels):
+        # the walk over the powers themselves, not krylov's over the orbit
+        for ell, level in enumerate(_orig(T, start)):
+            if start.shape[1] == T.n:
+                reached.append(ell)
+            yield level
+
+    def gate(*args, _orig=nilsim._require_nilpotent, **kwargs):
+        gates.append(1)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(tuples, "_levels", levels)
+    monkeypatch.setattr(nilsim, "_require_nilpotent", gate)
+    stopped = 0
+    for N, xi, _ in inputs:
+        reached.clear()
+        gates.clear()
+        h = nilsim.check_hypotheses(N, xi)
+        assert max(map(mi.degree, h._orbit)) == h.L
+        if h.L + 1 < N.n:
+            assert (reached[-1], gates) == (h.L + 1, [])
+            stopped += 1
+        else:
+            assert (reached[-1], gates) == (N.n - 1, [1])
+    assert stopped == 16
+
+
+def test_wrong_ideal_reaching_the_stopping_degree_keeps_its_refusal():
+    # a conjugated <x^2, xy, y^2> (L = 1) against the same-dimension wrong
+    # ideal <x^3, y>: its basis index x^2 sits at the degree where the walk
+    # stops. The refusal was pinned before the walk stopped there, when the
+    # column of x^2 was the roundoff vector N^(2,0) xi
+    N, xi, gens = _perturbed_input(9)
+    assert gens == SQUARE
+    h = nilsim.check_hypotheses(N, xi)
+    assert h.L == 1 and max(map(mi.degree, h._orbit)) == 1
+    assert models.monomial_model([(3, 0), (0, 1)], 2).basis_indices[-1] == (2, 0)
+    with pytest.raises(ValidationError) as got:
+        nilsim.build_similarity(N, xi, [(3, 0), (0, 1)])
+    assert str(got.value) == "the weighted orbit over the model basis is not a basis: its matrix is singular"
+
+
+def _grid(B, B_inv, labels):
+    # every gauge of the grid, as _grid_gamma forms them
+    phases = nilsim._phases(nilsim.GAMMA_GRID, labels[-1])[:, list(labels)]
+    return (B[None] * phases[:, None, :]) @ B_inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.floats(-3.0, 0.5),
+)
+def test_pairing_bound_dominates_the_computed_norms(seed, dims, log_spread):
+    # a layer basis B with columns labelled by their layer: at the threshold
+    # g = fl(||W_k'||) itself the screen must not put W_k' below g
+    n = sum(dims)
+    assume(n >= 2)
+    labels = tuple(ell for ell, k in enumerate(dims) for _ in range(k))
+    rng = np.random.default_rng(seed)
+    B = np.eye(n) + 10**log_spread * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    B_inv = numerics.inv(B)
+    s = numerics.singular_values(_grid(B, B_inv, labels))
+    half = nilsim.GAMMA_GRID // 2
+    for k in range(half + 1, nilsim.GAMMA_GRID):
+        g = float(s[k, 0])
+        assert not nilsim._paired_below(B, B_inv, s[: half + 1], g)[k - half - 1], k
+        # and the bound is close to the norm it bounds on these inputs
+        if numerics.cond(B) < 1e3:
+            assert nilsim._paired_below(B, B_inv, s[: half + 1], g * (1.0 + 1e-6))[k - half - 1], k
+
+
+def test_ill_conditioned_layers_factor_every_gauge():
+    # cond(B) = 1e13: the SVD room delta ||W_p|| and the product room
+    # 2 delta kappa swamp s_min(W_p), so no denominator is positive and no
+    # gauge is ruled out, however large the threshold
+    rng = np.random.default_rng(5)
+    n = 4
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    B = U @ np.diag(np.logspace(0, -13, n)) @ V.conj().T
+    B_inv = numerics.inv(B)
+    labels = (0, 1, 1, 2)
+    s = numerics.singular_values(_grid(B, B_inv, labels))
+    half = nilsim.GAMMA_GRID // 2
+    assert not nilsim._paired_below(B, B_inv, s[: half + 1], 1e300).any()
+    assert nilsim._grid_gamma(B, B_inv, labels) == float(s[:, 0].max())
+
+
+def _bench_perturbed_inputs():
+    # the (N, xi, gens) of the perturbed items of the benchmark's
+    # certify-staircases workload at its seeds 1 and 3 and its holdout seed
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve their annotations there
+    spec.loader.exec_module(workloads)
+    inputs = []
+    orig = workloads._perturbed_item
+    workloads._perturbed_item = lambda N, xi, gens: inputs.append((N, xi, gens)) or orig(N, xi, gens)
+    for seed in (1, 3, 20261017):
+        workloads.certify_staircases(seed)
+    return inputs
+
+
+def test_grid_gamma_is_the_maximum_over_every_gauge(monkeypatch):
+    # bit for bit the maximum over all GAMMA_GRID gauges; the first half is
+    # one stacked SVD of 33 gauges, the second only the gauges the pairing
+    # bound leaves, among them every one whose norm reaches the first maximum
+    stacks = []
+
+    def svd(a, *args, _orig=numerics._svd, **kwargs):
+        stacks.append(a.shape[0] if a.ndim == 3 else 1)
+        return _orig(a, *args, **kwargs)
+
+    inputs = [case[:2] for case in _perturbed_input_all()] + [case[:2] for case in _bench_perturbed_inputs()]
+    assert len(inputs) == 40 + 120
+    half = nilsim.GAMMA_GRID // 2
+    grids = extra = 0
+    for N, xi in inputs:
+        h = nilsim.check_hypotheses(N, xi)
+        if h.gamma == 1.0:
+            continue  # orthonormal layers: no grid
+        B, B_inv, labels = h._layer_basis, h._layer_basis_inv, h._layer_labels
+        s = numerics.singular_values(_grid(B, B_inv, labels))
+        assert h.gamma == float(s[:, 0].max())
+        monkeypatch.setattr(numerics, "_svd", svd)
+        stacks.clear()
+        assert nilsim._grid_gamma(B, B_inv, labels) == h.gamma
+        monkeypatch.undo()
+        g = float(s[: half + 1, 0].max())
+        must = int((s[half + 1 :, 0] >= g).sum())
+        assert stacks[0] == half + 1
+        assert sum(stacks[1:]) == int((~nilsim._paired_below(B, B_inv, s[: half + 1], g)).sum()) >= must
+        grids += 1
+        extra += sum(stacks[1:])
+    assert grids == 32 + 60
+    # on average a handful of the 31 gauges of (pi, 2pi) are factored
+    assert extra <= 8 * grids
+
+
+def _perturbed_input_all():
+    return [_perturbed_input(seed) for seed in range(40)]

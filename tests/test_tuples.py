@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from arveson import models, multiindex as mi, numerics, spectral, tuples
+from arveson import models, multiindex as mi, numerics, repro, spectral, tuples
 from arveson.errors import InputError, ValidationError
 from arveson.polynomials import Polynomial
 from oracles import hermitian_eig
@@ -419,3 +419,52 @@ def test_krylov_screen_decides_as_the_measured_threshold(k):
     assert got.basis.tobytes() == want.basis.tobytes()
     # past the screen's threshold no layer needs the norms
     assert ("norms" in fresh.__dict__) == (k <= 2)
+
+
+def test_row_contraction_gate_forms_the_gram_once(monkeypatch, lapack_counts):
+    # on R(t) the screen cannot decide (absolute row sums of G above
+    # 1 + tol/2 while ||G|| = 1), so the eigensolve reads the screen's G; the
+    # defect keeps the bits of a measurement on a fresh tuple
+    calls = []
+
+    def gram(self, _orig=tuples.CommutingTuple._gram):
+        calls.append(1)
+        return _orig(self)
+
+    for t in (0.05, 0.1, 0.3):
+        R1, R2, _ = repro.two_variable_family(t)
+        want = tuples.validate([R1, R2]).row_defect
+        T = tuples.validate([R1, R2])
+        monkeypatch.setattr(tuples.CommutingTuple, "_gram", gram)
+        calls.clear()
+        lapack_counts.clear()
+        assert T.is_row_contraction()
+        assert T.row_defect == want
+        assert (calls, lapack_counts["eigvalsh"]) == ([1], 1)
+        monkeypatch.undo()
+
+
+def test_commuting_gate_keeps_its_screen_on_the_tuple(monkeypatch, lapack_counts):
+    # moebius gates its tuple once per point, as repro's two-variable
+    # example does; the commutators are formed once, and no gate measures
+    calls = []
+
+    def commutators(self, _orig=tuples.CommutingTuple._commutators):
+        calls.append(1)
+        return _orig(self)
+
+    monkeypatch.setattr(tuples.CommutingTuple, "_commutators", commutators)
+    R1, R2, _ = repro.two_variable_family(0.1)
+    T = tuples.validate([R1, R2])
+    lapack_counts.clear()
+    for w in ([0.1, 0.2], [0.3j, -0.1], [0.0, 0.5]):
+        tuples.moebius(T, w)
+    T.require_commuting(1e-6)
+    assert calls == [1]
+    assert lapack_counts["svd"] == 0 and "commutator_defect" not in T.__dict__
+    # a commutator that overflows to NaN is screened as inf: the gate measures
+    big = 1e200
+    U = tuples.validate([np.array([[big, big], [0.0, 0.0]]), np.array([[big, 0.0], [big, 0.0]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert U._commutator_fro == math.inf
+    assert tuples.validate([np.eye(2)])._commutator_fro == 0.0
