@@ -949,15 +949,11 @@ def test_within_decides_as_the_measured_gate(value, tol, factor, scale):
     assert nilsim._within(value, tol, factor, N) == (value <= tol * max(1.0, N.scale()) * factor)
 
 
-def _conjugated_inputs():
-    return [_perturbed_input(seed) for seed in range(8, 40)]
-
-
 def test_walk_stops_after_the_top_degree_of_a_conjugated_tuple(monkeypatch):
     # the powers past degree L of a conjugated staircase are roundoff; when
     # degree L + 1 is below n, the walk computes it, proves every deeper
     # power below tol and stops, without the nilpotency gate on N_j^n
-    inputs = _conjugated_inputs()
+    inputs = [_perturbed_input(seed) for seed in range(8, 40)]
     reached, gates = [], []
 
     def levels(T, start, _orig=tuples._levels):
@@ -1075,7 +1071,7 @@ def test_grid_gamma_is_the_maximum_over_every_gauge(monkeypatch):
         stacks.append(a.shape[0] if a.ndim == 3 else 1)
         return _orig(a, *args, **kwargs)
 
-    inputs = [case[:2] for case in _perturbed_input_all()] + [case[:2] for case in _bench_perturbed_inputs()]
+    inputs = [_perturbed_input(seed)[:2] for seed in range(40)] + [case[:2] for case in _bench_perturbed_inputs()]
     assert len(inputs) == 40 + 120
     half = nilsim.GAMMA_GRID // 2
     grids = extra = 0
@@ -1099,7 +1095,3 @@ def test_grid_gamma_is_the_maximum_over_every_gauge(monkeypatch):
     assert grids == 32 + 60
     # on average a handful of the 31 gauges of (pi, 2pi) are factored
     assert extra <= 8 * grids
-
-
-def _perturbed_input_all():
-    return [_perturbed_input(seed) for seed in range(40)]
