@@ -212,16 +212,17 @@ def _grid_gamma(B: np.ndarray, B_inv: np.ndarray, labels: tuple) -> float:
     ``_paired_below`` cannot put under g, the computed maximum of the first
     half. Every gauge whose computed norm reaches g is factored, so the
     maximum is over a subset that holds the maximizer: the same float as
-    over all M.
+    over all M. Only the factored gauges are formed; each product stands
+    alone in the stack, so a gauge has the same bits in any stack.
     """
     half = GAMMA_GRID // 2
     phases = _phases(GAMMA_GRID, labels[-1])[:, list(labels)]
-    W = (B[None] * phases[:, None, :]) @ B_inv
-    s = numerics.singular_values(W[: half + 1])
+    s = numerics.singular_values((B[None] * phases[: half + 1, None, :]) @ B_inv)
     gamma = float(s[:, 0].max())
     rest = np.flatnonzero(~_paired_below(B, B_inv, s, gamma)) + half + 1
     if rest.size:
-        gamma = max(gamma, float(numerics.operator_norms(W[rest]).max()))
+        W = (B[None] * phases[rest, None, :]) @ B_inv
+        gamma = max(gamma, float(numerics.operator_norms(W).max()))
     return gamma
 
 

@@ -15,9 +15,9 @@ so a stack entry equals the SVD of its matrix bit for bit
 (:func:`reorder_schur`) and ``ztrsyl`` (:func:`triangular_sylvester`)
 handles are bound here too, the one home of ``scipy.linalg.lapack``: the
 reorder gives the spectral subspaces of ``spectral.jordan_decompose``, and
-the Sylvester solve serves only ``spectral.riesz_idempotent``. Hermitian eigenvalues that a gate compares
-come from :func:`largest_eigenvalue`, Hermitian eigensolves from
-:func:`hermitian_part_eig`.
+the Sylvester solve serves only ``spectral.riesz_idempotent``. Hermitian
+eigenvalues that a gate compares come from :func:`largest_eigenvalue`,
+Hermitian eigensolves from :func:`hermitian_part_eig`.
 """
 
 from __future__ import annotations

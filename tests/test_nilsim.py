@@ -999,7 +999,8 @@ def test_wrong_ideal_reaching_the_stopping_degree_keeps_its_refusal():
 
 
 def _grid(B, B_inv, labels):
-    # every gauge of the grid, as _grid_gamma forms them
+    # every gauge of the grid in one stack; _grid_gamma forms only the ones
+    # it factors, with the same bits
     phases = nilsim._phases(nilsim.GAMMA_GRID, labels[-1])[:, list(labels)]
     return (B[None] * phases[:, None, :]) @ B_inv
 
