@@ -55,11 +55,10 @@ class NilsimHypotheses:
     gamma is the norm of the layer gauge Y_t = B diag(e^{i l t}) B^-1
     maximized over the ``GAMMA_GRID`` points t_k = 2 pi k / M (M =
     ``GAMMA_GRID``), available only when the homogeneous layers span
-    directly; with orthonormal layers it is exactly 1. The gauges of
-    (pi, 2pi) whose norm a proved bound puts below the maximum over [0, pi]
-    are not factored (``_grid_gamma``), which leaves the maximum unchanged
-    to the last bit. A grid maximum is an estimate from below of the
-    supremum gamma* = sup_t ||Y_t||.
+    directly; with orthonormal layers it is exactly 1. ``_grid_gamma``
+    factors only the gauges a proved bound cannot put below the maximum,
+    which leaves it unchanged to the last bit. A grid maximum is an estimate
+    from below of the supremum gamma* = sup_t ||Y_t||.
 
     ``gamma_upper`` is a proved upper bound on gamma*. Fix unit vectors u,
     v and let Lmax be the top layer label. f(t) = u^* Y_t v is a
@@ -76,9 +75,11 @@ class NilsimHypotheses:
     For larger Lmax the bound is vacuous and ``gamma_upper`` is None. With
     orthonormal layers B^-1 is taken as B^H, and ||Y_t|| <= ||B||^2 =
     ||B^H B|| <= 1 + ||B^H B - I||. Both values carry the relative factor
-    1 + ``BOUND_SLACK``, which covers the rounding of the computed gauges and
-    of their SVD (a few n u cond(B) relative, with u the unit roundoff).
-    Without a direct layer decomposition ``gamma_upper`` is None.
+    1 + ``BOUND_SLACK`` for the rounding of the computed gauges, a policy
+    and not a proof: the computed B^-1 is off by about cond(B) unit
+    roundoffs, relative, and nothing bounds cond(B); for n = 6 and cond(B)
+    from 1e3 to 1e9 the grid maximum was measured within 1e-10 of its
+    40-digit value. Without a direct layer decomposition it is None.
     """
 
     xi: np.ndarray
@@ -161,7 +162,10 @@ def _require_nilpotent(N: tuples.CommutingTuple, top: tuple, tol: float = NILPOT
 @functools.lru_cache(maxsize=None)
 def _phases(samples: int, top: int) -> np.ndarray:
     """e^{i l t} at t = 2 pi k / samples (rows k) for l = 0..top (columns),
-    shared read-only through the cache."""
+    shared read-only through the cache. For top < n and samples a power of
+    2 an entry is within 8 n u of e^{i l t} at the computed t, and 22 n u of
+    e^{2 pi i l k / samples}, u the unit roundoff (t within the relative 2u,
+    fl(l t) within 2 pi n u of l t, cos and sin within an ulp)."""
     ts = [2.0 * np.pi * k / samples for k in range(samples)]
     table = np.array([[cmath.exp(1j * ell * t) for ell in range(top + 1)] for t in ts])
     table.flags.writeable = False
@@ -173,35 +177,26 @@ def _proved_dead(top: float, S: float, n: int, ell: int, floor: float) -> bool:
     ``check_hypotheses`` would compute (``tuples._levels`` up to degree
     n - 1, then each N_j N_j^(n-1) of ``_require_nilpotent``) is proved to
     have computed Frobenius norm at most ``floor``, given that the computed
-    Frobenius norms of degree ell are at most ``top`` and
-    S = max(1, max_j fl(||N_j||_F)).
+    Frobenius norms of degree ell are at most ``top`` and S is
+    ``tuples._frobenius_bound`` (N).
 
-    Proof. Let u be the unit roundoff and delta = 16 n^3 u the room of
-    ``tuples.CommutingTuple``. A computed Frobenius norm is within the
-    relative (n^2 + 2) u <= delta of the exact one, up to the squares and
-    sums that underflow, which move the sum of squares by at most
-    n^2 2^-1073 in all and so the norm by at most n 2^-536. Hence
-    ||N_j||_2 <= ||N_j||_F <= (1 + delta) S, and each computed power of
-    degree ell has ||P||_F <= (1 + delta)(top + n 2^-536). A power of
-    degree m + 1 is computed as fl(N_j P) from a computed P of degree m,
-    with |fl(N_j P) - N_j P| <= 2 gamma_(n+2) |N_j| |P| <= delta |N_j| |P|
-    entrywise for complex data (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 3.6), and || |N_j| |P| ||_F <=
-    ||N_j||_F ||P||_F, so ||fl(N_j P)||_F <= (1 + delta)^2 S ||P||_F. By
-    induction a computed power of degree ell + k has Frobenius norm at most
-    (1 + delta)^(2k + 1) (top + n 2^-536) S^k, and computed Frobenius norm at
-    most (1 + delta)^(2k + 2) (top + n 2^-535) S^k, which for S >= 1 and
-    k <= n - ell is at most (1 + delta)^(2n + 2) (top + n 2^-535) S^(n - ell).
-    The test value is 2 (top + n 2^-535) S^(n - ell) rounded by at most
-    n + 1 operations, so it is at least (1 - u)^(n + 1) times its exact
-    value. When (2n + 2) delta <= 1/2, (1 + delta)^(2n + 2) <= e^(1/2) <
-    1.65 <= 2 (1 - u)^(n + 1), so a test value at most ``floor`` bounds
-    every one of those computed norms by ``floor``. The check costs one
-    product per degree left; a product that overflows decides nothing.
+    Proof, with the lemmas of ``numerics``, delta = ``numerics.room(n)``
+    and z = n ``numerics.FROBENIUS_UNDERFLOW``. A computed power P of
+    degree ell has ||P||_F <= (1 + delta)(top + z) (Frobenius), and
+    ||fl(N_j P)||_F <= (1 + delta) ||N_j||_F ||P||_F <= (1 + delta)^2 S ||P||_F
+    (products; ``tuples._frobenius_bound``). By induction, and (Frobenius)
+    once more, a power of degree ell + k <= n has computed Frobenius norm at
+    most (1 + delta)^(2k + 2) (top + 2z) S^k <= (1 + delta)^(2n + 2)
+    (top + 2z) S^(n - ell), as S >= 1. The test value is 2 (top + 2z)
+    S^(n - ell) rounded by at most n + 1 operations, so at least
+    (1 - u)^(n + 1) times its exact value, u the unit roundoff. When
+    (2n + 2) delta <= 1/2, (1 + delta)^(2n + 2) <= e^(1/2) < 1.65 <=
+    2 (1 - u)^(n + 1), so a test value at most ``floor`` bounds each of
+    those computed norms by ``floor``. The check costs one product per
+    degree left; a product that overflows decides nothing.
     """
-    if (2 * n + 2) * 16 * n**3 * tuples._UNIT_ROUNDOFF > 0.5:
-        return False
-    return 2.0 * (top + n * 2.0**-535) * math.prod([S] * (n - ell)) <= floor
+    z = n * numerics.FROBENIUS_UNDERFLOW
+    return (2 * n + 2) * numerics.room(n) <= 0.5 and 2.0 * (top + 2 * z) * math.prod([S] * (n - ell)) <= floor
 
 
 def _grid_gamma(B: np.ndarray, B_inv: np.ndarray, labels: tuple) -> float:
@@ -241,51 +236,38 @@ def _paired_below(B: np.ndarray, B_inv: np.ndarray, s: np.ndarray, g: float) -> 
 
     and ||V_k'|| <= (1 + ||F||) / s_min(V_p) wherever s_min(V_p) > 0.
 
-    Rounding. The gauges are formed only for n >= 2 (a 1 x 1 layer basis
-    is a unit vector), so delta = 16 n^3 u >= 128 u, with u the unit
-    roundoff; delta is the room of ``tuples.CommutingTuple``, used as in
-    ``_gauge_bounds``: a computed product of n x n matrices is within
-    delta ||A|| ||B|| of AB, a computed Frobenius norm within the relative
-    delta (underflow moves it by far less than delta^2), and each computed
-    singular value of A within delta ||A|| of the exact one. t_k =
-    fl(fl(2 fl(pi) k) / M) is within the relative 2u of 2 pi k / M, the
-    angle fl(l t_k) within 19 n u of 2 pi l k / M (l <= n - 1), and
-    cmath.exp returns its cosine and sine, each within an ulp: every
-    computed phase is within 22 n u of e^{2 pi i l k / M}, so |p| <= 1 + delta
-    and |Phi_ll| <= 45 n u <= delta. With the computed Frobenius norms b of
-    B, b' of B_inv, e of the computed E and e' of the computed E', and
-    h = 1 + delta:
-    - kappa = b b' h >= ||B||_F ||B_inv||_F >= ||B|| ||B_inv||;
-    - ||E|| <= eps = (e + delta kappa) h^2, ||E'|| <= eps' likewise (the
-      product within delta kappa, the difference and its norm within the
-      relative u and delta);
+    Rounding, with the lemmas of ``numerics``, delta = ``numerics.room(n)``
+    and u the unit roundoff. The gauges are formed only for n >= 2 (a 1 x 1
+    layer basis is a unit vector), so delta >= 128 u. A computed phase p is
+    within 22 n u of e^{2 pi i l k / M} (``_phases``), so |p| <= 1 + delta
+    and |Phi_ll| <= 45 n u <= delta. With b and b' the computed Frobenius
+    norms of B and B_inv, and h = 1 + delta:
+    - kappa = b b' h >= ||B||_F ||B_inv||_F >= ||B|| ||B_inv|| (Frobenius;
+      b >= 1, as B has unit columns);
+    - ||E|| <= eps and ||E'|| <= eps' (``_inverse_defects`` (a), K = kappa);
     - ||F|| <= f = eps' + delta kappa + h^2 kappa eps;
     - ||W_k - V_k|| <= eta = 2 delta kappa: fl(B P_k) is within the
-      relative 3u of B P_k entrywise, and the product adds
-      delta ||fl(B P_k)|| ||B_inv||;
+      relative 3u of B P_k, and the product adds delta ||fl(B P_k)|| ||B_inv||
+      (products);
     - with s_p and S_p the computed extreme singular values of W_p,
-      ||W_p|| <= S_p / (1 - delta), so
+      ||W_p|| <= S_p / (1 - delta) (spectrum), so
       s_min(V_p) >= d = s_p - delta S_p / (1 - delta) - eta;
     - for d > 0 the computed ||W_k'|| is at most
       h (||V_k'|| + eta) <= h ((1 + f) / d + eta).
 
-    So fl(||W_k'||) < g whenever d > 0 and 1 + f < d q with
-    q = g / h - eta. The test takes den = fl(s_p - 2 (delta S_p + eta)),
-    at most d when positive (its subtrahend exceeds the exact one by more
-    than 0.9 delta S_p >= u s_p, the rounding of the difference), and
+    So fl(||W_k'||) < g whenever d > 0 and 1 + f < d q with q = g / h - eta.
+    The test takes den = fl(s_p - 2 (delta S_p + eta)), at most d when
+    positive (its subtrahend exceeds the exact one by more than
+    0.9 delta S_p >= u s_p, the rounding of the difference), and
     q_c = fl(g (1 - 2 delta) - 2 eta), at most q when positive, and passes
-    when q_c > 0 and fl(den q_c) > fl((1 + f) h) for the computed f. Then
-    den > 0, fl(den q_c) <= (1 + u) d q, and the factor h >= 1 + 128 u
-    covers the rounding of (1 + f) h, a dozen operations on non-negative
-    numbers each within the relative u: d q > 1 + f.
+    when q_c > 0 and fl(den q_c) > fl((1 + f) h): then den > 0,
+    fl(den q_c) <= (1 + u) d q, and h >= 1 + 128 u covers the dozen
+    roundings of (1 + f) h, so d q > 1 + f.
     """
-    n = len(B)
-    delta = 16 * n**3 * tuples._UNIT_ROUNDOFF
+    delta = numerics.room(len(B))
     h = 1.0 + delta
-    I = np.eye(n)
     kappa = _norm(B.ravel()) * _norm(B_inv.ravel()) * h
-    eps = (_norm((B_inv @ B - I).ravel()) + delta * kappa) * h * h
-    eps_ = (_norm((B @ B_inv - I).ravel()) + delta * kappa) * h * h
+    eps, eps_ = _inverse_defects(B, B_inv, delta, kappa, h)
     f = eps_ + delta * kappa + h * h * kappa * eps
     eta = 2.0 * delta * kappa
     q = g * (1.0 - 2.0 * delta) - 2.0 * eta
@@ -295,6 +277,23 @@ def _paired_below(B: np.ndarray, B_inv: np.ndarray, s: np.ndarray, g: float) -> 
         return np.zeros(len(pair), dtype=bool)
     den = pair[:, -1] - 2.0 * (delta * pair[:, 0] + eta)
     return den * q > (1.0 + f) * h
+
+
+def _inverse_defects(A: np.ndarray, A_inv: np.ndarray, delta: float, K: float, h: float) -> tuple:
+    """(eps, eps') = ((e + delta K) h^2, (e' + delta K) h^2), bounds on ||E||
+    and ||E'|| for E = A_inv A - I and E' = A A_inv - I, e and e' the computed
+    Frobenius norms of their computed values, delta = ``numerics.room(n)``. By
+    (products) and (Frobenius) of ``numerics`` and the relative u of the
+    subtraction, ||E|| <= e (1 + delta) + delta ||A_inv|| ||A||, the underflow
+    term far below delta e or delta^2 K (||E|| >= 1 - ||A_inv|| ||A||). That is
+    at most (e + delta K) h (a) for K >= ||A_inv|| ||A|| and h = 1 + delta, and
+    (b) for K >= ||A|| ||A^-1||, h = 1 + theta, delta K <= theta/2 <= 1/8 and
+    delta < theta/7: A_inv = (I + E) A^-1 gives ||A_inv|| ||A|| <=
+    (1 + ||E||) K, so ||E|| <= (e (1 + delta) + delta K) / (1 - delta K). E'
+    likewise, with A_inv = A^-1 (I + E'). The second h covers the rounding of
+    the formula itself."""
+    I = np.eye(len(A))
+    return tuple((_norm((P - I).ravel()) + delta * K) * h**2 for P in (A_inv @ A, A @ A_inv))
 
 
 def check_hypotheses(
@@ -330,13 +329,10 @@ def check_hypotheses(
     or past it gets a zero column in the correspondence, as one past a
     vanishing degree does.
 
-    gamma is the largest gauge norm on a grid over [0, 2pi): one stacked
-    SVD over [0, pi] and one over the gauges of (pi, 2pi) that the pairing
-    Y_(-t) = Y_t^-1 cannot bound below the first maximum (``_grid_gamma``),
-    and gamma_upper the bound that grid certifies (see
-    ``NilsimHypotheses``); for orthonormal layers gamma is exactly 1. When
-    the layers fail to span directly the gauge is reported as unavailable,
-    not estimated.
+    gamma is the grid maximum of ``_grid_gamma`` and gamma_upper the bound
+    it certifies (``NilsimHypotheses``); for orthonormal layers gamma is
+    exactly 1. When the layers fail to span directly the gauge is reported
+    as unavailable, not estimated.
     """
     N.require_commuting(tol)
     levels = []  # (keys, stack, Frobenius norms) per degree
@@ -654,12 +650,10 @@ def _gauge_bounds(X, X_inv, norm_X: float, norm_X_inv: float, cond: float, resid
     values of ``necessity_check`` as computed as well. Both are inf when
     the rounding room theta below exceeds 1/4.
 
-    Exact identities. Let E = X_inv X - I and E' = X X_inv - I, so that
-    X_inv = (I + E) X^-1, and R_j = X N_j - Z_j X. W_t is diagonal and
-    unitary, and the model is graded, so W_t Z_j W_t^* = e^{it} Z_j. Then
-    ||Y_t|| <= ||X_inv|| ||X|| <= (1 + ||E||) ||X^-1|| ||X||, and
-    X N_j X_inv = Z_j (I + E') + R_j X_inv, X_inv Z_j X = N_j + E N_j - X_inv R_j
-    give
+    Exact identities. Let E = X_inv X - I, E' = X X_inv - I (so X_inv =
+    (I + E) X^-1) and R_j = X N_j - Z_j X. W_t is diagonal and unitary, and
+    the model is graded, so W_t Z_j W_t^* = e^{it} Z_j; with
+    X N_j X_inv = Z_j (I + E') + R_j X_inv, X_inv Z_j X = N_j + E N_j - X_inv R_j,
 
         Y_t N_j Y'_t - e^{it} N_j = e^{it} (E N_j - X_inv R_j)
             + X_inv W_t Z_j E' W_t^* X + X_inv W_t R_j X_inv W_t^* X.
@@ -668,38 +662,24 @@ def _gauge_bounds(X, X_inv, norm_X: float, norm_X_inv: float, cond: float, resid
     correctly rounded quotients at most 1, so ||Z_j|| <= 1, and
     N_j = X^-1 (Z_j X + R_j) gives ||N_j|| <= ||X^-1|| (||X|| + ||R_j||).
 
-    Rounding. With u the unit roundoff and delta = 16 n^3 u, the room of
-    ``tuples.CommutingTuple``: a computed product of n x n matrices is
-    within n gamma_(n+2) ||A|| ||B|| <= delta ||A|| ||B|| of AB in the
-    2-norm (|fl(AB) - AB| <= gamma_(n+2) |A| |B| for complex data, and
-    || |A| ||_2 <= ||A||_F <= sqrt(n) ||A||_2; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sections 3.5-3.6), a computed sum
-    or difference within delta times its norm, a computed Frobenius norm
-    within the relative delta, and each computed singular value within
-    delta ||A|| of the exact one (backward stability and Weyl's
-    inequality). The sampled phases are e^{i l t} for the computed t, each
-    within the relative 8 n u <= delta / 2 (the rounded product l t and the
-    rounded cos and sin).
-
-    With a = ``norm_X``, b = ``norm_X_inv`` (from one SVD of X),
-    c = ``cond``, r = ``resid``, e and e' the computed Frobenius norms of the
-    computed E and E', and h = 1 + theta with theta = 4 delta (1 + c) <= 1/4:
-    - ||X|| <= a / (1 - delta) <= a h, and ||X^-1|| = 1/s_min(X) <= b h,
-      since s_min(X) >= s_min - delta ||X|| with s_min the computed one;
+    Rounding, with the lemmas of ``numerics``, delta = ``numerics.room(n)``,
+    u the unit roundoff, a = ``norm_X``, b = ``norm_X_inv`` (one SVD of X),
+    c = ``cond``, r = ``resid`` and h = 1 + theta, theta = 4 delta (1 + c)
+    <= 1/4. The sampled phases are within 8 n u <= delta/2 of e^{i l t} at
+    the computed t (``_phases``).
+    - ||X|| <= a / (1 - delta) <= a h, and ||X^-1|| = 1/s_min(X) <= b h as
+      s_min(X) >= s_min - delta ||X||, s_min the computed one (spectrum);
       so kappa = ||X|| ||X^-1|| <= K = c h^3.
-    - ||E|| <= e (1 + delta)^2 + delta ||X_inv|| ||X|| and
-      ||X_inv|| ||X|| <= (1 + ||E||) kappa, so ||E|| <= eps = (e + delta K) h^2
-      (delta K <= theta / 2); likewise ||E'|| <= eps' = (e' + delta K) h^2.
-      Then ||X_inv|| ||X|| <= y = (1 + eps) K.
-    - The computed R_j is within delta ||X|| (||N_j|| + 1) + 2 delta r of R_j,
-      so with the bound on ||N_j|| above, ||N_j|| <= m = (K + b h r) h and
+    - ||E|| <= eps and ||E'|| <= eps' (``_inverse_defects`` (b)), and
+      ||X_inv|| ||X|| <= y = (1 + eps) K.
+    - The computed R_j is within delta ||X|| (||N_j|| + 1) + 2 delta r of
+      R_j (products), so ||N_j|| <= m = (K + b h r) h and
       ||R_j|| <= rho = r h + delta a h (m + 1).
 
     Gauge. ||Y_t|| <= y for every t. A computed sample is within 3 delta y
     of the exact Y_t of its computed t (two products, the phases), and its
-    computed norm at most (1 + delta) times its norm, so
-
-        G = y h^2 >= max(||Y_t||, sampled norm).
+    computed norm at most (1 + delta) times its norm (spectrum), so
+    G = y h^2 >= max(||Y_t||, sampled norm).
 
     Commutator. The identity bounds the defect for every t by
 
@@ -710,29 +690,21 @@ def _gauge_bounds(X, X_inv, norm_X: float, norm_X_inv: float, cond: float, resid
     ||Y_t N_j|| <= y m), 2 delta y^2 m from the two products of the sample,
     2 delta m from the rounded phase and its product with N_j, and
     delta (1 + y^2) m from the subtraction; the terms of order delta^2 fit
-    in the coefficients, each rounded up. Its computed norm is at most
-    (1 + delta) times its norm, so
+    in the coefficients, each rounded up. With (spectrum) once more,
+    C = (D + 10 delta (1 + y^2) m) h^2 >= max(defect, sampled defect).
 
-        C = (D + 10 delta (1 + y^2) m) h^2 >= max(defect, sampled defect).
-
-    The last factor h in G and C covers the rounding of their own
-    evaluation: a few dozen operations on non-negative numbers, each within
-    the relative u, against theta > 7 delta >= 112 u (c >= 1 up to
-    rounding). So a computed bound within a gate's computed threshold proves
-    that every sampled value lies within it too.
+    The last factor h in G and C covers the few dozen roundings of their
+    own evaluation, as theta > 7 delta >= 112 u (c >= 1 up to rounding). So
+    a computed bound within a gate's computed threshold proves that every
+    sampled value lies within it too.
     """
-    n = len(X)
-    delta = 16 * n**3 * tuples._UNIT_ROUNDOFF
+    delta = numerics.room(len(X))
     theta = 4.0 * delta * (1.0 + cond)
     if not theta <= 0.25:  # refuses a non-finite cond as well
         return np.inf, np.inf
-    I = np.eye(n)
-    e = _norm((X_inv @ X - I).ravel())
-    e_ = _norm((X @ X_inv - I).ravel())
     h = 1.0 + theta
     K = cond * h**3
-    eps = (e + delta * K) * h**2
-    eps_ = (e_ + delta * K) * h**2
+    eps, eps_ = _inverse_defects(X, X_inv, delta, K, h)
     y = (1.0 + eps) * K
     bh = norm_X_inv * h
     m = (K + bh * resid) * h

@@ -1,4 +1,5 @@
-"""Dense complex-matrix kernel used by all higher modules.
+"""Dense complex-matrix kernel used by all higher modules, and the home of
+the rounding model that every proved screen cites.
 
 Thin, contract-checked wrappers around LAPACK via numpy/scipy. No other
 module calls a factorization, so ``CALLS`` counts every LAPACK call by kind
@@ -18,6 +19,35 @@ reorder gives the spectral subspaces of ``spectral.jordan_decompose``, and
 the Sylvester solve serves only ``spectral.riesz_idempotent``. Hermitian
 eigenvalues that a gate compares come from :func:`largest_eigenvalue`,
 Hermitian eigensolves from :func:`hermitian_part_eig`.
+
+Rounding model. The proofs in ``tuples`` and ``nilsim`` read the unit
+roundoff u = ``UNIT_ROUNDOFF`` and the room :func:`room` (n) = 16 n^3 u
+here, for complex matrices with no dimension above n, and cite these
+lemmas by name (gamma_k = k u / (1 - k u); Higham, *Accuracy and Stability
+of Numerical Algorithms*, section 3.1). The room also covers the few
+roundings, each within the relative u, of a proof's own formula.
+
+(products) |fl(AB) - AB| <= sqrt(2) gamma_(n+2) |A| |B| entrywise, in any
+  order of summation (Higham, sections 3.5-3.6). As || |A| |B| ||_F <=
+  ||A||_F ||B||_F <= n ||A|| ||B||, a computed product is within
+  room ||A||_F ||B||_F of AB in the Frobenius norm and room ||A|| ||B|| in
+  the 2-norm. A computed sum or difference is within the relative u
+  entrywise, so within room times its norm.
+(Frobenius) The computed Frobenius norm f of at most n^2 complex entries
+  (``np.linalg.norm``, or the square root of ``np.vdot(A, A).real`` or of
+  the dots of the real and imaginary parts), unless it overflows to inf
+  (or NaN, by ``np.vdot``), has |f - ||A||_F| <= (n^2 + 2) u ||A||_F +
+  n ``FROBENIUS_UNDERFLOW``, and (n^2 + 2) u <= room: a path to the sum of
+  squares has at most n^2 + 1 roundings; a square that underflows is off
+  by at most 2^-1075 instead and a sum that underflows is exact, so the
+  2 n^2 squares move the sum by at most n^2 2^-1074.
+(spectrum) The computed singular values of A, and the computed
+  eigenvalues of a Hermitian A, are exact for A + E with ||E||_2 <=
+  p(n) u ||A||_2 (LAPACK Users' Guide, sections 4.7 and 4.9; p(n) is O(n^2)
+  for the Householder reductions, Higham, ch. 19), so each is within
+  p(n) u ||A||_2 of the exact one (Weyl). The model takes p(n) + n^2 + 8
+  <= 16 n^3: p(n) u <= room, and with (Frobenius) the computed top
+  singular value is at most (1 + room)(f + n ``FROBENIUS_UNDERFLOW``).
 """
 
 from __future__ import annotations
@@ -42,10 +72,17 @@ PD_RTOL = 1e-12
 # widest matrix whose kernel :func:`nullspace` may be asked for: its full SVD
 # holds an n x n V^H, 256 MiB of complex doubles at this width
 MAX_NULLSPACE_COLS = 4096
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+FROBENIUS_UNDERFLOW = 2.0**-536  # per unit of n, the additive term of (Frobenius)
 
 _trsen = scipy.linalg.lapack.ztrsen
 _trsyl = scipy.linalg.lapack.ztrsyl
 CALLS = collections.defaultdict(int)  # its increment costs a third of a Counter's
+
+
+def room(n: int) -> float:
+    """16 n^3 u, the room of the rounding model (module docstring)."""
+    return 16 * n**3 * UNIT_ROUNDOFF
 
 
 def as_cmatrix(a) -> np.ndarray:

@@ -26,8 +26,6 @@ from . import multiindex as mi
 from . import numerics
 from .errors import InputError, NumericalError, ValidationError
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
 
 @dataclass(frozen=True)
 class CommutingTuple:
@@ -43,21 +41,12 @@ class CommutingTuple:
     the same threshold and message; a defect already measured decides
     without a screen. Each screen reads the very matrices its measurement
     would factor, so only the rounding of that measurement must fit in the
-    screen's margin tol/2. With u the unit roundoff, the screens decide only
-    when
+    screen's margin tol/2: the screens decide only when
 
-        (1 + tol/2) 16 n^3 u <= tol/2,
+        (1 + tol/2) room <= tol/2,   room = ``numerics.room(n)``,
 
-    which holds up to n = 65 at the default tol = 1e-9. The room 16 n^3 u
-    covers the relative rounding of the screen's own sums ((n^2 + 2) u for a
-    Frobenius norm, (n + 3) u for an absolute row sum), one more u for the
-    gate's subtraction, and the backward error p(n) u ||A||_2 of the SVD or
-    Hermitian eigensolve behind the measurement: its computed values are
-    exact for A + E with ||E||_2 <= p(n) u ||A||_2, p(n) a modest polynomial
-    (LAPACK Users' Guide, sections 4.7 and 4.9; O(n^2) for the Householder
-    reductions, Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 19), so by Weyl's inequality each computed value is within
-    p(n) u ||A||_2 of the exact one.
+    which holds up to n = 65 at the default tol = 1e-9: the room covers the
+    measurement (lemma (spectrum) of ``numerics``) and the screen's sums.
     """
 
     matrices: tuple
@@ -80,7 +69,7 @@ class CommutingTuple:
 
     def _screens(self, tol: float) -> bool:
         """Whether tol leaves the screens their rounding room (class docstring)."""
-        return (1.0 + tol / 2) * 16 * self.n**3 * _UNIT_ROUNDOFF <= tol / 2
+        return (1.0 + tol / 2) * numerics.room(self.n) <= tol / 2
 
     @functools.cached_property
     def commutator_defect(self) -> float:
@@ -112,15 +101,15 @@ class CommutingTuple:
         """Whether ``row_defect <= tol``.
 
         Screen: max(||G||_1, ||G||_inf) <= 1 + tol/2 for the computed
-        G = sum T_j T_j^*. The eigensolve reads H = fl((G + G^*)/2), whose
-        entries are at most (|g_ij| + |g_ji|)/2 (1 + u), so ||H||_1 =
-        ||H||_inf <= (1 + u) max(||G||_1, ||G||_inf), and H being Hermitian,
-        ||H||_2 <= sqrt(||H||_1 ||H||_inf) = ||H||_1 (Higham, ch. 6). The
-        computed top eigenvalue is then at most (1 + tol/2)(1 + delta), and
-        the defect fl(lambda - 1) at most tol/2 + (1 + tol/2) delta <= tol,
-        with delta <= 16 n^3 u the total rounding of the class docstring.
-        A screen that cannot decide hands its G to the eigensolve, which
-        stores ``row_defect``: G is formed once.
+        G = sum T_j T_j^*, its absolute row sums computed within (n + 3) u.
+        The eigensolve reads H = fl((G + G^*)/2), with entries at most
+        (|g_ij| + |g_ji|)/2 (1 + u), so ||H||_2 <= ||H||_1 = ||H||_inf <=
+        (1 + u) max(||G||_1, ||G||_inf), H being Hermitian (Higham, ch. 6).
+        By (spectrum) of ``numerics`` and its budget the computed top
+        eigenvalue is at most (1 + tol/2)(1 + room), and the defect
+        fl(lambda - 1), exact near 1, at most tol/2 + (1 + tol/2) room <= tol
+        (class docstring). A screen that cannot decide hands its G to the
+        eigensolve, which stores ``row_defect``: G is formed once.
         """
         if "row_defect" not in self.__dict__ and self._screens(tol):
             G = self._gram()
@@ -136,12 +125,11 @@ class CommutingTuple:
         tol max(1, scale)^2.
 
         Screen: every computed commutator C has computed Frobenius norm at
-        most tol/2. Then ||C||_2 <= ||C||_F <= (tol/2)(1 + (n^2 + 2) u), and
-        the measured defect, the top computed singular value of C, is at most
-        (tol/2)(1 + 16 n^3 u) < tol <= tol max(1, scale)^2 (class docstring),
-        so neither the defect nor the norms are measured. Squares that
-        underflow move the computed sum of squares by at most n^2 2^-1074 in
-        all, far below (tol/2)^2 >= (16 n^3 u)^2, so they do not disturb it.
+        most tol/2. By lemma (spectrum) of ``numerics`` the measured defect,
+        the top computed singular value of C, is at most (1 + room)(tol/2 +
+        n ``numerics.FROBENIUS_UNDERFLOW``) < tol <= tol max(1, scale)^2, as
+        (1 + tol/2) room <= tol/2 (class docstring) and the underflow term
+        is far below u; so neither the defect nor the norms are measured.
         The largest computed Frobenius norm is cached on the tuple, like
         ``norms``, so a tuple gated again forms no commutator.
         """
@@ -168,9 +156,13 @@ def _row_defect(G: np.ndarray) -> float:
 
 
 def _frobenius_bound(T: CommutingTuple) -> float:
-    """max(1, max_j fl(||T_j||_F)), a bound on every ||T_j||_2 up to the
-    rounding room of ``CommutingTuple``, without a factorization."""
-    return max(1.0, math.sqrt(max(np.vdot(M, M).real for M in T.matrices)))
+    """S = max(1, max_j fl(||T_j||_F)), a NaN square (an overflow) read as inf,
+    without a factorization. By (Frobenius) and (spectrum) of ``numerics``,
+    with S >= 1 absorbing the underflow term, ||T_j||_2 <= ||T_j||_F <=
+    (1 + room) S, room = ``numerics.room(n)``, and so is the computed top
+    singular value of T_j."""
+    squares = (float(np.vdot(M, M).real) for M in T.matrices)
+    return max(1.0, math.sqrt(max(s if s == s else math.inf for s in squares)))
 
 
 def validate(matrices: Sequence[np.ndarray]) -> CommutingTuple:
@@ -261,15 +253,12 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     norms behind s are measured only for a layer that the screen
     m > fl(a (2 P_l)) cannot call live, where P_l is the running product of
     l factors S = max(1, max_j fl(||T_j||_F)); norms measured before the
-    call decide without the screen. The screen never calls a dead layer live. The computed top
-    singular value of T_j is within the SVD's backward error of
-    ||T_j||_2 <= ||T_j||_F, and the computed Frobenius norm within
-    (n^2 + 3) u of the exact one, so s <= S (1 + delta), with u the unit
-    roundoff and delta = 16 n^3 u the total rounding of
-    ``CommutingTuple``. A power is rounded to within an ulp, so
-    fl(s^l) <= s^l (1 + 2u) <= S^l (1 + delta)^l (1 + 2u), while
-    P_l >= S^l (1 - u)^l. For l (delta + 2u) <= 1/2 the ratio
-    (1 + delta)^l (1 + 2u) / (1 - u)^l is at most e^(1/2) (1 + 2u) < 2,
+    call decide without the screen. The screen never calls a dead layer
+    live: s <= (1 + room) S (``_frobenius_bound``, room =
+    ``numerics.room(n)``), and a power is rounded to within an ulp, so with
+    u the unit roundoff fl(s^l) <= s^l (1 + 2u) <= S^l (1 + room)^l (1 + 2u),
+    while P_l >= S^l (1 - u)^l. For l (room + 2u) <= 1/2 the ratio
+    (1 + room)^l (1 + 2u) / (1 - u)^l is at most e^(1/2) (1 + 2u) < 2,
     so fl(s^l) <= 2 P_l, the doubling being exact. Rounding is monotone
     and a >= 0, so fl(a fl(s^l)) <= fl(a (2 P_l)) < m: the layer is live
     by the measured rule too. A product P_l that overflows calls nothing
@@ -286,7 +275,7 @@ def krylov(T: CommutingTuple, xi: np.ndarray, max_degree: int) -> KrylovData:
     a = 1e-13 * float(np.linalg.norm(xi))
     # the screen of the docstring, unless the norms are measured already
     S = None if "norms" in T.__dict__ else _frobenius_bound(T)
-    reach = 0.5 / ((16 * T.n**3 + 2) * _UNIT_ROUNDOFF)
+    reach = 0.5 / (numerics.room(T.n) + 2 * numerics.UNIT_ROUNDOFF)
     P = 1.0
     # the dead-layer break below means nothing past the first dead layer is
     # ever computed; deeper layers are products with a dead one

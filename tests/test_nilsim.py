@@ -1096,3 +1096,13 @@ def test_grid_gamma_is_the_maximum_over_every_gauge(monkeypatch):
     assert grids == 32 + 60
     # on average a handful of the 31 gauges of (pi, 2pi) are factored
     assert extra <= 8 * grids
+
+
+def test_proved_dead_refuses_past_the_room_it_needs():
+    # the proof needs (2n + 2) 16 n^3 u <= 1/2, that is (2n + 2) 16 n^3 <= 2^52
+    n = 1
+    while (2 * n + 4) * 16 * (n + 1) ** 3 <= 2**52:
+        n += 1
+    assert n == 3444
+    assert nilsim._proved_dead(0.0, 1.0, n, n, 1.0)
+    assert not nilsim._proved_dead(0.0, 1.0, n + 1, n + 1, 1.0)

@@ -1,8 +1,11 @@
 import itertools
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from arveson import numerics
@@ -335,3 +338,89 @@ def test_largest_eigenvalue_reads_the_hermitian_part():
     a = np.array([[2.0, 1.0], [3.0, 2.0]])
     h = numerics._hermitian_part(a)
     assert numerics.largest_eigenvalue(a) == float(np.linalg.eigvalsh(h)[-1]) == 4.0
+
+
+# The lemmas of the rounding model (numerics module docstring) against
+# mpmath at 40 digits: orders 1..8, scales 2^-600..2^600.
+
+
+def _complex(rng, shape, k):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0**k
+
+
+def _mp(a):
+    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+
+
+def _fro(m):
+    return mpmath.sqrt(mpmath.fsum(abs(m[i, j]) ** 2 for i in range(m.rows) for j in range(m.cols)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+    ka=st.integers(-600, 600),
+    kb=st.integers(-600, 600),
+)
+def test_products_lemma_holds_against_mpmath(dims, seed, ka, kb):
+    assume(abs(ka + kb) <= 600)  # the product stays in the normal range
+    n = max(dims)
+    rng = np.random.default_rng(seed)
+    A, B = _complex(rng, dims[:2], ka), _complex(rng, dims[1:], kb)
+    with mpmath.workdps(40):
+        exact = _mp(A) * _mp(B)
+        bound = numerics.room(n) * _fro(_mp(A)) * _fro(_mp(B)) / n
+        # a plain product and one of a stack; ||D||_2 <= ||D||_F and
+        # ||M||_F <= sqrt(n) ||M||_2, so within bound both forms hold
+        for C in (A @ B, (np.array([A, A]) @ np.array([B, B]))[1]):
+            assert _fro(_mp(C) - exact) <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-600, 600),
+    tiny=st.floats(0.0, 1.0),
+)
+def test_frobenius_lemma_holds_against_mpmath(n, seed, k, tiny):
+    # a share of the entries is moved to 2^-1100 .. 2^-500, where squares
+    # underflow and entries are subnormal or zero
+    rng = np.random.default_rng(seed)
+    A = _complex(rng, (n, n), k)
+    low = rng.random((n, n)) < tiny
+    e = rng.integers(-1100, -500, (n, n))
+    A[low] = np.ldexp(A.real, e)[low] + 1j * np.ldexp(A.imag, e)[low]
+    u = numerics.UNIT_ROUNDOFF
+    with np.errstate(over="ignore"):
+        fs = [np.linalg.norm(A), np.linalg.norm(A[None], axis=(1, 2))[0], math.sqrt(np.vdot(A, A).real)]
+    with mpmath.workdps(40):
+        F = _fro(_mp(A))
+        for f in fs:
+            # an overflow gives inf, or NaN by np.vdot
+            assert not math.isfinite(f) or abs(f - F) <= (n * n + 2) * u * F + n * numerics.FROBENIUS_UNDERFLOW
+            assert math.isfinite(f) or F > 2.0**500
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-600, 600),
+)
+def test_spectrum_lemma_holds_against_mpmath(shape, seed, k):
+    n = max(shape)
+    rng = np.random.default_rng(seed)
+    A = _complex(rng, shape, k)
+    B = _complex(rng, (n, n), k)
+    H = B + B.conj().T  # Hermitian to the last bit
+    computed_s = numerics.singular_values(A[None])[0]
+    computed_h = numerics.hermitian_part_eig(H)[0]
+    with mpmath.workdps(40):
+        s = sorted(mpmath.svd_c(_mp(A), compute_uv=False), reverse=True)
+        lam = sorted(mpmath.eighe(_mp(H), eigvals_only=True))
+        room_s, room_h = numerics.room(n) * s[0], numerics.room(n) * max(map(abs, lam))
+        assert all(abs(c - e) <= room_s for c, e in zip(computed_s, s))
+        assert all(abs(c - e) <= room_h for c, e in zip(computed_h, lam))
+        assert abs(numerics.largest_eigenvalue(H) - lam[-1]) <= room_h

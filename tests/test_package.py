@@ -161,6 +161,53 @@ def test_no_module_takes_matrix_powers():
     assert "matrix_power" in _names(ast.parse("np.linalg.matrix_power(a, 3)"))
 
 
+def _mult_operands(node: ast.AST) -> list:
+    """The factors of a chain of ``*``, parentheses flattened."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _mult_operands(node.left) + _mult_operands(node.right)
+    return [node]
+
+
+def _constant(node: ast.AST):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _rounding_literals(tree: ast.Module) -> set:
+    """Which parts of the rounding model a module writes out: the name
+    ``finfo`` (the unit roundoff), a product ``16 * ... * x ** 3`` (the
+    room) and a power ``2 ** -k`` with k >= 500 (an underflow term)."""
+    found = {"finfo"} & _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            factors = _mult_operands(node)
+            powers = [_constant(f.right) for f in factors if isinstance(f, ast.BinOp) and isinstance(f.op, ast.Pow)]
+            if 3 in powers and 16 in map(_constant, factors):
+                found.add("room")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = _constant(node.right)
+            if _constant(node.left) == 2 and isinstance(exponent, (int, float)) and exponent <= -500:
+                found.add("underflow")
+    return found
+
+
+def test_the_rounding_model_is_written_only_in_numerics():
+    # every proved screen reads the unit roundoff, the room and the
+    # underflow term of the Frobenius lemma from numerics
+    literals = {
+        path.stem: _rounding_literals(ast.parse(path.read_text(encoding="utf-8")))
+        for path in (ROOT / "src" / "arveson").glob("*.py")
+    }
+    assert sorted(m for m, found in literals.items() if found and m != "numerics") == []
+    assert literals["numerics"] == {"finfo", "room", "underflow"}
+    # the scan sees each pattern however it is spelled
+    demo = "u = np.finfo(float).eps / 2\nr = (1.0 + t) * 16 * (n**3) * u\nf = n * 2.0 ** -535"
+    assert _rounding_literals(ast.parse(demo)) == {"finfo", "room", "underflow"}
+    assert _rounding_literals(ast.parse("from numpy import finfo\nx = 16 * n**2 * 2.0**-53")) == {"finfo"}
+
+
 def _draws_random_numbers(tree: ast.Module) -> bool:
     """Whether a module reaches ``numpy.random``: by attribute or by import."""
     for node in ast.walk(tree):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,3 +469,50 @@ def test_commuting_gate_keeps_its_screen_on_the_tuple(monkeypatch, lapack_counts
     with np.errstate(over="ignore", invalid="ignore"):
         assert U._commutator_fro == math.inf
     assert tuples.validate([np.eye(2)])._commutator_fro == 0.0
+
+
+def test_screens_run_up_to_order_65_at_the_default_tol():
+    # (1 + tol/2) 16 n^3 u <= tol/2 holds at n = 65 and fails at n = 66
+    assert tuples.validate([np.zeros((65, 65))])._screens(1e-9)
+    assert not tuples.validate([np.zeros((66, 66))])._screens(1e-9)
+
+
+class _Order(int):
+    """An order that compares as the tuple's own but whose powers are those
+    of ``virtual``: the rounding room reads the order only through n**3,
+    so a small tuple meets the room of a tuple of order ``virtual``."""
+
+    virtual = 40000
+
+    def __pow__(self, k):
+        return self.virtual**k
+
+
+def test_krylov_screens_no_layer_past_its_reach(monkeypatch):
+    # the screen needs l (16 n^3 u + 2u) <= 1/2: at order 40000 it covers
+    # the layers 0..4, and layer 5 reads the measured norms
+    reach = Fraction(1, 2) / ((16 * _Order.virtual**3 + 2) * Fraction(1, 2**53))
+    assert math.floor(reach) == 4
+    monkeypatch.setattr(tuples.CommutingTuple, "n", property(lambda self: _Order(len(self.matrices[0]))))
+    shift = np.eye(8, k=-1, dtype=complex)
+    xi = np.eye(8, dtype=complex)[0]
+    for degree in (4, 5):
+        T = tuples.validate([shift])
+        assert tuples.krylov(T, xi, degree).layer_dims == (1,) * (degree + 1)
+        assert ("norms" in T.__dict__) == (degree > 4)
+
+
+def test_frobenius_bound_reads_an_overflowed_square_as_inf():
+    # np.vdot of an entry whose real and imaginary parts both overflow when
+    # squared is NaN; read as 1, the bound let the krylov screen call live
+    # the layer (0, 0, 1) that the measured rule calls dead
+    c = 1.3e154 - 1.4e154j
+    M = np.array([[0, 0, 0], [c, 0, 0], [0, 1, 0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(np.vdot(M, M).real)
+        T = tuples.validate([M])
+        assert tuples._frobenius_bound(T) == math.inf
+        xi = np.eye(3, dtype=complex)[1]
+        measured = tuples.validate([M])
+        assert measured.norms[0] > 1e154
+        assert tuples.krylov(T, xi, 1).layer_dims == tuples.krylov(measured, xi, 1).layer_dims == (1,)
